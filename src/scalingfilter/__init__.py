@@ -10,7 +10,7 @@ from .corpus import CorpusManifest, Document, read_corpus, write_corpus
 from .diversity import semantic_diversity, subsample_diversity
 from .ngram import MetaModelPair, NGramModel, train_pair
 from .scaling import ScalingLawParams, expected_loss, optimal_allocation
-from .scoring import QualityScore, ScorerEndpoint, quality_factor, score_corpus
+from .scoring import PerplexityModel, QualityScore, RemotePerplexityModel, quality_factor, score_corpus
 from .selection import (
     SelectionPolicy,
     SelectionResult,
@@ -27,9 +27,10 @@ __all__ = [
     "Document",
     "MetaModelPair",
     "NGramModel",
+    "PerplexityModel",
     "QualityScore",
+    "RemotePerplexityModel",
     "ScalingLawParams",
-    "ScorerEndpoint",
     "SelectionPolicy",
     "SelectionResult",
     "expected_loss",

@@ -13,7 +13,6 @@ breach, 4 verification failure, 1 other fatal error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -32,7 +31,7 @@ from .errors import (
     ScorerUnavailableError,
 )
 from .ngram import load_pair, save_pair, train_pair
-from .scoring import ScorerEndpoint, read_score_file, score_corpus
+from .scoring import RemotePerplexityModel, read_score_file, score_corpus
 from .seeding import derive_seed
 from .selection import (
     SelectionResult,
@@ -183,21 +182,6 @@ class _RecordErrorLog:
             log.warning("%d malformed records were reported and skipped", self.count)
 
 
-def _corpus_stream_with_fingerprint(corpus_path: str, on_error=None):
-    manifest_path = corpus_io.find_manifest(corpus_path)
-    hasher = hashlib.blake2b(digest_size=8)
-
-    def stream():
-        for doc in corpus_io.read_manifest_corpus(manifest_path, on_error=on_error):
-            hasher.update(doc.id.encode("utf-8"))
-            hasher.update(b"\x00")
-            hasher.update(doc.text.encode("utf-8"))
-            hasher.update(b"\x01")
-            yield doc
-
-    return stream, hasher
-
-
 def cmd_train_meta(args, config, out_dir: Path) -> int:
     resolved = {
         "corpus": args.corpus,
@@ -208,15 +192,16 @@ def cmd_train_meta(args, config, out_dir: Path) -> int:
     }
     _snapshot(out_dir, "train-meta", resolved)
     record_errors = _RecordErrorLog()
-    stream, hasher = _corpus_stream_with_fingerprint(args.corpus, on_error=record_errors)
+    docs = corpus_io.read_manifest_corpus(corpus_io.find_manifest(args.corpus), on_error=record_errors)
+    fingerprint = corpus_io.CorpusFingerprint()
     pair = train_pair(
-        stream(),
+        fingerprint.passthrough(docs),
         small_order=resolved["small_order"],
         large_order=resolved["large_order"],
         smoothing_k=resolved["smoothing_k"],
     )
     record_errors.summarize()
-    pair.train_corpus_id = hasher.hexdigest()
+    pair.train_corpus_id = fingerprint.hexdigest()
     descriptor = save_pair(pair, out_dir)
     log.info("trained pair orders (%d, %d); descriptor at %s",
              pair.small.order, pair.large.order, descriptor)
@@ -240,14 +225,11 @@ def cmd_score(args, config, out_dir: Path) -> int:
     _snapshot(out_dir, "score", resolved)
 
     if args.pair and not (args.remote_small or args.remote_large):
-        endpoint = ScorerEndpoint.local_pair(load_pair(args.pair))
+        pair = load_pair(args.pair)
+        small, large = pair.small, pair.large
     elif args.remote_small and args.remote_large and not args.pair:
-        endpoint = ScorerEndpoint.remote_pair(
-            args.remote_small,
-            args.remote_large,
-            batch_size=resolved["batch_size"],
-            timeout=resolved["timeout"],
-        )
+        small = RemotePerplexityModel(args.remote_small, timeout=resolved["timeout"])
+        large = RemotePerplexityModel(args.remote_large, timeout=resolved["timeout"])
     else:
         raise ValueError("provide either --pair or both --remote-small and --remote-large")
 
@@ -255,12 +237,14 @@ def cmd_score(args, config, out_dir: Path) -> int:
     record_errors = _RecordErrorLog()
     docs = corpus_io.read_manifest_corpus(manifest_path, on_error=record_errors)
     summary = score_corpus(
-        endpoint,
+        small,
+        large,
         docs,
         out_path=out_dir / "scores.tsv",
         cache_path=args.cache,
         workers=workers,
         error_budget=resolved["error_budget"],
+        batch_size=resolved["batch_size"],
     )
     record_errors.summarize()
     (out_dir / "score_summary.json").write_text(

@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import EmptyTextError, EncodingError, RecordError
+from .errors import EmptyTextError, EncodingError, InvalidIdError, RecordError
 
 MANIFEST_NAME = "manifest.json"
 
@@ -77,7 +77,8 @@ class CorpusManifest:
 def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
     """Turn one parsed JSONL record into a Document or raise a RecordError.
 
-    A missing id is synthesized as ``<shard-basename>:<line-number>``.
+    A missing id is synthesized as ``<shard-basename>:<line-number>``. Ids
+    containing a tab, CR or LF are rejected.
     """
     text = raw.get("text")
     if not isinstance(text, str) or not text.strip():
@@ -87,8 +88,12 @@ def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
         stem = Path(shard).name
         stem = stem[: -len(".jsonl")] if stem.endswith(".jsonl") else stem
         doc_id = f"{stem}:{line_no}"
+    doc_id = str(doc_id)
+    if any(c in doc_id for c in "\t\n\r"):
+        # every TSV artifact (scores, errors, cache, kept ids) is keyed by id
+        raise InvalidIdError(f"id {doc_id!r} contains a tab or line break", shard=shard, line_no=line_no)
     source = raw.get("source")
-    return Document.create(id=str(doc_id), text=text, source=str(source) if source is not None else None)
+    return Document.create(id=doc_id, text=text, source=str(source) if source is not None else None)
 
 
 def iter_shard(path: str | Path, on_error: Optional[Callable[[RecordError], None]] = None) -> Iterator[Document]:
@@ -199,15 +204,31 @@ def write_corpus(
     return manifest
 
 
+class CorpusFingerprint:
+    """Order-sensitive 64-bit content hash over (id, text) pairs, built while streaming."""
+
+    def __init__(self):
+        self._hash = hashlib.blake2b(digest_size=8)
+
+    def passthrough(self, docs: Iterable[Document]) -> Iterator[Document]:
+        """Yield ``docs`` unchanged, adding each one to the hash."""
+        for doc in docs:
+            self._hash.update(doc.id.encode("utf-8"))
+            self._hash.update(b"\x00")
+            self._hash.update(doc.text.encode("utf-8"))
+            self._hash.update(b"\x01")
+            yield doc
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
 def corpus_fingerprint(docs: Iterable[Document]) -> str:
     """Order-sensitive 64-bit content hash over (id, text) pairs."""
-    h = hashlib.blake2b(digest_size=8)
-    for doc in docs:
-        h.update(doc.id.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(doc.text.encode("utf-8"))
-        h.update(b"\x01")
-    return h.hexdigest()
+    fingerprint = CorpusFingerprint()
+    for _ in fingerprint.passthrough(docs):
+        pass
+    return fingerprint.hexdigest()
 
 
 def find_manifest(corpus: str | Path) -> Path:

@@ -33,6 +33,10 @@ class EncodingError(RecordError):
     code = "encoding"
 
 
+class InvalidIdError(RecordError):
+    code = "invalid-id"
+
+
 class IdNotInCorpusError(ScalingFilterError):
     code = "id-not-in-corpus"
 
@@ -100,10 +104,6 @@ class InvalidSecantError(ScalingFilterError):
 
 class ConditionRegionViolatedError(ScalingFilterError):
     code = "condition-region-violated"
-
-
-class DuplicateSizeError(ScalingFilterError):
-    code = "duplicate-size"
 
 
 class AllocationNoConvergeError(ScalingFilterError):

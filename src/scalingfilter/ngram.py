@@ -136,6 +136,9 @@ class NGramModel:
     def perplexity(self, doc: Document | str) -> float:
         return 2.0 ** self.cross_entropy(doc)
 
+    def perplexities(self, texts: list[str]) -> list[float]:
+        return [self.perplexity(text) for text in texts]
+
     def probability(self, context: tuple[int, ...], token: int) -> float:
         """Add-k probability of one byte after an explicit context tuple."""
         if len(context) != self.order - 1:

@@ -20,7 +20,7 @@ All losses are bits per token so that perplexity is 2^L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from scipy.optimize import minimize_scalar
 from .errors import (
     AllocationNoConvergeError,
     ConditionRegionViolatedError,
-    DuplicateSizeError,
     InvalidExponentError,
     InvalidSecantError,
     NumericRangeError,
@@ -204,66 +203,6 @@ def verify_monotonic_d_in_a(
     return MonotonicityReport(a_grid=grid, d_values=d_values, passed=passed)
 
 
-@dataclass(frozen=True)
-class SecantRow:
-    label_small: str
-    label_large: str
-    N_small: float
-    N_large: float
-    slope: float
-    d: float
-
-
-@dataclass
-class SecantTable:
-    """All pairwise secants of measured (label, N, mean loss) points."""
-
-    rows: list[SecantRow] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        lines = [f"{'small':>12} {'large':>12} {'N_small':>12} {'N_large':>12} {'slope':>14} {'d':>10}"]
-        for r in self.rows:
-            lines.append(
-                f"{r.label_small:>12} {r.label_large:>12} {r.N_small:>12.4g} "
-                f"{r.N_large:>12.4g} {r.slope:>14.6e} {r.d:>10.6f}"
-            )
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        lines = ["label_small,label_large,N_small,N_large,slope,d"]
-        for r in self.rows:
-            lines.append(
-                f"{r.label_small},{r.label_large},{r.N_small!r},{r.N_large!r},{r.slope!r},{r.d!r}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def loss_vs_size_report(measured: Sequence[tuple[str, float, float]]) -> SecantTable:
-    """Pairwise secant slopes and implied quality factors from measured losses."""
-    if len(measured) < 2:
-        raise ValueError("need at least two (label, N, loss) points")
-    points = sorted(measured, key=lambda p: p[1])
-    sizes = [p[1] for p in points]
-    if len(set(sizes)) != len(sizes):
-        raise DuplicateSizeError("measured points contain duplicate model sizes")
-    table = SecantTable()
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            label_s, n_s, loss_s = points[i]
-            label_l, n_l, loss_l = points[j]
-            table.rows.append(
-                SecantRow(
-                    label_small=label_s,
-                    label_large=label_l,
-                    N_small=n_s,
-                    N_large=n_l,
-                    slope=(loss_l - loss_s) / (n_l - n_s),
-                    d=2.0 ** (loss_s - loss_l),
-                )
-            )
-    return table
-
-
 def optimal_allocation(
     params: ScalingLawParams, C: float, flops_per_token_per_param: float = 6.0
 ) -> tuple[float, float]:
@@ -310,9 +249,6 @@ def allocation_power_law_fit(
     slope_n = float(np.polyfit(log_c, log_n, 1)[0])
     slope_d = float(np.polyfit(log_c, log_d, 1)[0])
     return slope_n, slope_d
-
-
-DEFAULT_VERIFY_PARAMS = {"E": 1.69, "A": 406.4, "B": 410.7, "eta": 0.62, "a": 0.4516129032258065}
 
 
 def verification_report(

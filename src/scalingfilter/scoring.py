@@ -6,9 +6,11 @@ training data, so the ratio cancels out how generically predictable a
 text is and keeps how much extra capacity helps on it; higher means
 higher estimated quality. Equivalently d = 2^(L_small - L_large) in bits.
 
-Corpus scoring is deterministic regardless of worker count: rows are
-keyed by doc_id and sorted before writing, never emitted in completion
-order.
+Both models of a pair, in-process n-gram models or served networks alike,
+are used through one operation, ``perplexities(texts)``, plus a
+``fingerprint()`` that keys the score cache. Corpus scoring is
+deterministic regardless of worker count: rows are keyed by doc_id and
+sorted before writing, never emitted in completion order.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Protocol, Sequence
 
 from .corpus import Document
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     ScalingFilterError,
     ScorerUnavailableError,
 )
-from .ngram import MetaModelPair, tokenize
+from .ngram import tokenize
 from .remote import post_json
 
 SCORE_HEADER = ("doc_id", "n_tokens", "ppl_small", "ppl_large", "quality_factor")
@@ -54,6 +55,16 @@ class QualityScore:
     ppl_small: float
     ppl_large: float
     d: float
+
+
+class PerplexityModel(Protocol):
+    """One model of a scoring pair, local or remote."""
+
+    def perplexities(self, texts: list[str]) -> list[float]:
+        """Per-text perplexity in the 2^L (bits) convention."""
+
+    def fingerprint(self) -> str:
+        """Stable id of the model; cached scores are reused only under the same one."""
 
 
 class RemotePerplexityModel:
@@ -88,7 +99,10 @@ class RemotePerplexityModel:
                 f"remote scorer returned {len(ppls) if isinstance(ppls, list) else 'no'} "
                 f"perplexities for {len(texts)} texts"
             )
-        return [float(p) for p in ppls]
+        try:
+            return [float(p) for p in ppls]
+        except (TypeError, ValueError) as exc:
+            raise ScorerUnavailableError(f"remote scorer returned a non-numeric perplexity: {exc}") from exc
 
     def model_name(self) -> str:
         if self._model_name is None:
@@ -98,72 +112,6 @@ class RemotePerplexityModel:
     def fingerprint(self) -> str:
         tag = f"remote:{self.base_url}:{self.model_name()}"
         return hashlib.blake2b(tag.encode("utf-8"), digest_size=8).hexdigest()
-
-
-@dataclass
-class ScorerEndpoint:
-    """Either an in-process model pair or a pair of remote perplexity URLs."""
-
-    kind: str  # "local-pair" | "remote-pair"
-    local: Optional[MetaModelPair] = None
-    remote_small: Optional[RemotePerplexityModel] = None
-    remote_large: Optional[RemotePerplexityModel] = None
-    batch_size: int = 32
-    timeout: float = 30.0
-
-    def __post_init__(self):
-        has_local = self.local is not None
-        has_remote = self.remote_small is not None and self.remote_large is not None
-        if has_local == has_remote:
-            raise ValueError("configure exactly one of local pair / remote URL pair")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
-    @classmethod
-    def local_pair(cls, pair: MetaModelPair) -> "ScorerEndpoint":
-        return cls(kind="local-pair", local=pair)
-
-    @classmethod
-    def remote_pair(
-        cls,
-        small_url: str,
-        large_url: str,
-        batch_size: int = 32,
-        timeout: float = 30.0,
-        retries: int = 3,
-    ) -> "ScorerEndpoint":
-        return cls(
-            kind="remote-pair",
-            remote_small=RemotePerplexityModel(small_url, timeout=timeout, retries=retries),
-            remote_large=RemotePerplexityModel(large_url, timeout=timeout, retries=retries),
-            batch_size=batch_size,
-            timeout=timeout,
-        )
-
-    def fingerprints(self) -> tuple[str, str]:
-        if self.local is not None:
-            return self.local.small.fingerprint(), self.local.large.fingerprint()
-        return self.remote_small.fingerprint(), self.remote_large.fingerprint()
-
-
-def score_document(endpoint: ScorerEndpoint, doc: Document) -> QualityScore:
-    n_tokens = len(tokenize(doc.text))
-    if endpoint.local is not None:
-        ppl_s = endpoint.local.small.perplexity(doc)
-        ppl_l = endpoint.local.large.perplexity(doc)
-    else:
-        try:
-            (ppl_s,) = endpoint.remote_small.perplexities([doc.text])
-            (ppl_l,) = endpoint.remote_large.perplexities([doc.text])
-        except ScorerUnavailableError as exc:
-            raise ScorerUnavailableError(f"{exc} (doc_id={doc.id})", doc_id=doc.id) from exc
-    return QualityScore(
-        doc_id=doc.id,
-        n_tokens=n_tokens,
-        ppl_small=ppl_s,
-        ppl_large=ppl_l,
-        d=quality_factor(ppl_s, ppl_l),
-    )
 
 
 def content_hash(text: str) -> str:
@@ -247,98 +195,82 @@ def _nearest_rank_quantiles(values: Sequence[float], pcts=(5, 25, 50, 75, 95)) -
 
 
 # Module global read by forked workers: set right before the pool is
-# created so children inherit the trained pair without pickling it.
-_WORKER_PAIR: Optional[MetaModelPair] = None
+# created so children inherit both models without pickling them.
+_WORKER_MODELS: Optional[tuple[PerplexityModel, PerplexityModel]] = None
+
+_Row = tuple[str, int, float, float]  # doc_id, n_tokens, ppl_small, ppl_large
+_Failure = tuple[str, str, str]  # doc_id, code, message
 
 
-def _score_text_local(task: tuple[str, str]) -> tuple[str, int, float, float]:
-    doc_id, text = task
-    pair = _WORKER_PAIR
-    n_tokens = len(tokenize(text))
-    return doc_id, n_tokens, pair.small.perplexity(text), pair.large.perplexity(text)
+def _score_batch(batch: list[tuple[str, str]]) -> tuple[list[_Row], list[_Failure]]:
+    """Score one batch of (doc_id, text) pairs with both models.
 
-
-def _local_perplexities(
-    pair: MetaModelPair, pending: list[tuple[str, str]], workers: int
-) -> dict[str, tuple[int, float, float]]:
-    global _WORKER_PAIR
-    results: dict[str, tuple[int, float, float]] = {}
-    if workers > 1 and len(pending) > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is not None:
-            _WORKER_PAIR = pair
-            try:
-                chunk = max(1, len(pending) // (workers * 8))
-                with ctx.Pool(processes=workers) as pool:
-                    for doc_id, n_tok, ppl_s, ppl_l in pool.imap_unordered(
-                        _score_text_local, pending, chunksize=chunk
-                    ):
-                        results[doc_id] = (n_tok, ppl_s, ppl_l)
-            finally:
-                _WORKER_PAIR = None
-            return results
-    for doc_id, text in pending:
-        n_tokens = len(tokenize(text))
-        results[doc_id] = (n_tokens, pair.small.perplexity(text), pair.large.perplexity(text))
-    return results
-
-
-def _remote_perplexities(
-    endpoint: ScorerEndpoint, pending: list[tuple[str, str]], workers: int
-) -> dict[str, tuple[int, float, float]]:
-    batches = [
-        pending[i : i + endpoint.batch_size] for i in range(0, len(pending), endpoint.batch_size)
+    A scorer error fails only this batch's documents, and comes back as
+    failure rows rather than as an exception pickled across the pool.
+    """
+    small, large = _WORKER_MODELS
+    texts = [text for _, text in batch]
+    try:
+        ppl_small = small.perplexities(texts)
+        ppl_large = large.perplexities(texts)
+    except ScalingFilterError as exc:
+        return [], [(doc_id, exc.code, str(exc)) for doc_id, _ in batch]
+    rows = [
+        (doc_id, len(tokenize(text)), s, l)
+        for (doc_id, text), s, l in zip(batch, ppl_small, ppl_large)
     ]
+    return rows, []
 
-    def fetch(batch: list[tuple[str, str]]) -> list[tuple[str, int, float, float]]:
-        texts = [text for _, text in batch]
-        small = endpoint.remote_small.perplexities(texts)
-        large = endpoint.remote_large.perplexities(texts)
-        return [
-            (doc_id, len(tokenize(text)), s, l)
-            for (doc_id, text), s, l in zip(batch, small, large)
-        ]
 
-    results: dict[str, tuple[int, float, float]] = {}
-    if workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rows in pool.map(fetch, batches):
-                for doc_id, n_tok, ppl_s, ppl_l in rows:
-                    results[doc_id] = (n_tok, ppl_s, ppl_l)
-    else:
-        for batch in batches:
-            for doc_id, n_tok, ppl_s, ppl_l in fetch(batch):
-                results[doc_id] = (n_tok, ppl_s, ppl_l)
-    return results
+def _score_batches(
+    small: PerplexityModel, large: PerplexityModel, batches: list[list[tuple[str, str]]], workers: int
+) -> list[tuple[list[_Row], list[_Failure]]]:
+    """``_score_batch`` over every batch, in input order.
+
+    With ``workers > 1`` the batches run on a pool of forked processes;
+    where the platform cannot fork they run serially in this process.
+    """
+    global _WORKER_MODELS
+    _WORKER_MODELS = (small, large)
+    try:
+        if workers > 1 and len(batches) > 1 and "fork" in multiprocessing.get_all_start_methods():
+            chunk = max(1, len(batches) // (workers * 8))
+            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+                return pool.map(_score_batch, batches, chunksize=chunk)
+        return [_score_batch(batch) for batch in batches]
+    finally:
+        _WORKER_MODELS = None
 
 
 def score_corpus(
-    endpoint: ScorerEndpoint,
+    small: PerplexityModel,
+    large: PerplexityModel,
     docs: Iterable[Document],
     out_path: str | Path,
     cache_path: Optional[str | Path] = None,
     workers: int = 1,
     error_budget: float = 0.01,
+    batch_size: int = 32,
 ) -> ScoreSummary:
     """Score every document, writing one TSV row per doc sorted by doc_id.
 
     Cached (doc_id, content hash) rows under the same model fingerprints are
-    reused without touching the endpoint. Per-document scorer errors go to
-    an ``.errors.tsv`` sidecar; the run aborts only when the error fraction
-    exceeds ``error_budget``.
+    reused without calling the models. The rest are scored in batches of
+    ``batch_size`` documents, the unit of work of the ``workers`` processes.
+    Per-document scorer errors go to an ``.errors.tsv`` sidecar; the run
+    aborts only when the error fraction exceeds ``error_budget``.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     out_path = Path(out_path)
-    fp_small, fp_large = endpoint.fingerprints()
+    fp_small, fp_large = small.fingerprint(), large.fingerprint()
     cache = ScoreCache(cache_path, fp_small, fp_large) if cache_path is not None else None
 
     rows: dict[str, tuple[str, int, float, float]] = {}  # doc_id -> (chash, n_tok, ppl_s, ppl_l)
     pending: list[tuple[str, str]] = []
     hashes: dict[str, str] = {}
     total = 0
-    errors: list[tuple[str, str, str]] = []  # doc_id, code, message
+    errors: list[_Failure] = []
     cache_hits = 0
 
     for doc in docs:
@@ -356,18 +288,10 @@ def score_corpus(
             pending.append((doc.id, doc.text))
 
     evaluations = len(pending)
-    if pending:
-        try:
-            if endpoint.local is not None:
-                fetched = _local_perplexities(endpoint.local, pending, workers)
-            else:
-                fetched = _remote_perplexities(endpoint, pending, workers)
-        except ScalingFilterError as exc:
-            # Endpoint-level failure: charge it to every pending document.
-            for doc_id, _ in pending:
-                errors.append((doc_id, exc.code, str(exc)))
-            fetched = {}
-        for doc_id, (n_tok, ppl_s, ppl_l) in fetched.items():
+    batches = [pending[i : i + batch_size] for i in range(0, len(pending), batch_size)]
+    for scored, failed in _score_batches(small, large, batches, workers):
+        errors.extend(failed)
+        for doc_id, n_tok, ppl_s, ppl_l in scored:
             try:
                 quality_factor(ppl_s, ppl_l)
             except InvalidPerplexityError as exc:

@@ -33,7 +33,7 @@ from scalingfilter.scaling import (
     secant_slope,
     verify_monotonic_d_in_a,
 )
-from scalingfilter.scoring import QualityScore, ScorerEndpoint, quality_factor, score_document
+from scalingfilter.scoring import QualityScore, quality_factor, read_score_file, score_corpus
 from scalingfilter.selection import (
     pareto_noisy_threshold,
     percentile_gate,
@@ -76,10 +76,11 @@ def separation_setup():
 
 
 @pytest.fixture(scope="module")
-def scored_thousand(separation_setup):
+def scored_thousand(separation_setup, tmp_path_factory):
     pair, clean, shuffled = separation_setup
-    endpoint = ScorerEndpoint.local_pair(pair)
-    return pair, [score_document(endpoint, doc) for doc in clean + shuffled]
+    out = tmp_path_factory.mktemp("scored-thousand") / "scores.tsv"
+    score_corpus(pair.small, pair.large, clean + shuffled, out)
+    return pair, read_score_file(out)
 
 
 def test_criterion_01_quality_factor_identities(separation_setup):

@@ -5,7 +5,7 @@ import pytest
 
 import synth
 from scalingfilter.cli import main
-from scalingfilter.corpus import write_corpus
+from scalingfilter.corpus import Document, corpus_fingerprint, read_manifest_corpus, write_corpus
 from scalingfilter.scoring import read_score_file
 
 
@@ -39,11 +39,12 @@ def score_dir(tmp_path_factory, corpus_dir, pair_dir):
 
 
 class TestTrainMeta:
-    def test_pair_descriptor(self, pair_dir):
+    def test_pair_descriptor(self, pair_dir, corpus_dir):
         descriptor = json.loads((pair_dir / "pair.json").read_text(encoding="utf-8"))
         assert descriptor["small_order"] == 2
         assert descriptor["large_order"] == 4
-        assert descriptor["train_corpus_id"]
+        docs = read_manifest_corpus(corpus_dir / "manifest.json")
+        assert descriptor["train_corpus_id"] == corpus_fingerprint(docs)
 
     def test_rerun_is_byte_identical(self, tmp_path, corpus_dir):
         outs = []
@@ -165,6 +166,22 @@ class TestScore:
             "--timeout", "2", "--out", str(out),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("bad_id", ["bad\tid", "bad\nid", "bad\rid"])
+    def test_tsv_breaking_id_skipped_through_filter(self, tmp_path, pair_dir, bad_id):
+        docs = [Document.create(f"d{i:02d}", f"usable text number {i}") for i in range(20)]
+        docs.insert(3, Document.create(bad_id, "usable text with a bad id"))
+        corpus = tmp_path / "ids"
+        write_corpus(docs, corpus, corpus_id="ids")
+        score_out, filter_out = tmp_path / "score", tmp_path / "filter"
+        assert main(["score", "--corpus", str(corpus), "--pair", str(pair_dir), "--out", str(score_out)]) == 0
+        assert main([
+            "filter", "--scores", str(score_out / "scores.tsv"), "--method", "topk",
+            "--keep-rate", "1.0", "--corpus", str(corpus), "--out", str(filter_out),
+        ]) == 0
+        good_ids = [f"d{i:02d}" for i in range(20)]
+        assert [s.doc_id for s in read_score_file(score_out / "scores.tsv")] == good_ids
+        assert sorted((filter_out / "kept_ids.txt").read_text(encoding="utf-8").splitlines()) == good_ids
 
     def test_pair_and_remote_flags_conflict(self, tmp_path, corpus_dir, pair_dir):
         rc = main([

@@ -13,7 +13,7 @@ from scalingfilter.corpus import (
     validate_record,
     write_corpus,
 )
-from scalingfilter.errors import EmptyTextError, EncodingError
+from scalingfilter.errors import EmptyTextError, EncodingError, InvalidIdError
 
 
 def write_shard(path, records):
@@ -63,6 +63,16 @@ class TestReadCorpus:
         assert len(errors) == 1
         assert errors[0].code == "empty-text"
         assert errors[0].line_no == 2
+
+    @pytest.mark.parametrize("bad_char", ["\t", "\n", "\r"])
+    def test_tsv_breaking_id_reported_and_rest_yielded(self, tmp_path, bad_char):
+        shard = tmp_path / "s0.jsonl"
+        ids = ["a", f"b{bad_char}c", "d"]
+        write_shard(shard, [{"id": doc_id, "text": "ok"} for doc_id in ids])
+        errors = []
+        docs = list(read_corpus([shard], on_error=errors.append))
+        assert [d.id for d in docs] == ["a", "d"]
+        assert [(type(e), e.code, e.line_no) for e in errors] == [(InvalidIdError, "invalid-id", 2)]
 
     def test_error_without_handler_raises(self, tmp_path):
         shard = tmp_path / "s0.jsonl"

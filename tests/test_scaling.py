@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from scalingfilter.errors import (
     ConditionRegionViolatedError,
-    DuplicateSizeError,
     InvalidExponentError,
     InvalidSecantError,
 )
@@ -18,7 +17,6 @@ from scalingfilter.scaling import (
     d2loss_da_dN,
     dloss_dN,
     expected_loss,
-    loss_vs_size_report,
     mixed_partial_bracket,
     optimal_allocation,
     reparam_loss,
@@ -196,53 +194,6 @@ class TestMonotonicity:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             verify_monotonic_d_in_a(1.69, 406.4, 410.7, 0.6, 1e8, 1e9, 1e10, [0.5, 0.3])
-
-
-class TestLossVsSizeReport:
-    def test_flat_secant(self):
-        table = loss_vs_size_report([("s", 1e8, 3.0), ("l", 1e9, 3.0)])
-        assert table.rows[0].slope == 0.0
-        assert table.rows[0].d == 1.0
-
-    def test_three_points_give_three_rows(self):
-        table = loss_vs_size_report([("s", 1e8, 3.0), ("m", 5e8, 2.5), ("l", 1e9, 2.2)])
-        assert len(table.rows) == 3
-        pairs = {(r.label_small, r.label_large) for r in table.rows}
-        assert pairs == {("s", "m"), ("s", "l"), ("m", "l")}
-
-    def test_duplicate_sizes_rejected(self):
-        with pytest.raises(DuplicateSizeError):
-            loss_vs_size_report([("x", 1e8, 3.0), ("y", 1e8, 2.0)])
-
-    def test_text_and_csv_output(self):
-        table = loss_vs_size_report([("s", 1e8, 3.0), ("l", 1e9, 2.0)])
-        assert "slope" in table.to_text()
-        assert table.to_csv().startswith("label_small,")
-
-    def test_clean_corpus_steeper_than_shuffled(self):
-        # measured mean losses of one model pair: structured text should show
-        # a steeper secant (and larger implied quality factor) than the same
-        # text with word order destroyed
-        import synth
-        from scalingfilter.ngram import train_pair
-
-        train = synth.chain_corpus(seed=301, n_docs=800, chain_seed=3)
-        held = synth.chain_corpus(seed=302, n_docs=150, chain_seed=3)
-        shuffled = synth.shuffled_counterparts(held, seed=303)
-        pair = train_pair(train, 2, 5)
-        sizes = {"small": float(pair.small.order), "large": float(pair.large.order)}
-
-        def secant(docs):
-            mean_small = float(np.mean([pair.small.cross_entropy(d) for d in docs]))
-            mean_large = float(np.mean([pair.large.cross_entropy(d) for d in docs]))
-            table = loss_vs_size_report(
-                [("small", sizes["small"], mean_small), ("large", sizes["large"], mean_large)]
-            )
-            return table.rows[0]
-
-        clean_row, shuffled_row = secant(held), secant(shuffled)
-        assert abs(clean_row.slope) > abs(shuffled_row.slope)
-        assert clean_row.d > shuffled_row.d
 
 
 class TestOptimalAllocation:

@@ -14,11 +14,10 @@ from scalingfilter.errors import (
 )
 from scalingfilter.ngram import train_pair
 from scalingfilter.scoring import (
-    ScorerEndpoint,
+    RemotePerplexityModel,
     quality_factor,
     read_score_file,
     score_corpus,
-    score_document,
 )
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -60,119 +59,133 @@ def toy_pair():
     return train_pair(synth.chain_corpus(seed=21, n_docs=300, chain_seed=2), 2, 5)
 
 
+@pytest.fixture(scope="module")
+def models(toy_pair):
+    return toy_pair.small, toy_pair.large
+
+
+def remote_pair(small, large, timeout=5, retries=2):
+    return (
+        RemotePerplexityModel(small.url, timeout=timeout, retries=retries),
+        RemotePerplexityModel(large.url, timeout=timeout, retries=retries),
+    )
+
+
+def score_one(tmp_path, small, large, doc, **kwargs):
+    """Score a one-document corpus; its single row read back from scores.tsv."""
+    score_corpus(small, large, [doc], tmp_path / "one.tsv", **kwargs)
+    (row,) = read_score_file(tmp_path / "one.tsv")
+    return row
+
+
 class TestScoreDocument:
-    def test_local_matches_model_oracle(self, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
+    def test_local_matches_model_oracle(self, tmp_path, toy_pair, models):
         doc = Document.create("x", "the quality of the data stream")
-        score = score_document(endpoint, doc)
+        score = score_one(tmp_path, *models, doc)
         l_small = toy_pair.small.cross_entropy(doc)
         l_large = toy_pair.large.cross_entropy(doc)
         assert score.d == pytest.approx(2.0 ** (l_small - l_large), rel=1e-9)
         assert score.n_tokens == doc.n_bytes
 
-    def test_remote_pair(self, make_service):
+    def test_remote_pair(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: 2.0 * len(t))
         large = make_service(perplexity_fn=lambda t: float(len(t)))
-        endpoint = ScorerEndpoint.remote_pair(small.url, large.url, timeout=5, retries=2)
-        score = score_document(endpoint, Document.create("r", "x" * 15))
+        score = score_one(tmp_path, *remote_pair(small, large), Document.create("r", "x" * 15))
         assert score.ppl_small == 30.0
         assert score.ppl_large == 15.0
         assert score.d == 2.0
 
-    def test_remote_nan_is_invalid_perplexity(self, make_service):
+    def test_remote_nan_is_invalid_perplexity(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan"))
         large = make_service(perplexity_fn=lambda t: 10.0)
-        endpoint = ScorerEndpoint.remote_pair(small.url, large.url, timeout=5, retries=2)
+        small_model, large_model = remote_pair(small, large)
         with pytest.raises(InvalidPerplexityError):
-            score_document(endpoint, Document.create("r", "text"))
+            quality_factor(*small_model.perplexities(["text"]), *large_model.perplexities(["text"]))
+        with pytest.raises(ErrorBudgetExceededError):
+            score_corpus(*remote_pair(small, large), [Document.create("r", "text")], tmp_path / "s.tsv")
+        sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8")
+        assert sidecar.splitlines()[1].split("\t")[:2] == ["r", "invalid-perplexity"]
 
-    def test_remote_failure_is_scorer_unavailable(self, make_service):
+    def test_remote_failure_is_scorer_unavailable(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: 1.0)
         large = make_service(perplexity_fn=lambda t: 1.0)
+        models = remote_pair(small, large, timeout=2)
+        for model in models:
+            model.fingerprint()  # the model-name handshake succeeds; scoring calls fail
         large.set_failing(True)
-        endpoint = ScorerEndpoint.remote_pair(small.url, large.url, timeout=2, retries=2)
         with pytest.raises(ScorerUnavailableError) as exc:
-            score_document(endpoint, Document.create("r", "text"))
+            models[1].perplexities(["text"])
         assert exc.value.code == "scorer-unavailable"
-
-    def test_endpoint_requires_exactly_one_kind(self, toy_pair):
-        with pytest.raises(ValueError):
-            ScorerEndpoint(kind="local-pair")
+        with pytest.raises(ErrorBudgetExceededError):
+            score_corpus(*models, [Document.create("r", "text")], tmp_path / "s.tsv")
+        sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8")
+        assert sidecar.splitlines()[1].split("\t")[:2] == ["r", "scorer-unavailable"]
 
 
 class TestScoreCorpus:
     def make_docs(self, n=100):
         return synth.chain_corpus(seed=31, n_docs=n, tag="score", chain_seed=2)
 
-    def test_cold_cache_evaluates_everything(self, tmp_path, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
+    def test_cold_cache_evaluates_everything(self, tmp_path, models):
         docs = self.make_docs()
-        summary = score_corpus(endpoint, docs, tmp_path / "s.tsv", cache_path=tmp_path / "cache.tsv")
+        summary = score_corpus(*models, docs, tmp_path / "s.tsv", cache_path=tmp_path / "cache.tsv")
         assert summary.count == 100
         assert summary.endpoint_evaluations == 100
         assert summary.cache_hits == 0
         assert len(read_score_file(tmp_path / "s.tsv")) == 100
 
-    def test_warm_cache_evaluates_nothing(self, tmp_path, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
+    def test_warm_cache_evaluates_nothing(self, tmp_path, models):
         docs = self.make_docs()
-        score_corpus(endpoint, docs, tmp_path / "s1.tsv", cache_path=tmp_path / "cache.tsv")
-        summary = score_corpus(endpoint, docs, tmp_path / "s2.tsv", cache_path=tmp_path / "cache.tsv")
+        score_corpus(*models, docs, tmp_path / "s1.tsv", cache_path=tmp_path / "cache.tsv")
+        summary = score_corpus(*models, docs, tmp_path / "s2.tsv", cache_path=tmp_path / "cache.tsv")
         assert summary.endpoint_evaluations == 0
         assert summary.cache_hits == 100
         assert (tmp_path / "s1.tsv").read_bytes() == (tmp_path / "s2.tsv").read_bytes()
 
-    def test_cache_ignores_other_model_fingerprints(self, tmp_path, toy_pair):
+    def test_cache_ignores_other_model_fingerprints(self, tmp_path, models):
         docs = self.make_docs(20)
-        score_corpus(
-            ScorerEndpoint.local_pair(toy_pair), docs, tmp_path / "s1.tsv", cache_path=tmp_path / "c.tsv"
-        )
+        score_corpus(*models, docs, tmp_path / "s1.tsv", cache_path=tmp_path / "c.tsv")
         other = train_pair(synth.chain_corpus(seed=99, n_docs=200, chain_seed=2), 2, 5)
         summary = score_corpus(
-            ScorerEndpoint.local_pair(other), docs, tmp_path / "s2.tsv", cache_path=tmp_path / "c.tsv"
+            other.small, other.large, docs, tmp_path / "s2.tsv", cache_path=tmp_path / "c.tsv"
         )
         assert summary.cache_hits == 0
         assert summary.endpoint_evaluations == 20
 
-    def test_partial_cache_resume_matches_cold_run(self, tmp_path, toy_pair):
+    def test_partial_cache_resume_matches_cold_run(self, tmp_path, models):
         # an interrupted run leaves a partial cache; resuming must give the
         # same TSV a cold run would have
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
         docs = self.make_docs(100)
-        score_corpus(endpoint, docs, tmp_path / "cold.tsv")
-        score_corpus(endpoint, docs[:50], tmp_path / "partial.tsv", cache_path=tmp_path / "c.tsv")
-        summary = score_corpus(endpoint, docs, tmp_path / "resumed.tsv", cache_path=tmp_path / "c.tsv")
+        score_corpus(*models, docs, tmp_path / "cold.tsv")
+        score_corpus(*models, docs[:50], tmp_path / "partial.tsv", cache_path=tmp_path / "c.tsv")
+        summary = score_corpus(*models, docs, tmp_path / "resumed.tsv", cache_path=tmp_path / "c.tsv")
         assert summary.cache_hits == 50
         assert summary.endpoint_evaluations == 50
         assert (tmp_path / "resumed.tsv").read_bytes() == (tmp_path / "cold.tsv").read_bytes()
 
-    def test_changed_content_invalidates_cache_row(self, tmp_path, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
+    def test_changed_content_invalidates_cache_row(self, tmp_path, models):
         docs = self.make_docs(10)
-        score_corpus(endpoint, docs, tmp_path / "s1.tsv", cache_path=tmp_path / "c.tsv")
+        score_corpus(*models, docs, tmp_path / "s1.tsv", cache_path=tmp_path / "c.tsv")
         changed = [Document.create(docs[0].id, docs[0].text + " extra")] + docs[1:]
-        summary = score_corpus(endpoint, changed, tmp_path / "s2.tsv", cache_path=tmp_path / "c.tsv")
+        summary = score_corpus(*models, changed, tmp_path / "s2.tsv", cache_path=tmp_path / "c.tsv")
         assert summary.endpoint_evaluations == 1
         assert summary.cache_hits == 9
 
-    def test_worker_count_does_not_change_output(self, tmp_path, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
+    def test_worker_count_does_not_change_output(self, tmp_path, models):
         docs = self.make_docs()
-        score_corpus(endpoint, docs, tmp_path / "w1.tsv", workers=1)
-        score_corpus(endpoint, docs, tmp_path / "w8.tsv", workers=8)
+        score_corpus(*models, docs, tmp_path / "w1.tsv", workers=1)
+        score_corpus(*models, docs, tmp_path / "w8.tsv", workers=8)
         assert (tmp_path / "w1.tsv").read_bytes() == (tmp_path / "w8.tsv").read_bytes()
 
-    def test_rows_sorted_by_doc_id(self, tmp_path, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
+    def test_rows_sorted_by_doc_id(self, tmp_path, models):
         docs = list(reversed(self.make_docs(30)))
-        score_corpus(endpoint, docs, tmp_path / "s.tsv")
+        score_corpus(*models, docs, tmp_path / "s.tsv")
         ids = [s.doc_id for s in read_score_file(tmp_path / "s.tsv")]
         assert ids == sorted(ids)
 
-    def test_summary_statistics(self, tmp_path, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
+    def test_summary_statistics(self, tmp_path, models):
         docs = self.make_docs(50)
-        summary = score_corpus(endpoint, docs, tmp_path / "s.tsv")
+        summary = score_corpus(*models, docs, tmp_path / "s.tsv")
         scores = read_score_file(tmp_path / "s.tsv")
         assert summary.mean_d == pytest.approx(np.mean([s.d for s in scores]))
         assert set(summary.quantiles) == {"p05", "p25", "p50", "p75", "p95"}
@@ -181,9 +194,8 @@ class TestScoreCorpus:
     def test_error_sidecar_within_budget(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan") if t.startswith("bad") else 4.0)
         large = make_service(perplexity_fn=lambda t: 2.0)
-        endpoint = ScorerEndpoint.remote_pair(small.url, large.url, timeout=5, retries=2)
         docs = [Document.create(f"d{i:03d}", "bad doc" if i == 7 else f"fine doc {i}") for i in range(100)]
-        summary = score_corpus(endpoint, docs, tmp_path / "s.tsv", error_budget=0.05)
+        summary = score_corpus(*remote_pair(small, large), docs, tmp_path / "s.tsv", error_budget=0.05)
         assert summary.count == 99
         assert summary.error_count == 1
         sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8")
@@ -192,32 +204,60 @@ class TestScoreCorpus:
     def test_error_budget_breach_aborts(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan"))
         large = make_service(perplexity_fn=lambda t: 2.0)
-        endpoint = ScorerEndpoint.remote_pair(small.url, large.url, timeout=5, retries=2)
         docs = [Document.create(f"d{i}", f"doc {i}") for i in range(20)]
         with pytest.raises(ErrorBudgetExceededError):
-            score_corpus(endpoint, docs, tmp_path / "s.tsv", error_budget=0.01)
+            score_corpus(*remote_pair(small, large), docs, tmp_path / "s.tsv", error_budget=0.01)
 
-    def test_duplicate_doc_id_rejected(self, tmp_path, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("failure", ["http-error", "null-perplexity"])
+    def test_failed_batch_costs_only_its_documents(self, tmp_path, make_service, workers, failure):
+        def small_fn(text):
+            if text != "doc 42":
+                return 4.0
+            if failure == "null-perplexity":
+                return None
+            raise RuntimeError("synthetic failure on one text")
+
+        small = make_service(perplexity_fn=small_fn)
+        large = make_service(perplexity_fn=lambda t: 2.0)
+        docs = [Document.create(f"d{i:03d}", f"doc {i}") for i in range(100)]
+        summary = score_corpus(
+            *remote_pair(small, large), docs, tmp_path / "s.tsv",
+            workers=workers, error_budget=0.2, batch_size=10,
+        )
+        sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        failed = [tuple(line.split("\t")[:2]) for line in sidecar]
+        assert failed == [(f"d{i:03d}", "scorer-unavailable") for i in range(40, 50)]
+        assert summary.error_count == 10
+        assert len(read_score_file(tmp_path / "s.tsv")) == 90
+
+    def test_batch_size_must_be_positive(self, tmp_path, models):
+        with pytest.raises(ValueError):
+            score_corpus(*models, self.make_docs(3), tmp_path / "s.tsv", batch_size=0)
+
+    def test_duplicate_doc_id_rejected(self, tmp_path, models):
         docs = [Document.create("same", "a text"), Document.create("same", "b text")]
         with pytest.raises(ValueError):
-            score_corpus(endpoint, docs, tmp_path / "s.tsv")
+            score_corpus(*models, docs, tmp_path / "s.tsv")
 
-    def test_floats_survive_tsv_round_trip(self, tmp_path, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
+    def test_floats_survive_tsv_round_trip(self, tmp_path, toy_pair, models):
         docs = self.make_docs(10)
-        score_corpus(endpoint, docs, tmp_path / "s.tsv")
+        score_corpus(*models, docs, tmp_path / "s.tsv")
         for row in read_score_file(tmp_path / "s.tsv"):
-            direct = score_document(endpoint, next(d for d in docs if d.id == row.doc_id))
-            assert row.ppl_small == direct.ppl_small
-            assert row.ppl_large == direct.ppl_large
-            assert row.d == direct.d
+            doc = next(d for d in docs if d.id == row.doc_id)
+            ppl_small, ppl_large = toy_pair.small.perplexity(doc), toy_pair.large.perplexity(doc)
+            assert row.ppl_small == ppl_small
+            assert row.ppl_large == ppl_large
+            assert row.d == quality_factor(ppl_small, ppl_large)
 
 
 class TestEq6Identity:
-    def test_quality_factor_equals_two_to_loss_gap(self, toy_pair):
-        endpoint = ScorerEndpoint.local_pair(toy_pair)
-        for doc in synth.chain_corpus(seed=77, n_docs=25, chain_seed=2):
-            score = score_document(endpoint, doc)
+    def test_quality_factor_equals_two_to_loss_gap(self, tmp_path, toy_pair, models):
+        docs = synth.chain_corpus(seed=77, n_docs=25, chain_seed=2)
+        score_corpus(*models, docs, tmp_path / "s.tsv")
+        scores = {s.doc_id: s for s in read_score_file(tmp_path / "s.tsv")}
+        assert len(scores) == len(docs)
+        for doc in docs:
+            score = scores[doc.id]
             gap = toy_pair.small.cross_entropy(doc) - toy_pair.large.cross_entropy(doc)
             assert score.d == pytest.approx(2.0**gap, rel=1e-12)
