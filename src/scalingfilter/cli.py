@@ -1,10 +1,15 @@
 """Command-line entry point for reproducible batch runs.
 
 Subcommands: train-meta, score, filter, diversity, verify-scaling, report.
-Every run writes its fully resolved configuration to run_config.json next
-to the outputs; replaying that snapshot reproduces the outputs
-bit-identically (timestamps excluded). Parameter precedence is
-flags > SCALINGFILTER_WORKERS (workers only) > config file > defaults.
+Each one's parameters are declared once, in ``_COMMANDS``: flag,
+run_config.json key (the argparse dest), type, default and choices.
+``_resolve`` gives every parameter its flag's value, else its value in the
+``--config`` JSON file, else its default; config values pass the same type
+and choice checks as flags, and a config key the command does not declare,
+or a config written by another command, exits 2. A command reads only the
+resolved parameters and run_config.json records exactly them, so
+``scalingfilter <command> --config <run>/run_config.json --out <new>``
+replays a run bit-identically (timestamps excluded).
 
 Exit codes: 0 success, 2 invalid arguments, 3 scorer/embedder error budget
 breach, 4 verification failure, 1 other fatal error.
@@ -13,11 +18,13 @@ breach, 4 verification failure, 1 other fatal error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import logging
-import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,7 +41,6 @@ from .ngram import load_pair, save_pair, train_pair
 from .scoring import RemotePerplexityModel, read_score_file, score_corpus
 from .seeding import derive_seed
 from .selection import (
-    SelectionResult,
     apply_selection,
     pareto_noisy_threshold,
     percentile_gate,
@@ -61,110 +67,67 @@ _METHOD_ALIASES = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, help="output directory for this run")
-    parser.add_argument("--config", help="JSON config file supplying defaults for any flag")
-    parser.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-    parser.add_argument("--workers", type=int, default=None, help="parallel workers (default 1)")
-    parser.add_argument("--log-level", default=None, help="logging level (default INFO)")
+def _method(name: str) -> str:
+    """A ``--method`` name or alias, as its canonical method."""
+    if name not in _METHOD_ALIASES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(sorted(_METHOD_ALIASES))})"
+        )
+    return _METHOD_ALIASES[name]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scalingfilter",
-        description="Quality-filter text corpora by the perplexity ratio of a same-data model pair.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+@dataclass(frozen=True)
+class Param:
+    """One run parameter; ``key`` is its run_config.json key and argparse dest."""
 
-    p = sub.add_parser("train-meta", help="train a small/large n-gram pair on one corpus")
-    p.add_argument("--corpus", required=True, help="corpus directory or manifest path")
-    p.add_argument("--small-order", type=int, default=None)
-    p.add_argument("--large-order", type=int, default=None)
-    p.add_argument("--smoothing-k", type=float, default=None)
-    _add_common(p)
+    flag: Optional[str]  # None: set only through --config
+    type: Callable = str  # bool: an on/off flag
+    default: object = None
+    choices: Optional[tuple] = None
+    required: bool = False
+    nargs: Optional[str] = None
+    dest: Optional[str] = None
+    help: str = ""
 
-    p = sub.add_parser("score", help="score every document of a corpus with a model pair")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--pair", help="directory containing a trained pair descriptor")
-    p.add_argument("--remote-small", help="base URL of the small-model perplexity service")
-    p.add_argument("--remote-large", help="base URL of the large-model perplexity service")
-    p.add_argument("--cache", help="perplexity cache file (reused across runs)")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--timeout", type=float, default=None)
-    p.add_argument("--error-budget", type=float, default=None)
-    _add_common(p)
+    @property
+    def key(self) -> str:
+        return self.dest or self.flag.lstrip("-").replace("-", "_")
 
-    p = sub.add_parser("filter", help="select documents from a score file")
-    p.add_argument("--scores", help="score TSV produced by the score command (all methods but pareto)")
-    p.add_argument("--method", required=True, choices=sorted(_METHOD_ALIASES))
-    p.add_argument("--keep-rate", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--lo", type=float, default=None, help="lower percentile for gate")
-    p.add_argument("--hi", type=float, default=None, help="upper percentile for gate")
-    p.add_argument("--pareto-alpha", type=float, default=None)
-    p.add_argument("--classifier-scores", help="doc_id/score TSV for the pareto method")
-    p.add_argument("--corpus", help="when given, materialize the filtered corpus here from this source")
-    p.add_argument("--shard-size", type=int, default=None)
-    _add_common(p)
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        text = self.help
+        if self.default is not None and self.type is not bool:
+            text = f"{text} (default {self.default})".lstrip()
+        # default None: a flag that was not given yields to the config
+        if self.type is bool:
+            parser.add_argument(self.flag, dest=self.key, action="store_true", default=None, help=text)
+        else:
+            parser.add_argument(self.flag, dest=self.key, type=self.type, choices=self.choices,
+                                nargs=self.nargs, default=None, help=text)
 
-    p = sub.add_parser("diversity", help="semantic diversity of corpus subsamples")
-    p.add_argument("--corpus", help="single corpus directory or manifest")
-    p.add_argument("--mix", nargs="+", help="two or more corpora for the dataset-count curve")
-    p.add_argument("--n", type=int, default=None, help="subsample size (default 1000)")
-    p.add_argument("--repeats", type=int, default=None)
-    p.add_argument("--embedder", choices=["hashed", "remote"], default=None)
-    p.add_argument("--dim", type=int, default=None, help="hashed-projection dimension")
-    p.add_argument("--remote-url", help="base URL of the embedding service")
-    _add_common(p)
+    def from_config(self, value):
+        """A config file's value, checked as the flag's text would be."""
+        if self.nargs and isinstance(value, list) and value:
+            return [self._scalar(v) for v in value]
+        if self.type is bool and isinstance(value, bool):
+            return value
+        if self.nargs or self.type is bool:
+            raise ValueError(f"config {self.key!r}: {value!r} is not a {'list' if self.nargs else 'boolean'}")
+        return self._scalar(value)
 
-    p = sub.add_parser("verify-scaling", help="run all parametric-loss derivation checks")
-    p.add_argument("--params", help="JSON file with E, A, B, eta (and optional grids)")
-    p.add_argument("--loss-E", type=float, default=None)
-    p.add_argument("--loss-A", type=float, default=None)
-    p.add_argument("--loss-B", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--n-small", type=float, default=None, help="secant lower model size")
-    p.add_argument("--n-large", type=float, default=None, help="secant upper model size")
-    p.add_argument("--tokens", type=float, default=None, help="training tokens D")
-    p.add_argument("--sweep-compute", action="store_true", help="also fit allocation power laws")
-    p.add_argument("--csv", action="store_true", help="emit monotonicity grid as CSV")
-    _add_common(p)
-
-    p = sub.add_parser("report", help="merge run outputs into one comparison report")
-    p.add_argument("--runs", nargs="+", required=True, help="run output directories")
-    _add_common(p)
-
-    return parser
+    def _scalar(self, value):
+        try:
+            if isinstance(value, (bool, list, dict)):
+                raise ValueError("not a single value")
+            out = self.type(str(value))
+            if self.choices and out not in self.choices:
+                raise ValueError(f"not one of {', '.join(self.choices)}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"config {self.key!r}: invalid value {value!r} ({exc})") from None
+        return out
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(obj, dict):
-        raise ValueError("config file must contain a JSON object")
-    return obj
-
-
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key == "workers":
-        env = os.environ.get("SCALINGFILTER_WORKERS")
-        if env:
-            return int(env)
-    if key in config:
-        return config[key]
-    return default
-
-
-def _snapshot(out_dir: Path, command: str, resolved: dict) -> None:
-    payload = {"command": command, **resolved}
-    (out_dir / "run_config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+# resolved like the rest, but a setting of the process, not of the run: not in run_config.json
+_LOG_LEVEL = Param("--log-level", default="INFO", help="logging level")
 
 
 class _RecordErrorLog:
@@ -182,69 +145,46 @@ class _RecordErrorLog:
             log.warning("%d malformed records were reported and skipped", self.count)
 
 
-def cmd_train_meta(args, config, out_dir: Path) -> int:
-    resolved = {
-        "corpus": args.corpus,
-        "small_order": int(_resolve(args, config, "small_order", 2)),
-        "large_order": int(_resolve(args, config, "large_order", 5)),
-        "smoothing_k": float(_resolve(args, config, "smoothing_k", 0.01)),
-        "out": str(out_dir),
-    }
-    _snapshot(out_dir, "train-meta", resolved)
+def cmd_train_meta(p: dict) -> int:
     record_errors = _RecordErrorLog()
-    docs = corpus_io.read_manifest_corpus(corpus_io.find_manifest(args.corpus), on_error=record_errors)
+    docs = corpus_io.read_manifest_corpus(corpus_io.find_manifest(p["corpus"]), on_error=record_errors)
     fingerprint = corpus_io.CorpusFingerprint()
     pair = train_pair(
         fingerprint.passthrough(docs),
-        small_order=resolved["small_order"],
-        large_order=resolved["large_order"],
-        smoothing_k=resolved["smoothing_k"],
+        small_order=p["small_order"],
+        large_order=p["large_order"],
+        smoothing_k=p["smoothing_k"],
     )
     record_errors.summarize()
     pair.train_corpus_id = fingerprint.hexdigest()
-    descriptor = save_pair(pair, out_dir)
+    descriptor = save_pair(pair, p["out"])
     log.info("trained pair orders (%d, %d); descriptor at %s",
              pair.small.order, pair.large.order, descriptor)
     return EXIT_OK
 
 
-def cmd_score(args, config, out_dir: Path) -> int:
-    workers = int(_resolve(args, config, "workers", 1))
-    resolved = {
-        "corpus": args.corpus,
-        "pair": args.pair,
-        "remote_small": args.remote_small,
-        "remote_large": args.remote_large,
-        "cache": args.cache,
-        "batch_size": int(_resolve(args, config, "batch_size", 32)),
-        "timeout": float(_resolve(args, config, "timeout", 30.0)),
-        "error_budget": float(_resolve(args, config, "error_budget", 0.01)),
-        "workers": workers,
-        "out": str(out_dir),
-    }
-    _snapshot(out_dir, "score", resolved)
-
-    if args.pair and not (args.remote_small or args.remote_large):
-        pair = load_pair(args.pair)
+def cmd_score(p: dict) -> int:
+    if p["pair"] and not (p["remote_small"] or p["remote_large"]):
+        pair = load_pair(p["pair"])
         small, large = pair.small, pair.large
-    elif args.remote_small and args.remote_large and not args.pair:
-        small = RemotePerplexityModel(args.remote_small, timeout=resolved["timeout"])
-        large = RemotePerplexityModel(args.remote_large, timeout=resolved["timeout"])
+    elif p["remote_small"] and p["remote_large"] and not p["pair"]:
+        small = RemotePerplexityModel(p["remote_small"], timeout=p["timeout"])
+        large = RemotePerplexityModel(p["remote_large"], timeout=p["timeout"])
     else:
         raise ValueError("provide either --pair or both --remote-small and --remote-large")
 
-    manifest_path = corpus_io.find_manifest(args.corpus)
+    out_dir = Path(p["out"])
     record_errors = _RecordErrorLog()
-    docs = corpus_io.read_manifest_corpus(manifest_path, on_error=record_errors)
+    docs = corpus_io.read_manifest_corpus(corpus_io.find_manifest(p["corpus"]), on_error=record_errors)
     summary = score_corpus(
         small,
         large,
         docs,
         out_path=out_dir / "scores.tsv",
-        cache_path=args.cache,
-        workers=workers,
-        error_budget=resolved["error_budget"],
-        batch_size=resolved["batch_size"],
+        cache_path=p["cache"],
+        workers=p["workers"],
+        error_budget=p["error_budget"],
+        batch_size=p["batch_size"],
     )
     record_errors.summarize()
     (out_dir / "score_summary.json").write_text(
@@ -255,59 +195,38 @@ def cmd_score(args, config, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_filter(args, config, out_dir: Path) -> int:
-    method = _METHOD_ALIASES[args.method]
-    seed = int(_resolve(args, config, "seed", 0))
-    resolved = {
-        "scores": args.scores,
-        "method": method,
-        "keep_rate": float(_resolve(args, config, "keep_rate", 0.7)),
-        "tau": args.tau if args.tau is not None else config.get("tau"),
-        "lo_pct": float(_resolve(args, config, "lo", 15.0)),
-        "hi_pct": float(_resolve(args, config, "hi", 85.0)),
-        "pareto_alpha": float(_resolve(args, config, "pareto_alpha", 9.0)),
-        "classifier_scores": args.classifier_scores,
-        "corpus": args.corpus,
-        "shard_size": int(_resolve(args, config, "shard_size", 10000)),
-        "seed": seed,
-        "out": str(out_dir),
-    }
-    _snapshot(out_dir, "filter", resolved)
-
+def cmd_filter(p: dict) -> int:
+    method, seed = p["method"], p["seed"]
     if method == "pareto_threshold":
-        if not args.classifier_scores:
+        if not p["classifier_scores"]:
             raise ValueError("the pareto method needs --classifier-scores")
-        rows = read_classifier_scores(args.classifier_scores)
-        result: SelectionResult = pareto_noisy_threshold(
-            rows, alpha=resolved["pareto_alpha"], seed=derive_seed(seed, "pareto")
-        )
+        rows = read_classifier_scores(p["classifier_scores"])
+        result = pareto_noisy_threshold(rows, alpha=p["pareto_alpha"], seed=derive_seed(seed, "pareto"))
     else:
-        if not args.scores:
-            raise ValueError(f"the {args.method} method needs --scores")
-        scores = read_score_file(args.scores)
+        if not p["scores"]:
+            raise ValueError(f"the {method} method needs --scores")
+        scores = read_score_file(p["scores"])
         if method == "topk":
-            result = select_topk(scores, keep_rate=resolved["keep_rate"], seed=seed)
+            result = select_topk(scores, keep_rate=p["keep_rate"])
         elif method == "temperature":
-            if resolved["tau"] is None:
+            if p["tau"] is None:
                 raise ValueError("the temperature method needs --tau")
             result = select_temperature(
-                scores,
-                keep_rate=resolved["keep_rate"],
-                tau=float(resolved["tau"]),
-                seed=derive_seed(seed, "temperature"),
+                scores, keep_rate=p["keep_rate"], tau=p["tau"], seed=derive_seed(seed, "temperature")
             )
         else:
             ppls = [(s.doc_id, s.ppl_large) for s in scores]
-            result = percentile_gate(ppls, lo_pct=resolved["lo_pct"], hi_pct=resolved["hi_pct"], seed=seed)
+            result = percentile_gate(ppls, lo_pct=p["lo_pct"], hi_pct=p["hi_pct"])
 
+    out_dir = Path(p["out"])
     result.write(out_dir / "kept_ids.txt", out_dir / "audit.json")
-    if args.corpus:
+    if p["corpus"]:
         record_errors = _RecordErrorLog()
         manifest = apply_selection(
             result,
-            corpus_io.find_manifest(args.corpus),
+            corpus_io.find_manifest(p["corpus"]),
             out_dir / "filtered",
-            shard_size=resolved["shard_size"],
+            shard_size=p["shard_size"],
             on_error=record_errors,
         )
         record_errors.summarize()
@@ -316,39 +235,20 @@ def cmd_filter(args, config, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _make_embedder(args, config, seed: int):
-    kind = _resolve(args, config, "embedder", "hashed")
-    if kind == "remote":
-        url = args.remote_url or config.get("remote_url")
-        if not url:
+def cmd_diversity(p: dict) -> int:
+    n, repeats, seed = p["n"], p["repeats"], p["seed"]
+    if p["embedder"] == "remote":
+        if not p["remote_url"]:
             raise ValueError("remote embedder needs --remote-url")
-        return RemoteEmbedder(url)
-    dim = int(_resolve(args, config, "dim", 64))
-    return HashedProjectionEmbedder(dim=dim, seed=derive_seed(seed, "embedder"))
+        provider = RemoteEmbedder(p["remote_url"])
+    else:
+        provider = HashedProjectionEmbedder(dim=p["dim"], seed=derive_seed(seed, "embedder"))
 
-
-def cmd_diversity(args, config, out_dir: Path) -> int:
-    seed = int(_resolve(args, config, "seed", 0))
-    n = int(_resolve(args, config, "n", 1000))
-    repeats = int(_resolve(args, config, "repeats", 10))
-    resolved = {
-        "corpus": args.corpus,
-        "mix": args.mix,
-        "n": n,
-        "repeats": repeats,
-        "embedder": _resolve(args, config, "embedder", "hashed"),
-        "dim": int(_resolve(args, config, "dim", 64)),
-        "remote_url": args.remote_url,
-        "seed": seed,
-        "out": str(out_dir),
-    }
-    _snapshot(out_dir, "diversity", resolved)
-    provider = _make_embedder(args, config, seed)
-
+    out_dir = Path(p["out"])
     record_errors = _RecordErrorLog()
-    if args.mix:
+    if p["mix"]:
         corpora = []
-        for path in args.mix:
+        for path in p["mix"]:
             manifest_path = corpus_io.find_manifest(path)
             corpora.append(list(corpus_io.read_manifest_corpus(manifest_path, on_error=record_errors)))
         record_errors.summarize()
@@ -357,7 +257,7 @@ def cmd_diversity(args, config, out_dir: Path) -> int:
         )
         payload = {
             "kind": "dataset-mix",
-            "corpora": list(args.mix),
+            "corpora": list(p["mix"]),
             "sample_size": n,
             "repeats": repeats,
             "seed": seed,
@@ -371,9 +271,9 @@ def cmd_diversity(args, config, out_dir: Path) -> int:
         log.info("dataset-mix curve over %d corpora written", len(corpora))
         return EXIT_OK
 
-    if not args.corpus:
+    if not p["corpus"]:
         raise ValueError("provide --corpus or --mix")
-    manifest_path = corpus_io.find_manifest(args.corpus)
+    manifest_path = corpus_io.find_manifest(p["corpus"])
     docs = list(corpus_io.read_manifest_corpus(manifest_path, on_error=record_errors))
     record_errors.summarize()
     manifest = corpus_io.CorpusManifest.load(manifest_path)
@@ -390,38 +290,13 @@ def cmd_diversity(args, config, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_verify_scaling(args, config, out_dir: Path) -> int:
-    file_params = {}
-    if args.params:
-        file_params = json.loads(Path(args.params).read_text(encoding="utf-8"))
-    def value(flag_key, file_key, default):
-        flag = getattr(args, flag_key, None)
-        if flag is not None:
-            return flag
-        if file_key in file_params:
-            return file_params[file_key]
-        return config.get(file_key, default)
+def cmd_verify_scaling(p: dict) -> int:
+    E, A, B, eta = p["E"], p["A"], p["B"], p["eta"]
+    report = scaling.verification_report(E=E, A=A, B=B, eta=eta, N_p=p["N_p"], N_q=p["N_q"], D=p["D"])
 
-    E = float(value("loss_E", "E", 1.69))
-    A = float(value("loss_A", "A", 406.4))
-    B = float(value("loss_B", "B", 410.7))
-    eta = float(value("eta", "eta", 0.62))
-    N_p = float(value("n_small", "N_p", 1e8))
-    N_q = float(value("n_large", "N_q", 1e9))
-    D = float(value("tokens", "D", 1e10))
-    resolved = {
-        "E": E, "A": A, "B": B, "eta": eta, "N_p": N_p, "N_q": N_q, "D": D,
-        "sweep_compute": bool(args.sweep_compute),
-        "out": str(out_dir),
-    }
-    _snapshot(out_dir, "verify-scaling", resolved)
-
-    report = scaling.verification_report(E=E, A=A, B=B, eta=eta, N_p=N_p, N_q=N_q, D=D)
-
-    if args.sweep_compute:
-        a_exp = 0.5  # split eta evenly unless the params file pins alpha/beta
-        alpha = float(file_params.get("alpha", (1 - a_exp) * eta))
-        beta = float(file_params.get("beta", a_exp * eta))
+    if p["sweep_compute"]:
+        alpha = 0.5 * eta if p["alpha"] is None else p["alpha"]
+        beta = 0.5 * eta if p["beta"] is None else p["beta"]
         params = scaling.ScalingLawParams(E=E, A=A, B=B, alpha=alpha, beta=beta)
         sweep = [10.0**e for e in np.linspace(18, 22, 9)]
         slope_n, slope_d = scaling.allocation_power_law_fit(params, sweep)
@@ -438,10 +313,11 @@ def cmd_verify_scaling(args, config, out_dir: Path) -> int:
         report["power_law_recovery"] = recovery
         report["passed"] = report["passed"] and recovery["within_1e-3"]
 
+    out_dir = Path(p["out"])
     (out_dir / "verify_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if args.csv:
+    if p["csv"]:
         mono = report["details"]["monotonicity"]
         lines = ["a,d_model"] + [f"{a!r},{d!r}" for a, d in zip(mono["a_grid"], mono["d_model"])]
         (out_dir / "monotonicity.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -453,12 +329,10 @@ def cmd_verify_scaling(args, config, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_report(args, config, out_dir: Path) -> int:
-    resolved = {"runs": list(args.runs), "out": str(out_dir)}
-    _snapshot(out_dir, "report", resolved)
+def cmd_report(p: dict) -> int:
     runs = []
     missing = []
-    for run in args.runs:
+    for run in p["runs"]:
         run_dir = Path(run)
         entry: dict = {"run": str(run_dir)}
         for name, key in (
@@ -474,6 +348,7 @@ def cmd_report(args, config, out_dir: Path) -> int:
             missing.append(str(run_dir))
         runs.append(entry)
 
+    out_dir = Path(p["out"])
     payload = {"runs": runs, "missing_inputs": missing}
     (out_dir / "report.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -508,30 +383,130 @@ def cmd_report(args, config, out_dir: Path) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "train-meta": cmd_train_meta,
-    "score": cmd_score,
-    "filter": cmd_filter,
-    "diversity": cmd_diversity,
-    "verify-scaling": cmd_verify_scaling,
-    "report": cmd_report,
+# the paper's loss fit and secant sizes, declared with the checks that use them
+_LOSS = {name: p.default for name, p in inspect.signature(scaling.verification_report).parameters.items()}
+
+_COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[Param, ...]]] = {
+    "train-meta": (cmd_train_meta, "train a small/large n-gram pair on one corpus", (
+        Param("--corpus", required=True, help="corpus directory or manifest path"),
+        Param("--small-order", int, 2),
+        Param("--large-order", int, 5),
+        Param("--smoothing-k", float, 0.01),
+    )),
+    "score": (cmd_score, "score every document of a corpus with a model pair", (
+        Param("--corpus", required=True, help="corpus directory or manifest path"),
+        Param("--pair", help="directory containing a trained pair descriptor"),
+        Param("--remote-small", help="base URL of the small-model perplexity service"),
+        Param("--remote-large", help="base URL of the large-model perplexity service"),
+        Param("--cache", help="perplexity cache file (reused across runs)"),
+        Param("--batch-size", int, 32, help="documents per unit of work"),
+        Param("--timeout", float, 30.0, help="seconds per remote request"),
+        Param("--error-budget", float, 0.01, help="largest share of documents that may fail"),
+        Param("--workers", int, 1, help="score worker processes"),
+    )),
+    "filter": (cmd_filter, "select documents from a score file", (
+        Param("--scores", help="score TSV produced by the score command (all methods but pareto)"),
+        Param("--method", _method, required=True,
+              help="one of " + ", ".join(sorted(_METHOD_ALIASES))),
+        Param("--keep-rate", float, 0.7),
+        Param("--tau", float, help="temperature (temperature method)"),
+        Param("--lo", float, 15.0, dest="lo_pct", help="lower percentile for gate"),
+        Param("--hi", float, 85.0, dest="hi_pct", help="upper percentile for gate"),
+        Param("--pareto-alpha", float, 9.0),
+        Param("--classifier-scores", help="doc_id/score TSV for the pareto method"),
+        Param("--corpus", help="when given, materialize the filtered corpus here from this source"),
+        Param("--shard-size", int, 10000),
+        Param("--seed", int, 0, help="seed of the temperature and pareto draws"),
+    )),
+    "diversity": (cmd_diversity, "semantic diversity of corpus subsamples", (
+        Param("--corpus", help="single corpus directory or manifest"),
+        Param("--mix", nargs="+", help="two or more corpora for the dataset-count curve"),
+        Param("--n", int, 1000, help="subsample size"),
+        Param("--repeats", int, 10),
+        Param("--embedder", default="hashed", choices=("hashed", "remote")),
+        Param("--dim", int, 64, help="hashed-projection dimension"),
+        Param("--remote-url", help="base URL of the embedding service"),
+        Param("--seed", int, 0, help="seed of the subsamples and the hashed projection"),
+    )),
+    "verify-scaling": (cmd_verify_scaling, "run all parametric-loss derivation checks", (
+        Param("--loss-E", float, _LOSS["E"], dest="E"),
+        Param("--loss-A", float, _LOSS["A"], dest="A"),
+        Param("--loss-B", float, _LOSS["B"], dest="B"),
+        Param("--eta", float, _LOSS["eta"]),
+        Param("--n-small", float, _LOSS["N_p"], dest="N_p", help="secant lower model size"),
+        Param("--n-large", float, _LOSS["N_q"], dest="N_q", help="secant upper model size"),
+        Param("--tokens", float, _LOSS["D"], dest="D", help="training tokens D"),
+        # the sweep's exponents split eta evenly unless the config pins them
+        Param(None, float, dest="alpha"),
+        Param(None, float, dest="beta"),
+        Param("--sweep-compute", bool, False, help="also fit allocation power laws"),
+        Param("--csv", bool, False, help="emit monotonicity grid as CSV"),
+    )),
+    "report": (cmd_report, "merge run outputs into one comparison report", (
+        Param("--runs", nargs="+", required=True, help="run output directories"),
+    )),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="scalingfilter",
+        description="Quality-filter text corpora by the perplexity ratio of a same-data model pair.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text, params) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for param in params + (_LOG_LEVEL,):
+            if param.flag:
+                param.add_to(p)
+        p.add_argument("--out", required=True, help="output directory for this run")
+        p.add_argument("--config", help="JSON file (e.g. a run_config.json) giving any parameter not flagged")
+    return parser
+
+
+def _resolve(command: str, args: argparse.Namespace) -> dict:
+    """Every parameter of ``command``: its flag, else its config value, else its default."""
+    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    if not isinstance(config, dict):
+        raise ValueError("config file must contain a JSON object")
+    if config.get("command", command) != command:
+        raise ValueError(f"the config was written by {config['command']!r}, not {command!r}")
+    params = _COMMANDS[command][2] + (_LOG_LEVEL,)
+    unknown = set(config) - {p.key for p in params} - {"command", "out"}
+    if unknown:
+        raise ValueError(f"{command} has no parameter {', '.join(map(repr, sorted(unknown)))}")
+    resolved = {}
+    for param in params:
+        flag, value = getattr(args, param.key, None), config.get(param.key)
+        if value is not None:
+            value = param.from_config(value)  # checked even where the flag overrides it
+        if flag is not None:
+            value = flag
+        if value is None and param.required:
+            raise ValueError(f"{param.flag} is required, as a flag or in the config")
+        resolved[param.key] = param.default if value is None else value
+    return resolved
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        parser.error(f"bad config file: {exc}")
-    level = _resolve(args, config, "log_level", "INFO")
-    logging.basicConfig(level=getattr(logging, str(level).upper(), logging.INFO),
+        params = _resolve(args.command, args)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
+    level = params.pop("log_level")
+    logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO),
                         format="%(levelname)s %(name)s: %(message)s")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    params["out"] = str(out_dir)
+    (out_dir / "run_config.json").write_text(
+        json.dumps({"command": args.command, **params}, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     try:
-        return _COMMANDS[args.command](args, config, out_dir)
+        return _COMMANDS[args.command][0](params)
     except (ErrorBudgetExceededError, ScorerUnavailableError, EmbedderUnavailableError) as exc:
         log.error("%s: %s", exc.code, exc)
         return EXIT_BUDGET

@@ -196,7 +196,9 @@ class NGramModel:
         return b"".join(chunks)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        blob = self.to_bytes()
+        Path(path).write_bytes(blob)
+        self._fingerprint = _digest(blob)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "NGramModel":
@@ -233,6 +235,10 @@ class NGramModel:
                 total += count
             model._counts[ctx] = table
             model._totals[ctx] = total
+        if pos != len(blob):
+            raise ValueError(f"{len(blob) - pos} bytes after the last n-gram context")
+        # a saved model's bytes are its to_bytes(), so their digest is its fingerprint
+        model._fingerprint = _digest(blob)
         return model
 
     @classmethod
@@ -240,10 +246,14 @@ class NGramModel:
         return cls.from_bytes(Path(path).read_bytes())
 
     def fingerprint(self) -> str:
-        """Stable 64-bit hex digest of the full model state."""
+        """Stable 64-bit hex digest of the full model state (of ``to_bytes()``)."""
         if self._fingerprint is None:
-            self._fingerprint = hashlib.blake2b(self.to_bytes(), digest_size=8).hexdigest()
+            self._fingerprint = _digest(self.to_bytes())
         return self._fingerprint
+
+
+def _digest(blob: bytes) -> str:
+    return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 
 @dataclass
@@ -273,25 +283,18 @@ def train_ngram(corpus: Iterable[Document], order: int, smoothing_k: float = 0.0
 
 
 def train_pair(
-    corpus: Iterable[Document],
-    small_order: int,
-    large_order: int,
-    smoothing_k: float = 0.01,
-    train_corpus_id: str = "",
+    corpus: Iterable[Document], small_order: int, large_order: int, smoothing_k: float = 0.01
 ) -> MetaModelPair:
     """Train both models of a pair in one pass over the same stream."""
-    if small_order >= large_order:
-        raise InvalidPairSpecError(f"small order {small_order} must be < large order {large_order}")
-    small = NGramModel(order=small_order, smoothing_k=smoothing_k)
-    large = NGramModel(order=large_order, smoothing_k=smoothing_k)
+    pair = MetaModelPair(NGramModel(small_order, smoothing_k), NGramModel(large_order, smoothing_k))
     n_docs = 0
     for doc in corpus:
-        small.add_document(doc)
-        large.add_document(doc)
+        pair.small.add_document(doc)
+        pair.large.add_document(doc)
         n_docs += 1
     if n_docs == 0:
         raise NoTrainingDataError("training corpus is empty")
-    return MetaModelPair(small=small, large=large, train_corpus_id=train_corpus_id)
+    return pair
 
 
 PAIR_DESCRIPTOR_NAME = "pair.json"

@@ -263,8 +263,9 @@ def score_corpus(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     out_path = Path(out_path)
-    fp_small, fp_large = small.fingerprint(), large.fingerprint()
-    cache = ScoreCache(cache_path, fp_small, fp_large) if cache_path is not None else None
+    cache = None
+    if cache_path is not None:
+        cache = ScoreCache(cache_path, small.fingerprint(), large.fingerprint())
 
     rows: dict[str, tuple[str, int, float, float]] = {}  # doc_id -> (chash, n_tok, ppl_s, ppl_l)
     pending: list[tuple[str, str]] = []

@@ -43,7 +43,7 @@ class SelectionPolicy:
     lo_pct: float = 15.0
     hi_pct: float = 85.0
     pareto_alpha: float = 9.0
-    seed: int = 0
+    seed: Optional[int] = None  # None: the policy draws nothing
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -104,7 +104,7 @@ def _keep_count(keep_rate: float, n: int) -> int:
     return min(n, math.ceil(keep_rate * n))
 
 
-def select_topk(scores: Sequence[QualityScore], keep_rate: float = 0.7, seed: int = 0) -> SelectionResult:
+def select_topk(scores: Sequence[QualityScore], keep_rate: float = 0.7) -> SelectionResult:
     """Keep the ceil(keep_rate * n) documents with the largest quality factor.
 
     Ties break by (d descending, doc_id ascending); kept_ids preserve the
@@ -118,7 +118,7 @@ def select_topk(scores: Sequence[QualityScore], keep_rate: float = 0.7, seed: in
     kept_set = {s.doc_id for s in ranked[:k]}
     threshold = ranked[k - 1].d
     kept_ids = [s.doc_id for s in scores if s.doc_id in kept_set]
-    policy = SelectionPolicy(method="topk", keep_rate=keep_rate, seed=seed)
+    policy = SelectionPolicy(method="topk", keep_rate=keep_rate)
     return SelectionResult(kept_ids=kept_ids, policy=policy, threshold_used=threshold, input_count=n)
 
 
@@ -156,7 +156,6 @@ def percentile_gate(
     perplexities: Sequence[tuple[str, float]],
     lo_pct: float = 15.0,
     hi_pct: float = 85.0,
-    seed: int = 0,
 ) -> SelectionResult:
     """Keep documents whose perplexity sits in the middle percentile band.
 
@@ -173,7 +172,7 @@ def percentile_gate(
     ihi = min(max(math.ceil(hi_pct * n / 100.0) - 1, 0), n - 1)
     p_lo, p_hi = ordered[ilo], ordered[ihi]
     kept_ids = [doc_id for doc_id, p in perplexities if p_lo <= p <= p_hi]
-    policy = SelectionPolicy(method="percentile_gate", lo_pct=lo_pct, hi_pct=hi_pct, seed=seed)
+    policy = SelectionPolicy(method="percentile_gate", lo_pct=lo_pct, hi_pct=hi_pct)
     return SelectionResult(kept_ids=kept_ids, policy=policy, threshold_used=p_hi, input_count=n)
 
 
@@ -235,10 +234,10 @@ def read_classifier_scores(path: str | Path) -> list[tuple[str, float]]:
     """Read a two-column TSV of doc_id and classifier score in [0, 1]."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n").split("\t")
-        if first and first[0] != "doc_id":
-            rows.append((first[0], float(first[1])))
-        for line in fh:
-            doc_id, score = line.rstrip("\n").split("\t")[:2]
+        for line_no, line in enumerate(fh):
+            fields = line.rstrip("\n").split("\t")
+            if line_no == 0 and fields[0] == "doc_id":
+                continue
+            doc_id, score = fields[:2]
             rows.append((doc_id, float(score)))
     return rows

@@ -31,17 +31,20 @@ class _JsonHandler(BaseHTTPRequestHandler):
     embed_fn = None
     model = "test-model"
     fail_requests = False
+    requests: list = []  # texts per request received, in arrival order
+
 
     def log_message(self, *args):
         pass
 
     def do_POST(self):
-        if self.fail_requests:
-            self.send_error(500, "synthetic failure")
-            return
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length).decode("utf-8"))
         texts = body.get("texts", [])
+        self.requests.append(len(texts))
+        if self.fail_requests:
+            self.send_error(500, "synthetic failure")
+            return
         if self.path == "/v1/perplexity" and self.perplexity_fn is not None:
             payload = {
                 "perplexities": [self.perplexity_fn(t) for t in texts],
@@ -71,6 +74,10 @@ class ServiceHandle:
     def set_failing(self, failing: bool):
         self.handler_cls.fail_requests = failing
 
+    @property
+    def requests(self) -> list[int]:
+        return self.handler_cls.requests
+
 
 @pytest.fixture
 def make_service():
@@ -84,7 +91,8 @@ def make_service():
             {"perplexity_fn": staticmethod(perplexity_fn) if perplexity_fn else None,
              "embed_fn": staticmethod(embed_fn) if embed_fn else None,
              "model": model,
-             "fail_requests": False},
+             "fail_requests": False,
+             "requests": []},
         )
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler_cls)
         thread = threading.Thread(target=server.serve_forever, daemon=True)

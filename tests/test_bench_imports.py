@@ -4,10 +4,12 @@ A cleanup of src/ that removes or renames one of them fails here, in the
 test suite, instead of in the next benchmark run.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +46,22 @@ def test_benchmark_names_still_exist(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+def test_benchmark_commands_still_parse(monkeypatch):
+    """Every command line bench/run.py launches parses with the current CLI."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))  # run.py imports its sibling modules
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    from scalingfilter.cli import build_parser
+
+    parser = build_parser()
+    for name in ("cold-pipeline", "remote-score"):
+        inputs = run.Inputs(corpus=SimpleNamespace(path="corpus"), params={"n": 150, "repeats": 3},
+                            seed=7, url="http://127.0.0.1:1")
+        chain = run.commands(name, inputs, Path("chain"))
+        assert chain
+        for _, argv in chain:
+            parser.parse_args(argv)  # exits 2 on a flag the CLI no longer has

@@ -4,7 +4,7 @@ import math
 import pytest
 
 import synth
-from scalingfilter.cli import main
+from scalingfilter.cli import build_parser, main
 from scalingfilter.corpus import Document, corpus_fingerprint, read_manifest_corpus, write_corpus
 from scalingfilter.scoring import read_score_file
 
@@ -36,6 +36,23 @@ def score_dir(tmp_path_factory, corpus_dir, pair_dir):
     ])
     assert rc == 0
     return out
+
+
+def exit_code(argv):
+    """main()'s exit code, also where argparse exits instead of returning."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def run_config(out):
+    return json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+
+
+def write_config(path, config):
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
 
 
 class TestTrainMeta:
@@ -134,14 +151,6 @@ class TestScore:
         s2 = json.loads((o2 / "score_summary.json").read_text(encoding="utf-8"))
         assert s2["cache_hits"] == 300
         assert s2["endpoint_evaluations"] == 0
-
-    def test_env_var_overrides_workers(self, tmp_path, corpus_dir, pair_dir, monkeypatch):
-        monkeypatch.setenv("SCALINGFILTER_WORKERS", "2")
-        out = tmp_path / "env"
-        rc = main(["score", "--corpus", str(corpus_dir), "--pair", str(pair_dir), "--out", str(out)])
-        assert rc == 0
-        snapshot = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
-        assert snapshot["workers"] == 2
 
     def test_remote_endpoints(self, tmp_path, corpus_dir, make_service):
         small = make_service(perplexity_fn=lambda t: 3.0 * len(t))
@@ -246,6 +255,16 @@ class TestFilter:
         assert rc == 0
         manifest = json.loads((out / "filtered" / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["doc_count"] == 150
+
+    @pytest.mark.parametrize("content", ["", "doc_id\tscore\n"])
+    def test_empty_classifier_file_exit_2(self, tmp_path, content):
+        table = tmp_path / "cls.tsv"
+        table.write_text(content, encoding="utf-8")
+        rc = main([
+            "filter", "--method", "pareto", "--classifier-scores", str(table),
+            "--out", str(tmp_path / "pareto"),
+        ])
+        assert rc == 2
 
     def test_pareto_from_classifier_tsv(self, tmp_path):
         table = tmp_path / "cls.tsv"
@@ -366,3 +385,147 @@ class TestReport:
             assert rc == 0
         assert (o1 / "report.json").read_bytes() == (o2 / "report.json").read_bytes()
         assert (o1 / "report.txt").read_bytes() == (o2 / "report.txt").read_bytes()
+
+
+def _outputs(out):
+    """Every output file's bytes but run_config.json's, manifests without their timestamp."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and path.name != "run_config.json":
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                data = json.loads(data)
+                data.pop("created_at")
+            files[str(path.relative_to(out))] = data
+    return files
+
+
+def _flagged_run(command, corpus_dir, pair_dir, score_dir):
+    """A run of ``command`` with non-default values for its parameters."""
+    return {
+        "train-meta": ["--corpus", str(corpus_dir), "--small-order", "1", "--large-order", "3",
+                       "--smoothing-k", "0.05"],
+        "score": ["--corpus", str(corpus_dir), "--pair", str(pair_dir), "--batch-size", "7",
+                  "--workers", "2", "--timeout", "5", "--error-budget", "0.5"],
+        "filter": ["--scores", str(score_dir / "scores.tsv"), "--method", "temperature", "--tau", "0.5",
+                   "--keep-rate", "0.4", "--seed", "3", "--corpus", str(corpus_dir), "--shard-size", "50"],
+        "diversity": ["--corpus", str(corpus_dir), "--n", "40", "--repeats", "3", "--dim", "16",
+                      "--seed", "5"],
+        "verify-scaling": ["--loss-E", "1.7", "--loss-A", "400", "--loss-B", "420", "--eta", "0.6",
+                           "--n-small", "2e8", "--n-large", "3e9", "--tokens", "2e10",
+                           "--sweep-compute", "--csv"],
+        "report": ["--runs", str(score_dir), str(corpus_dir)],
+    }[command]
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "command", ["train-meta", "score", "filter", "diversity", "verify-scaling", "report"]
+    )
+    def test_config_alone_replays_run(self, tmp_path, command, corpus_dir, pair_dir, score_dir):
+        first, again = tmp_path / "first", tmp_path / "again"
+        argv = _flagged_run(command, corpus_dir, pair_dir, score_dir)
+        assert main([command, *argv, "--log-level", "WARNING", "--out", str(first)]) == 0
+        assert main([command, "--config", str(first / "run_config.json"), "--out", str(again)]) == 0
+        assert _outputs(again) == _outputs(first)
+        recorded, replayed = run_config(first), run_config(again)
+        assert (recorded.pop("out"), replayed.pop("out")) == (str(first), str(again))
+        assert replayed == recorded
+        assert "log_level" not in recorded
+
+    def test_gate_replay_keeps_band(self, tmp_path, score_dir):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([
+            "filter", "--scores", str(score_dir / "scores.tsv"), "--method", "gate",
+            "--lo", "40", "--hi", "60", "--out", str(first),
+        ]) == 0
+        assert run_config(first)["lo_pct"] == 40.0 and run_config(first)["hi_pct"] == 60.0
+        assert main(["filter", "--config", str(first / "run_config.json"), "--out", str(again)]) == 0
+        for out in (first, again):
+            assert json.loads((out / "audit.json").read_text(encoding="utf-8"))["kept"] == 60
+        assert (again / "kept_ids.txt").read_bytes() == (first / "kept_ids.txt").read_bytes()
+
+    def test_sweep_compute_replay_keeps_recovery(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["verify-scaling", "--sweep-compute", "--out", str(first)]) == 0
+        assert main(["verify-scaling", "--config", str(first / "run_config.json"), "--out", str(again)]) == 0
+        report = json.loads((again / "verify_report.json").read_text(encoding="utf-8"))
+        assert report["power_law_recovery"]["within_1e-3"]
+
+    def test_config_sets_sweep_exponents(self, tmp_path):
+        config = write_config(tmp_path / "c.json", {"sweep_compute": True, "alpha": 0.34, "beta": 0.28})
+        assert main(["verify-scaling", "--config", config, "--out", str(tmp_path / "o")]) == 0
+        recovery = json.loads((tmp_path / "o" / "verify_report.json").read_text())["power_law_recovery"]
+        assert (recovery["alpha"], recovery["beta"]) == (0.34, 0.28)
+        assert run_config(tmp_path / "o")["alpha"] == 0.34
+
+    def test_flag_beats_config_beats_default(self, tmp_path, score_dir):
+        config = write_config(tmp_path / "c.json", {
+            "scores": str(score_dir / "scores.tsv"), "method": "topk", "keep_rate": 0.5, "seed": 9,
+        })
+        out = tmp_path / "o"
+        assert main(["filter", "--config", config, "--keep-rate", "0.7", "--out", str(out)]) == 0
+        assert len((out / "kept_ids.txt").read_text(encoding="utf-8").splitlines()) == 210
+        recorded = run_config(out)
+        assert (recorded["method"], recorded["keep_rate"], recorded["seed"]) == ("topk", 0.7, 9)
+        assert recorded["shard_size"] == 10000
+
+    def test_required_value_from_neither_flag_nor_config_exit_2(self, tmp_path, score_dir):
+        config = write_config(tmp_path / "c.json", {"scores": str(score_dir / "scores.tsv")})
+        assert exit_code(["filter", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert exit_code(["report", "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("command,config", [
+        ("diversity", {"embedder": "remot"}),
+        ("diversity", {"n": "ten"}),
+        ("train-meta", {"smoothing_k": [0.1]}),
+        ("filter", {"method": "best"}),
+        ("verify-scaling", {"sweep_compute": "yes"}),
+        ("verify-scaling", {"alpha": "half"}),
+    ])
+    def test_config_value_checked_like_flag(self, tmp_path, command, config, corpus_dir, pair_dir, score_dir):
+        path = write_config(tmp_path / "c.json", config)
+        argv = [k for k in _flagged_run(command, corpus_dir, pair_dir, score_dir) if k != "--sweep-compute"]
+        assert exit_code([command, *argv, "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_unknown_config_key_exit_2(self, tmp_path, score_dir):
+        path = write_config(tmp_path / "c.json", {"lo": 40})
+        assert exit_code([
+            "filter", "--scores", str(score_dir / "scores.tsv"), "--method", "gate",
+            "--config", path, "--out", str(tmp_path / "o"),
+        ]) == 2
+
+    def test_config_of_other_command_exit_2(self, tmp_path, score_dir):
+        path = write_config(tmp_path / "c.json", {"command": "score", "seed": 3})
+        assert exit_code([
+            "filter", "--scores", str(score_dir / "scores.tsv"), "--method", "topk",
+            "--config", path, "--out", str(tmp_path / "o"),
+        ]) == 2
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train-meta", "--seed"), ("train-meta", "--workers"),
+        ("score", "--seed"),
+        ("filter", "--workers"),
+        ("diversity", "--workers"),
+        ("verify-scaling", "--seed"), ("verify-scaling", "--workers"), ("verify-scaling", "--params"),
+        ("report", "--seed"), ("report", "--workers"),
+    ])
+    def test_removed_flag_exit_2(self, tmp_path, command, flag, corpus_dir, pair_dir, score_dir):
+        params = write_config(tmp_path / "params.json", {})
+        value = params if flag == "--params" else "5"
+        argv = _flagged_run(command, corpus_dir, pair_dir, score_dir)
+        assert exit_code([command, *argv, flag, value, "--out", str(tmp_path / "o")]) == 2
+
+    def test_workers_env_var_ignored(self, tmp_path, corpus_dir, pair_dir, monkeypatch):
+        monkeypatch.setenv("SCALINGFILTER_WORKERS", "2")
+        out = tmp_path / "o"
+        assert main(["score", "--corpus", str(corpus_dir), "--pair", str(pair_dir), "--out", str(out)]) == 0
+        assert run_config(out)["workers"] == 1
+
+    def test_seed_and_workers_only_where_used(self):
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        flags = {name: {f for a in sub._actions for f in a.option_strings} for name, sub in commands.items()}
+        assert {name for name, f in flags.items() if "--seed" in f} == {"filter", "diversity"}
+        assert {name for name, f in flags.items() if "--workers" in f} == {"score"}
+        assert sum(len(f - {"-h", "--help"}) for f in flags.values()) == 60

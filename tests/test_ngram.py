@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -159,6 +160,12 @@ class TestPair:
         with pytest.raises(InvalidPairSpecError):
             train_pair(small_docs, 3, 3)
 
+    def test_order_violation_reads_no_document(self, small_docs):
+        stream = iter(small_docs)
+        with pytest.raises(InvalidPairSpecError):
+            train_pair(stream, 5, 2)
+        assert len(list(stream)) == len(small_docs)
+
     def test_pair_invariant_checked_at_construction(self, small_docs):
         small = train_ngram(small_docs, 4)
         large = train_ngram(small_docs, 2)
@@ -196,6 +203,20 @@ class TestSerialization:
         fp = m1.fingerprint()
         m1.add_document(doc("something new"))
         assert m1.fingerprint() != fp
+
+    def test_saved_and_loaded_fingerprints_match_the_bytes(self, tmp_path, small_docs):
+        trained = train_ngram(small_docs, order=3)
+        expected = hashlib.blake2b(trained.to_bytes(), digest_size=8).hexdigest()
+        path = tmp_path / "m.sfngram"
+        trained.save(path)
+        assert trained.fingerprint() == expected
+        assert NGramModel.load(path).fingerprint() == expected
+        assert NGramModel.from_bytes(path.read_bytes()).fingerprint() == expected
+
+    def test_trailing_bytes_rejected(self, small_docs):
+        blob = train_ngram(small_docs, order=2).to_bytes()
+        with pytest.raises(ValueError):
+            NGramModel.from_bytes(blob + b"\0")
 
     def test_unigram_round_trip(self, tmp_path):
         model = train_ngram([doc("aaab")], order=1)

@@ -231,6 +231,15 @@ class TestScoreCorpus:
         assert summary.error_count == 10
         assert len(read_score_file(tmp_path / "s.tsv")) == 90
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cacheless_remote_run_sends_only_batches(self, tmp_path, make_service, workers):
+        small = make_service(perplexity_fn=lambda t: 4.0)
+        large = make_service(perplexity_fn=lambda t: 2.0)
+        docs = [Document.create(f"d{i:03d}", f"doc {i}") for i in range(25)]
+        score_corpus(*remote_pair(small, large), docs, tmp_path / "s.tsv", workers=workers, batch_size=10)
+        # no model-name handshake (an empty request): without a cache the fingerprints go unused
+        assert sorted(small.requests) == sorted(large.requests) == [5, 10, 10]
+
     def test_batch_size_must_be_positive(self, tmp_path, models):
         with pytest.raises(ValueError):
             score_corpus(*models, self.make_docs(3), tmp_path / "s.tsv", batch_size=0)
