@@ -76,6 +76,13 @@ def _method(name: str) -> str:
     return _METHOD_ALIASES[name]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 @dataclass(frozen=True)
 class Param:
     """One run parameter; ``key`` is its run_config.json key and argparse dest."""
@@ -236,6 +243,8 @@ def cmd_filter(p: dict) -> int:
 
 
 def cmd_diversity(p: dict) -> int:
+    if p["mix"] and p["corpus"]:
+        raise ValueError("provide --corpus or --mix, not both")
     n, repeats, seed = p["n"], p["repeats"], p["seed"]
     if p["embedder"] == "remote":
         if not p["remote_url"]:
@@ -402,7 +411,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[Param, ...]]] = {
         Param("--batch-size", int, 32, help="documents per unit of work"),
         Param("--timeout", float, 30.0, help="seconds per remote request"),
         Param("--error-budget", float, 0.01, help="largest share of documents that may fail"),
-        Param("--workers", int, 1, help="score worker processes"),
+        Param("--workers", _positive_int, 1, help="score worker processes"),
     )),
     "filter": (cmd_filter, "select documents from a score file", (
         Param("--scores", help="score TSV produced by the score command (all methods but pareto)"),

@@ -20,6 +20,59 @@ from .seeding import rng_for
 
 HASH_BUCKETS = 2**18
 NGRAM_SIZES = (3, 4, 5)
+_SIZE_SHIFT = 40  # a packed window keeps its (at most 5) bytes below this bit and its size above
+# text bytes embedded at once: bounds the window arrays (~100 bytes of them per text byte)
+_CHUNK_BYTES = 1 << 18
+# distinct windows an embed call remembers the bucket of (16 bytes each); later ones are hashed per chunk
+_HASHED_LIMIT = 1 << 22
+
+
+def _chunks(data: list[bytes]):
+    """(start, end) of runs of consecutive documents of about ``_CHUNK_BYTES``, one document at least."""
+    start = 0
+    while start < len(data):
+        end, size = start + 1, len(data[start])
+        while end < len(data) and size < _CHUNK_BYTES:
+            size += len(data[end])
+            end += 1
+        yield start, end
+        start = end
+
+
+def _windows(data: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """Every n-gram window of the documents, packed with its size, and each document's count.
+
+    A window's bytes are packed big-endian, so ``to_bytes(size, "big")``
+    gives them back. Windows never cross documents and are ordered by
+    document, so each document's windows are contiguous.
+    """
+    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    n = int(lengths.sum())
+    longest = max(NGRAM_SIZES)
+    buf = np.frombuffer(b"".join(data) + bytes(longest), dtype=np.uint8).astype(np.int64)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(n)  # bytes from each position to its document's end
+    packed = np.zeros(n, dtype=np.int64)
+    columns = []
+    for size in range(1, longest + 1):
+        packed = (packed << 8) | buf[size - 1 : size - 1 + n]
+        if size in NGRAM_SIZES:
+            columns.append(np.where(left >= size, packed | (size << _SIZE_SHIFT), -1))
+    windows = np.stack(columns, axis=1).ravel()  # position-major: grouped by document
+    per_doc = sum(np.maximum(lengths - size + 1, 0) for size in NGRAM_SIZES)
+    return windows[windows >= 0], per_doc
+
+
+def _hash_buckets(windows: np.ndarray) -> np.ndarray:
+    """Bucket of each packed window: blake2b of its bytes, little-endian, mod ``HASH_BUCKETS``."""
+    out = np.empty(len(windows), dtype=np.int64)
+    for size in NGRAM_SIZES:
+        of_size = (windows >> _SIZE_SHIFT) == size
+        shifts = 8 * np.arange(size - 1, -1, -1)
+        raw = (windows[of_size][:, None] >> shifts).astype(np.uint8).tobytes()
+        digests = b"".join([hashlib.blake2b(raw[i : i + size], digest_size=8).digest()
+                            for i in range(0, len(raw), size)])
+        out[of_size] = np.frombuffer(digests, dtype="<u8") % HASH_BUCKETS
+    return out
 
 
 def _texts(docs: Sequence[Document | str]) -> list[str]:
@@ -32,6 +85,12 @@ class HashedProjectionEmbedder:
     Counts character n-grams of sizes 3..5 into 2^18 hash buckets, projects
     the sparse count vector through a {-1, +1} matrix drawn once from the
     projection seed, and L2-normalizes. Deterministic per (seed, dim).
+
+    A window's bucket is ``blake2b(window bytes, digest_size=8)`` read
+    little-endian, mod 2^18 (feature hashing, Weinberger et al. 2009).
+    Documents are embedded in chunks of about ``_CHUNK_BYTES``; each
+    distinct window of one ``embed`` call is hashed once (up to
+    ``_HASHED_LIMIT`` distinct windows).
     """
 
     kind = "hashed-projection"
@@ -51,37 +110,52 @@ class HashedProjectionEmbedder:
             ).astype(np.int8)
         return self._signs
 
-    @staticmethod
-    def bucket_counts(text: str) -> dict[int, int]:
-        """Hashed n-gram counts of one text; the hash is seed-independent."""
-        data = text.encode("utf-8")
-        counts: dict[int, int] = {}
-        blake = hashlib.blake2b
-        for size in NGRAM_SIZES:
-            for i in range(len(data) - size + 1):
-                digest = blake(data[i : i + size], digest_size=8).digest()
-                bucket = int.from_bytes(digest, "little") % HASH_BUCKETS
-                counts[bucket] = counts.get(bucket, 0) + 1
-        return counts
-
     def embed(self, docs: Sequence[Document | str]) -> np.ndarray:
         """Unit-normalized embeddings, one row per document."""
         if not docs:
             raise ValueError("no documents to embed")
-        signs = self._sign_matrix()
-        out = np.empty((len(docs), self.dim), dtype=np.float64)
-        for row, text in enumerate(_texts(docs)):
-            counts = self.bucket_counts(text)
-            if not counts:
-                raise DegenerateEmbeddingError(f"document row {row} yields no character n-grams")
-            buckets = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-            weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-            vec = weights @ signs[buckets].astype(np.float64)
-            norm = np.linalg.norm(vec)
-            if norm <= 0:
-                raise DegenerateEmbeddingError(f"document row {row} projects to the zero vector")
-            out[row] = vec / norm
+        data = [text.encode("utf-8") for text in _texts(docs)]
+        out = np.empty((len(data), self.dim), dtype=np.float64)
+        # the distinct windows hashed so far, sorted, and their buckets: each is hashed once per call
+        hashed = np.zeros(0, dtype=np.int64)
+        hashed_buckets = np.zeros(0, dtype=np.int64)
+        for start, end in _chunks(data):
+            windows, per_doc = _windows(data[start:end])
+            distinct, inverse = np.unique(windows, return_inverse=True)
+            at = np.searchsorted(hashed, distinct)
+            known = at < len(hashed)
+            known[known] = hashed[at[known]] == distinct[known]
+            buckets = np.empty(len(distinct), dtype=np.int64)
+            buckets[known] = hashed_buckets[at[known]]
+            fresh = ~known
+            buckets[fresh] = _hash_buckets(distinct[fresh])
+            if len(hashed) < _HASHED_LIMIT:
+                hashed = np.insert(hashed, at[fresh], distinct[fresh])
+                hashed_buckets = np.insert(hashed_buckets, at[fresh], buckets[fresh])
+            out[start:end] = self._rows(buckets[inverse], per_doc, start)
         return out
+
+    def _rows(self, buckets: np.ndarray, per_doc: np.ndarray, first_row: int) -> np.ndarray:
+        """Rows of consecutive documents from their windows' buckets, grouped by document.
+
+        ``first_row`` numbers the documents in errors.
+        """
+        signs = self._sign_matrix()
+        # integer sums of sign rows: exact, so equal to any other order of adding the counts
+        vecs = np.zeros((len(per_doc), self.dim), dtype=np.int64)
+        ends = np.cumsum(per_doc)
+        for row, (end, n) in enumerate(zip(ends.tolist(), per_doc.tolist())):
+            if n:
+                vecs[row] = signs[buckets[end - n : end]].sum(axis=0, dtype=np.int64)
+        vecs = vecs.astype(np.float64)
+        norms = np.linalg.norm(vecs, axis=1)
+        bad = np.flatnonzero(norms <= 0)
+        if len(bad):
+            row = int(bad[0])
+            if not per_doc[row]:
+                raise DegenerateEmbeddingError(f"document row {first_row + row} yields no character n-grams")
+            raise DegenerateEmbeddingError(f"document row {first_row + row} projects to the zero vector")
+        return vecs / norms[:, None]
 
     def fingerprint(self) -> str:
         return f"hashed-projection:dim={self.dim}:buckets={HASH_BUCKETS}:ngrams={NGRAM_SIZES}:seed={self.seed}"

@@ -16,6 +16,16 @@ Conventions:
   which sums to 1 exactly over the byte alphabet and is strictly positive,
   so cross-entropy is always finite.
 * All logs are base 2 and losses are bits per token; perplexity is 2^L.
+
+Storage is the sorted-array layout of KenLM (Heafield 2011): one sorted
+int64 array of keys ``context * 256 + byte`` and one array of their
+counts. A context is its (order - 1) previous symbols packed base 257,
+oldest symbol most significant, so each context's keys are contiguous
+and sort in the order of the model file. Training buffers document bytes
+and counts them a chunk at a time with ``np.unique``; scoring finds every
+token with one ``np.searchsorted``. Each term is ``math.log2`` of the
+add-k probability and a document's terms are summed left to right, so
+scores equal those of a per-byte loop to the last bit.
 """
 
 from __future__ import annotations
@@ -28,14 +38,21 @@ from math import log2
 from pathlib import Path
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .corpus import Document
 from .errors import InvalidPairSpecError, NoTrainingDataError
 
 VOCAB_SIZE = 256
 BOUNDARY = 256  # context-only symbol, outside the byte alphabet
 _CTX_BASE = 257  # byte alphabet plus the boundary symbol
+# the largest key, 257^(order-1) * 256, fits an int64 up to order 7 (~7.4e16); order 8 overflows
+MAX_ORDER = 7
+# training bytes buffered per model before they are counted into its arrays
+_FOLD_BYTES = 1 << 20
 
 _MAGIC = b"SFNGRAM1\n"
+_ENTRY = np.dtype([("token", "u1"), ("count", "<u8")])  # "<BQ", one (byte, count) entry of format v1
 
 
 def tokenize(text: str) -> bytes:
@@ -45,26 +62,62 @@ def tokenize(text: str) -> bytes:
     return text.encode("utf-8")
 
 
-class NGramModel:
-    """Order-n byte model storing sparse context -> next-byte counts.
+def _token_keys(docs: list[bytes], order: int) -> np.ndarray:
+    """Key ``context * 256 + byte`` of every token of the documents, in order."""
+    width = order - 1
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    tokens = np.frombuffer(b"".join(docs), dtype=np.uint8)
+    # the documents one after another, each after its `width` boundary symbols
+    at = np.arange(len(tokens)) + width * np.repeat(np.arange(1, len(docs) + 1), lengths)
+    stream = np.full(len(tokens) + width * len(docs), BOUNDARY, dtype=np.int64)
+    stream[at] = tokens
+    keys = np.zeros(len(tokens), dtype=np.int64)
+    for back in range(width, 0, -1):  # oldest symbol first, so it is the most significant
+        keys *= _CTX_BASE
+        keys += stream[at - back]
+    keys *= VOCAB_SIZE
+    keys += tokens
+    return keys
 
-    Contexts are the (order - 1) previous tokens, packed into a single
-    integer base 257; zero-count entries are never stored.
+
+def _contexts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each context's first key in a sorted key array, and its number of keys."""
+    ctx = keys >> 8
+    starts = np.flatnonzero(np.concatenate(([True], ctx[1:] != ctx[:-1]))) if len(keys) else ctx
+    return starts, np.diff(np.append(starts, len(keys)))
+
+
+def _context_symbols(ctx: np.ndarray, width: int) -> np.ndarray:
+    """Packed contexts as rows of ``width`` symbols, oldest first."""
+    out = np.empty((len(ctx), width), dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        ctx, out[:, j] = np.divmod(ctx, _CTX_BASE)
+    return out
+
+
+class NGramModel:
+    """Order-n byte model storing sparse (context, next byte) counts in sorted arrays.
+
+    ``_keys`` holds ``context * 256 + byte`` in ascending order and
+    ``_counts`` the count of each; zero-count entries are never stored.
     """
 
     def __init__(self, order: int, smoothing_k: float = 0.01):
         if order < 1:
             raise ValueError("order must be >= 1")
+        if order > MAX_ORDER:
+            raise InvalidPairSpecError(f"order {order} is above the largest supported order {MAX_ORDER}")
         if not smoothing_k > 0:
             raise ValueError("smoothing_k must be > 0")
         self.order = order
         self.smoothing_k = float(smoothing_k)
         self.vocab_size = VOCAB_SIZE
         self.total_tokens_trained = 0
-        # packed context -> {next byte -> count}
-        self._counts: dict[int, dict[int, int]] = {}
-        # packed context -> total count (sum over next bytes)
-        self._totals: dict[int, int] = {}
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._pending: list[bytes] = []  # documents added but not yet counted
+        self._pending_bytes = 0
+        self._terms: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._fingerprint: Optional[str] = None
 
     # -- training ---------------------------------------------------------
@@ -72,72 +125,98 @@ class NGramModel:
     def add_document(self, doc: Document) -> None:
         """Count every length-order window of the document's byte tokens."""
         tokens = tokenize(doc.text)
-        counts = self._counts
-        totals = self._totals
-        order = self.order
-        if order == 1:
-            table = counts.setdefault(0, {})
-            for t in tokens:
-                table[t] = table.get(t, 0) + 1
-            totals[0] = totals.get(0, 0) + len(tokens)
-        else:
-            mod = _CTX_BASE ** (order - 2)
-            # initial context: (order - 1) boundary symbols
-            ctx = 0
-            for _ in range(order - 1):
-                ctx = ctx * _CTX_BASE + BOUNDARY
-            for t in tokens:
-                table = counts.get(ctx)
-                if table is None:
-                    table = counts[ctx] = {}
-                    totals[ctx] = 0
-                table[t] = table.get(t, 0) + 1
-                totals[ctx] += 1
-                ctx = (ctx % mod) * _CTX_BASE + t
+        self._pending.append(tokens)
+        self._pending_bytes += len(tokens)
         self.total_tokens_trained += len(tokens)
         self._fingerprint = None
+        if self._pending_bytes >= _FOLD_BYTES:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Merge the counts of the buffered documents into the sorted arrays."""
+        if not self._pending:
+            return
+        new_keys, new_counts = np.unique(_token_keys(self._pending, self.order), return_counts=True)
+        self._pending, self._pending_bytes = [], 0
+        at = np.searchsorted(self._keys, new_keys)
+        seen = at < len(self._keys)
+        seen[seen] = self._keys[at[seen]] == new_keys[seen]
+        self._counts[at[seen]] += new_counts[seen]
+        fresh = ~seen
+        self._keys = np.insert(self._keys, at[fresh], new_keys[fresh])
+        self._counts = np.insert(self._counts, at[fresh], new_counts[fresh])
+        self._terms = None
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        self._fold()
+        return self._keys, self._counts
 
     # -- evaluation -------------------------------------------------------
 
+    def _log2_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Keys and, per key, log2 P of its byte and of a byte never seen after its context.
+
+        Each array has one more entry at both ends: key -1 (no context),
+        whose unseen term is that of a context never seen. ``math.log2``
+        per value, as the per-token definition has it: numpy's vectorized
+        log2 differs from it in the last bit for some values.
+        """
+        if self._terms is None:
+            keys, counts = self._arrays()
+            starts, sizes = _contexts(keys)
+            totals = np.add.reduceat(counts, starts) if len(keys) else counts
+            k, denom_k = self.smoothing_k, self.smoothing_k * VOCAB_SIZE
+            seen = (counts + k) / (np.repeat(totals, sizes) + denom_k)
+            # a context never seen: (0 + k) / (0 + 256 k)
+            unseen = np.concatenate(([k / denom_k], k / (totals + denom_k)))
+            seen_terms = np.fromiter(map(log2, seen.tolist()), dtype=np.float64, count=len(seen))
+            unseen_terms = np.fromiter(map(log2, unseen.tolist()), dtype=np.float64, count=len(unseen))
+            self._terms = (
+                np.concatenate(([-1], keys, [-1])),
+                np.concatenate(([0.0], seen_terms, [0.0])),
+                np.concatenate(([unseen_terms[0]], np.repeat(unseen_terms[1:], sizes), [unseen_terms[0]])),
+            )
+        return self._terms
+
+    def _log2_probabilities(self, texts: list[str]) -> tuple[list[float], list[int]]:
+        """Total log2 probability and token count of each text."""
+        docs = [tokenize(text) for text in texts]
+        query = _token_keys(docs, self.order)
+        keys, seen, unseen = self._log2_terms()
+        # sorted queries search neighbouring keys one after another: ~2.5x faster than in text order
+        order = np.argsort(query)
+        right = np.empty_like(order)
+        right[order] = np.searchsorted(keys[1:-1], query[order]) + 1
+        # a context's keys are contiguous: a query whose context was seen lands inside its
+        # block or just past its last key; otherwise it takes the edge entry, key -1
+        ctx = query >> 8
+        at = np.where((keys[right] >> 8) == ctx, right, np.where((keys[right - 1] >> 8) == ctx, right - 1, 0))
+        terms = np.where(keys[at] == query, seen[at], unseen[at])
+        lengths = [len(doc) for doc in docs]
+        totals = []
+        end = 0
+        for n in lengths:
+            # left to right, as a per-token loop adds them (np.sum adds pairwise)
+            totals.append(float(np.cumsum(terms[end : end + n])[-1]))
+            end += n
+        return totals, lengths
+
     def log2_probability(self, text: str) -> float:
         """Total log2 probability of the text's byte tokens (not averaged)."""
-        tokens = tokenize(text)
-        k = self.smoothing_k
-        denom_k = k * VOCAB_SIZE
-        counts = self._counts
-        totals = self._totals
-        order = self.order
-        total = 0.0
-        if order == 1:
-            table = counts.get(0, {})
-            ctx_total = totals.get(0, 0)
-            den = ctx_total + denom_k
-            for t in tokens:
-                total += log2((table.get(t, 0) + k) / den)
-        else:
-            mod = _CTX_BASE ** (order - 2)
-            ctx = 0
-            for _ in range(order - 1):
-                ctx = ctx * _CTX_BASE + BOUNDARY
-            empty: dict[int, int] = {}
-            for t in tokens:
-                table = counts.get(ctx, empty)
-                den = totals.get(ctx, 0) + denom_k
-                total += log2((table.get(t, 0) + k) / den)
-                ctx = (ctx % mod) * _CTX_BASE + t
-        return total
+        return self._log2_probabilities([text])[0][0]
 
     def cross_entropy(self, doc: Document | str) -> float:
         """Bits per token: -(1/T) * sum log2 P(byte_t | context_t)."""
         text = doc.text if isinstance(doc, Document) else doc
-        tokens_len = len(tokenize(text))
-        return -self.log2_probability(text) / tokens_len
+        totals, lengths = self._log2_probabilities([text])
+        return -totals[0] / lengths[0]
 
     def perplexity(self, doc: Document | str) -> float:
         return 2.0 ** self.cross_entropy(doc)
 
     def perplexities(self, texts: list[str]) -> list[float]:
-        return [self.perplexity(text) for text in texts]
+        totals, lengths = self._log2_probabilities(texts)
+        return [2.0 ** (-total / n) for total, n in zip(totals, lengths)]
 
     def probability(self, context: tuple[int, ...], token: int) -> float:
         """Add-k probability of one byte after an explicit context tuple."""
@@ -146,54 +225,56 @@ class NGramModel:
         ctx = 0
         for c in context:
             ctx = ctx * _CTX_BASE + c
+        keys, counts = self._arrays()
+        in_ctx = (keys >> 8) == ctx
+        count = int(counts[in_ctx & ((keys & 255) == token)].sum())
         k = self.smoothing_k
-        num = self._counts.get(ctx, {}).get(token, 0) + k
-        den = self._totals.get(ctx, 0) + k * VOCAB_SIZE
-        return num / den
+        return (count + k) / (int(counts[in_ctx].sum()) + k * VOCAB_SIZE)
 
     @property
     def n_contexts(self) -> int:
-        return len(self._counts)
+        return len(_contexts(self._arrays()[0])[0])
 
     def iter_counts(self):
         """Yield (context tuple, next byte, count) sorted by context then byte."""
-        for ctx in sorted(self._counts):
-            ctx_tuple = self._unpack_context(ctx)
-            table = self._counts[ctx]
-            for tok in sorted(table):
-                yield ctx_tuple, tok, table[tok]
+        keys, counts = self._arrays()
+        contexts = _context_symbols(keys >> 8, self.order - 1).tolist()
+        for ctx, tok, count in zip(contexts, (keys & 255).tolist(), counts.tolist()):
+            yield tuple(ctx), tok, count
 
     # -- persistence ------------------------------------------------------
 
-    def _unpack_context(self, ctx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.order - 1):
-            ctx, tok = divmod(ctx, _CTX_BASE)
-            out.append(tok)
-        return tuple(reversed(out))
+    def _head_dtype(self) -> np.dtype:
+        """Per-context record of format v1: ``<{order-1}H`` symbols, ``<H`` entry count."""
+        return np.dtype([("context", "<u2", (self.order - 1,)), ("entries", "<u2")])
 
     def to_bytes(self) -> bytes:
+        keys, counts = self._arrays()
+        starts, sizes = _contexts(keys)
         header = {
             "format_version": 1,
             "order": self.order,
             "smoothing_k": self.smoothing_k,
             "vocab_size": self.vocab_size,
             "total_tokens_trained": self.total_tokens_trained,
-            "n_contexts": len(self._counts),
+            "n_contexts": len(starts),
         }
-        chunks = [_MAGIC, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n"]
-        ctx_fmt = struct.Struct(f"<{self.order - 1}H") if self.order > 1 else None
-        entry_fmt = struct.Struct("<BQ")
-        items = sorted(
-            ((self._unpack_context(ctx), table) for ctx, table in self._counts.items())
-        )
-        for ctx_tuple, table in items:
-            if ctx_fmt is not None:
-                chunks.append(ctx_fmt.pack(*ctx_tuple))
-            chunks.append(struct.pack("<H", len(table)))
-            for tok in sorted(table):
-                chunks.append(entry_fmt.pack(tok, table[tok]))
-        return b"".join(chunks)
+        head = np.empty(len(starts), dtype=self._head_dtype())
+        head["context"] = _context_symbols(keys[starts] >> 8, self.order - 1)
+        head["entries"] = sizes
+        entries = np.empty(len(keys), dtype=_ENTRY)
+        entries["token"] = keys & 255
+        entries["count"] = counts
+        # one row per key: its context's record (kept for a context's first key only), then its entry
+        width = head.dtype.itemsize
+        rows = np.empty((len(keys), width + _ENTRY.itemsize), dtype=np.uint8)
+        rows[:, width:] = entries.view(np.uint8).reshape(len(keys), _ENTRY.itemsize)
+        rows[starts, :width] = head.view(np.uint8).reshape(len(starts), width)
+        keep = np.zeros(rows.shape, dtype=bool)
+        keep[:, width:] = True
+        keep[starts, :width] = True
+        return b"".join([_MAGIC, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n",
+                         rows[keep].tobytes()])
 
     def save(self, path: str | Path) -> None:
         blob = self.to_bytes()
@@ -210,33 +291,42 @@ class NGramModel:
             raise ValueError(f"unsupported model format version {header.get('format_version')}")
         model = cls(order=int(header["order"]), smoothing_k=float(header["smoothing_k"]))
         model.total_tokens_trained = int(header["total_tokens_trained"])
-        order = model.order
-        ctx_fmt = struct.Struct(f"<{order - 1}H") if order > 1 else None
-        entry_fmt = struct.Struct("<BQ")
+        head = model._head_dtype()
+        # each record's entry count gives the next record's offset: one step per context
+        starts, sizes = [], []
         pos = header_end + 1
-        n_fmt = struct.Struct("<H")
-        for _ in range(int(header["n_contexts"])):
-            if ctx_fmt is not None:
-                ctx_tuple = ctx_fmt.unpack_from(blob, pos)
-                pos += ctx_fmt.size
-                ctx = 0
-                for c in ctx_tuple:
-                    ctx = ctx * _CTX_BASE + c
-            else:
-                ctx = 0
-            (n_entries,) = n_fmt.unpack_from(blob, pos)
-            pos += n_fmt.size
-            table = {}
-            total = 0
-            for _ in range(n_entries):
-                tok, count = entry_fmt.unpack_from(blob, pos)
-                pos += entry_fmt.size
-                table[tok] = count
-                total += count
-            model._counts[ctx] = table
-            model._totals[ctx] = total
+        n_entries = struct.Struct("<H").unpack_from
+        try:
+            for _ in range(int(header["n_contexts"])):
+                (n,) = n_entries(blob, pos + head.itemsize - 2)
+                starts.append(pos)
+                sizes.append(n)
+                pos += head.itemsize + _ENTRY.itemsize * n
+        except struct.error:
+            raise ValueError("n-gram model file ends inside a context") from None
         if pos != len(blob):
             raise ValueError(f"{len(blob) - pos} bytes after the last n-gram context")
+        starts_a = np.array(starts, dtype=np.int64)
+        sizes_a = np.array(sizes, dtype=np.int64)
+        if np.any(sizes_a == 0):
+            raise ValueError("n-gram model file has a context without entries")
+        # every 2- and 8-byte little-endian value of the blob, at any byte offset
+        u16 = np.ndarray((len(blob) - 1,), dtype="<u2", buffer=blob, strides=(1,))
+        u64 = np.ndarray((len(blob) - 7,), dtype="<u8", buffer=blob, strides=(1,))
+        ctx = np.zeros(len(starts_a), dtype=np.int64)
+        for j in range(model.order - 1):
+            symbols = u16[starts_a + 2 * j]
+            if np.any(symbols > BOUNDARY):
+                raise ValueError("n-gram model file has a context symbol above 256")
+            ctx = ctx * _CTX_BASE + symbols
+        first = np.cumsum(sizes_a) - sizes_a
+        entry_at = np.repeat(starts_a + head.itemsize - _ENTRY.itemsize * first, sizes_a)
+        entry_at += _ENTRY.itemsize * np.arange(len(entry_at))
+        counts = u64[entry_at + 1].view(np.int64)
+        keys = np.repeat(ctx, sizes_a) * VOCAB_SIZE + np.frombuffer(blob, dtype=np.uint8)[entry_at]
+        if np.any(counts <= 0) or np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("n-gram model file has a zero count or entries out of order")
+        model._keys, model._counts = keys, counts
         # a saved model's bytes are its to_bytes(), so their digest is its fingerprint
         model._fingerprint = _digest(blob)
         return model

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     AllocationNoConvergeError,
@@ -212,6 +211,9 @@ def optimal_allocation(
     N_opt ~ C^a and D_opt ~ C^b are recovered empirically from sweeps
     rather than assumed.
     """
+    # imported here: scipy takes most of the package's import time and only this search uses it
+    from scipy.optimize import minimize_scalar
+
     if C <= 0:
         raise ValueError("compute budget C must be > 0")
     const = flops_per_token_per_param

@@ -1,0 +1,130 @@
+"""Straight-line reference implementations of the vectorized hot paths.
+
+``LoopNGramModel`` is the dict-of-dicts, byte-at-a-time n-gram model the
+package used before its counts moved into sorted arrays, and
+``loop_embed`` is the one-``blake2b``-call-per-window hashed embedder.
+Both define the exact outputs the package must keep: the same counts,
+the same ``.sfngram`` bytes, the same float log-probabilities (summed left
+to right, ``math.log2`` per token) and the same embedding rows.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import struct
+from math import log2
+
+import numpy as np
+
+from scalingfilter.embedding import HASH_BUCKETS, NGRAM_SIZES
+from scalingfilter.ngram import BOUNDARY, VOCAB_SIZE
+
+_CTX_BASE = 257
+_MAGIC = b"SFNGRAM1\n"
+
+
+class LoopNGramModel:
+    """Order-n byte model: packed context -> {next byte -> count}, one dict step per byte."""
+
+    def __init__(self, order: int, smoothing_k: float = 0.01):
+        self.order = order
+        self.smoothing_k = float(smoothing_k)
+        self.total_tokens_trained = 0
+        self.counts: dict[int, dict[int, int]] = {}
+        self.totals: dict[int, int] = {}
+
+    def _start(self) -> int:
+        ctx = 0
+        for _ in range(self.order - 1):
+            ctx = ctx * _CTX_BASE + BOUNDARY
+        return ctx
+
+    def add_document(self, text: str) -> None:
+        tokens = text.encode("utf-8")
+        mod = _CTX_BASE ** max(self.order - 2, 0)
+        ctx = self._start()
+        for t in tokens:
+            table = self.counts.setdefault(ctx, {})
+            table[t] = table.get(t, 0) + 1
+            self.totals[ctx] = self.totals.get(ctx, 0) + 1
+            if self.order > 1:
+                ctx = (ctx % mod) * _CTX_BASE + t
+        self.total_tokens_trained += len(tokens)
+
+    def log2_probability(self, text: str) -> float:
+        tokens = text.encode("utf-8")
+        k = self.smoothing_k
+        denom_k = k * VOCAB_SIZE
+        mod = _CTX_BASE ** max(self.order - 2, 0)
+        ctx = self._start()
+        total = 0.0
+        for t in tokens:
+            table = self.counts.get(ctx, {})
+            den = self.totals.get(ctx, 0) + denom_k
+            total += log2((table.get(t, 0) + k) / den)
+            if self.order > 1:
+                ctx = (ctx % mod) * _CTX_BASE + t
+        return total
+
+    def perplexity(self, text: str) -> float:
+        return 2.0 ** (-self.log2_probability(text) / len(text.encode("utf-8")))
+
+    def unpack_context(self, ctx: int) -> tuple[int, ...]:
+        out = []
+        for _ in range(self.order - 1):
+            ctx, tok = divmod(ctx, _CTX_BASE)
+            out.append(tok)
+        return tuple(reversed(out))
+
+    def iter_counts(self):
+        """(context tuple, next byte, count), sorted by context then byte."""
+        for ctx in sorted(self.counts):
+            table = self.counts[ctx]
+            for tok in sorted(table):
+                yield self.unpack_context(ctx), tok, table[tok]
+
+    def to_bytes(self) -> bytes:
+        header = {
+            "format_version": 1,
+            "order": self.order,
+            "smoothing_k": self.smoothing_k,
+            "vocab_size": VOCAB_SIZE,
+            "total_tokens_trained": self.total_tokens_trained,
+            "n_contexts": len(self.counts),
+        }
+        chunks = [_MAGIC, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n"]
+        ctx_fmt = struct.Struct(f"<{self.order - 1}H") if self.order > 1 else None
+        entry_fmt = struct.Struct("<BQ")
+        for ctx in sorted(self.counts):
+            table = self.counts[ctx]
+            if ctx_fmt is not None:
+                chunks.append(ctx_fmt.pack(*self.unpack_context(ctx)))
+            chunks.append(struct.pack("<H", len(table)))
+            for tok in sorted(table):
+                chunks.append(entry_fmt.pack(tok, table[tok]))
+        return b"".join(chunks)
+
+
+def loop_bucket_counts(text: str) -> dict[int, int]:
+    """Hashed n-gram counts of one text, one blake2b call per window."""
+    data = text.encode("utf-8")
+    counts: dict[int, int] = {}
+    for size in NGRAM_SIZES:
+        for i in range(len(data) - size + 1):
+            digest = hashlib.blake2b(data[i : i + size], digest_size=8).digest()
+            bucket = int.from_bytes(digest, "little") % HASH_BUCKETS
+            counts[bucket] = counts.get(bucket, 0) + 1
+    return counts
+
+
+def loop_embed(signs: np.ndarray, texts: list[str]) -> np.ndarray:
+    """Rows of the hashed embedder, one text at a time (no degenerate-row checks)."""
+    out = np.empty((len(texts), signs.shape[1]), dtype=np.float64)
+    for row, text in enumerate(texts):
+        counts = loop_bucket_counts(text)
+        buckets = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+        weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+        vec = weights @ signs[buckets].astype(np.float64)
+        out[row] = vec / np.linalg.norm(vec)
+    return out

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import synth
+from scalingfilter import cli
 from scalingfilter.cli import build_parser, main
 from scalingfilter.corpus import Document, corpus_fingerprint, read_manifest_corpus, write_corpus
 from scalingfilter.scoring import read_score_file
@@ -88,6 +93,23 @@ class TestTrainMeta:
             "train-meta", "--corpus", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o"),
         ])
         assert rc == 2
+
+    def test_order_above_limit_exit_2_reading_no_document(self, tmp_path, corpus_dir, monkeypatch):
+        reads = []
+        read = cli.corpus_io.read_manifest_corpus
+
+        def counted(*args, **kwargs):
+            for doc in read(*args, **kwargs):
+                reads.append(doc.doc_id)
+                yield doc
+
+        monkeypatch.setattr(cli.corpus_io, "read_manifest_corpus", counted)
+        rc = main([
+            "train-meta", "--corpus", str(corpus_dir), "--large-order", "8", "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert reads == []
+        assert not (tmp_path / "o" / "pair.json").exists()
 
     def test_malformed_records_skipped_not_fatal(self, tmp_path, caplog):
         corpus = tmp_path / "dirty"
@@ -191,6 +213,15 @@ class TestScore:
         good_ids = [f"d{i:02d}" for i in range(20)]
         assert [s.doc_id for s in read_score_file(score_out / "scores.tsv")] == good_ids
         assert sorted((filter_out / "kept_ids.txt").read_text(encoding="utf-8").splitlines()) == good_ids
+
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_below_one_exit_2(self, tmp_path, corpus_dir, pair_dir, workers):
+        argv = ["score", "--corpus", str(corpus_dir), "--pair", str(pair_dir)]
+        assert exit_code([*argv, "--workers", workers, "--out", str(tmp_path / "flag")]) == 2
+        config = write_config(tmp_path / "c.json", {"workers": workers})
+        assert exit_code([*argv, "--config", config, "--out", str(tmp_path / "config")]) == 2
+        assert not (tmp_path / "flag" / "scores.tsv").exists()
+        assert not (tmp_path / "config" / "scores.tsv").exists()
 
     def test_pair_and_remote_flags_conflict(self, tmp_path, corpus_dir, pair_dir):
         rc = main([
@@ -318,6 +349,14 @@ class TestDiversity:
         report = json.loads((out / "diversity.json").read_text(encoding="utf-8"))
         assert report["kind"] == "dataset-mix"
         assert [row["n_datasets"] for row in report["curve"]] == [1, 2, 3]
+
+    def test_corpus_with_mix_exit_2(self, tmp_path, corpus_dir):
+        out = tmp_path / "both"
+        assert main([
+            "diversity", "--corpus", str(corpus_dir), "--mix", str(corpus_dir), str(corpus_dir),
+            "--n", "30", "--repeats", "2", "--out", str(out),
+        ]) == 2
+        assert not (out / "diversity.json").exists()
 
     def test_corpus_too_small_exit_1(self, tmp_path, corpus_dir):
         rc = main([
@@ -529,3 +568,16 @@ class TestRunConfig:
         assert {name for name, f in flags.items() if "--seed" in f} == {"filter", "diversity"}
         assert {name for name, f in flags.items() if "--workers" in f} == {"score"}
         assert sum(len(f - {"-h", "--help"}) for f in flags.values()) == 60
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only verify-scaling's allocation search uses scipy; the other commands do not load it."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, scalingfilter.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,8 +1,11 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
+from oracles import loop_bucket_counts, loop_embed
+from scalingfilter import embedding
 from scalingfilter.corpus import Document
 from scalingfilter.embedding import (
     HASH_BUCKETS,
@@ -79,6 +82,42 @@ class TestHashedProjection:
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             HashedProjectionEmbedder(dim=1)
+
+
+class TestLoopOracle:
+    """The chunked embedder equals one blake2b call per window, one text at a time, exactly."""
+
+    TEXTS = ["abc", "abcd", "abcde", "é€x", "😀😀", "中文字符", "the quick brown fox", "abc abc abc abc"] + [
+        f"document {i} about topic {i % 7}, with accents éàü and symbols €{i}" for i in range(40)
+    ]
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 10, 100, 1 << 18])
+    @pytest.mark.parametrize("hashed_limit", [0, 50, 1 << 22])
+    def test_rows_equal_the_loop(self, monkeypatch, chunk_bytes, hashed_limit):
+        # chunk_bytes 1, 10 and 100: documents straddle embedding chunks; hashed_limit 0 and 50:
+        # windows past the call's table of known buckets are hashed again in each chunk
+        monkeypatch.setattr(embedding, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(embedding, "_HASHED_LIMIT", hashed_limit)
+        emb = HashedProjectionEmbedder(dim=16, seed=3)
+        X = emb.embed(self.TEXTS)
+        assert np.array_equal(X, loop_embed(emb._sign_matrix(), self.TEXTS))
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 30, 1 << 18])
+    def test_degenerate_row_named_across_chunks(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(embedding, "_CHUNK_BYTES", chunk_bytes)
+        texts = self.TEXTS[:7] + ["ab"] + self.TEXTS[7:]
+        with pytest.raises(DegenerateEmbeddingError, match="row 7 yields no character n-grams"):
+            HashedProjectionEmbedder(dim=8, seed=0).embed(texts)
+
+    def test_zero_projection_row_named(self):
+        emb = HashedProjectionEmbedder(dim=2, seed=0)
+        signs = emb._sign_matrix()
+        # a 5-byte text whose window signs cancel, found by search: they depend on the hash
+        candidates = ("".join(chars) for chars in itertools.product("abcd", repeat=5))
+        zero = next(t for t in candidates
+                    if not np.any(sum(signs[b] * n for b, n in loop_bucket_counts(t).items())))
+        with pytest.raises(DegenerateEmbeddingError, match="row 2 projects to the zero vector"):
+            emb.embed(["first text", "second text", zero])
 
 
 class TestRemoteEmbedder:

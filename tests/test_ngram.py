@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 import synth
+from oracles import LoopNGramModel
+from scalingfilter import ngram
 from scalingfilter.corpus import Document
 from scalingfilter.errors import InvalidPairSpecError, NoTrainingDataError
 from scalingfilter.ngram import (
     BOUNDARY,
+    MAX_ORDER,
     MetaModelPair,
     NGramModel,
     tokenize,
@@ -223,3 +226,105 @@ class TestSerialization:
         path = tmp_path / "u.sfngram"
         model.save(path)
         assert NGramModel.load(path).to_bytes() == model.to_bytes()
+
+
+def oracle_texts(seed, n_docs=60):
+    """ASCII, 2- to 4-byte UTF-8 and texts shorter than 3 and 5 bytes."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    alphabet = list("abcde fghij") + ["é", "ß", "€", "中", "😀"]
+    texts = ["a", "ab", "abc", "abcd", "é", "€", "😀", "ab€"]
+    for _ in range(n_docs):
+        texts.append("".join(rng.choice(alphabet, size=int(rng.integers(1, 40)))))
+    return texts
+
+
+class TestLoopOracle:
+    """The sorted-array model equals the per-byte dict-of-dicts loop exactly."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("fold_bytes", [1, 37, 1 << 20])
+    def test_counts_bytes_and_scores_equal_the_loop(self, monkeypatch, order, fold_bytes):
+        # fold_bytes 1 and 37: training documents straddle count chunks
+        monkeypatch.setattr(ngram, "_FOLD_BYTES", fold_bytes)
+        texts = oracle_texts(order)
+        oracle = LoopNGramModel(order, smoothing_k=0.01)
+        for text in texts:
+            oracle.add_document(text)
+        model = train_ngram([doc(t, str(i)) for i, t in enumerate(texts)], order=order)
+        assert model.total_tokens_trained == oracle.total_tokens_trained
+        assert list(model.iter_counts()) == list(oracle.iter_counts())
+        assert model.n_contexts == len(oracle.counts)
+        blob = model.to_bytes()
+        assert blob == oracle.to_bytes()
+        held_out = oracle_texts(100 + order, n_docs=20)
+        loaded = NGramModel.from_bytes(blob)
+        for m in (model, loaded):
+            for text in texts + held_out:
+                assert m.log2_probability(text) == oracle.log2_probability(text)
+            assert m.perplexities(texts + held_out) == [oracle.perplexity(t) for t in texts + held_out]
+
+    @pytest.mark.parametrize("order", [2, 5])
+    def test_trained_arrays_do_not_depend_on_chunk_size(self, monkeypatch, order):
+        texts = oracle_texts(7, n_docs=200)
+        arrays = []
+        for fold_bytes in (1, 5, 64, 1000, 1 << 20):
+            monkeypatch.setattr(ngram, "_FOLD_BYTES", fold_bytes)
+            model = train_ngram([doc(t, str(i)) for i, t in enumerate(texts)], order=order)
+            arrays.append(model._arrays())
+        for keys, counts in arrays[1:]:
+            assert np.array_equal(keys, arrays[0][0]) and np.array_equal(counts, arrays[0][1])
+
+    def test_terms_round_as_math_log2(self):
+        # numpy's vectorized log2 differs from math.log2 in the last bit for some inputs on
+        # some CPUs (AVX-512); search for such a probability (c + k) / (t + 256 k) and use it
+        k = 0.01
+        total = np.arange(2, 800)[:, None]
+        count = np.arange(1, 800)[None, :]
+        prob = np.where(count < total, (count + k) / (total + k * 256), 0.5)
+        differs = np.argwhere(np.log2(prob) != np.vectorize(math.log2)(prob))
+        t, c = (int(total[differs[0][0], 0]), int(count[0, differs[0][1]])) if len(differs) else (2, 1)
+        model = train_ngram([doc("a" * c + "b" * (t - c))], order=1, smoothing_k=k)
+        assert model.log2_probability("a") == math.log2((c + k) / (t + k * 256))
+
+    def test_untrained_model_equals_the_loop(self):
+        model, oracle = NGramModel(3), LoopNGramModel(3)
+        assert model.to_bytes() == oracle.to_bytes()
+        assert model.log2_probability("a€") == oracle.log2_probability("a€")
+        assert NGramModel.from_bytes(model.to_bytes()).perplexity("xyz") == oracle.perplexity("xyz")
+
+    def test_highest_order_keys_do_not_overflow(self):
+        # the first byte's context is six boundary symbols (256, the largest symbol), so its key
+        # (257^6 - 1) * 256 + byte ~ 7.4e16 is the largest an order-7 model makes
+        text = "\U0010ffff" * 4  # UTF-8 F4 8F BF BF: high bytes in every context
+        oracle = LoopNGramModel(MAX_ORDER)
+        oracle.add_document(text)
+        model = train_ngram([doc(text)], order=MAX_ORDER)
+        assert model.to_bytes() == oracle.to_bytes()
+        assert model.log2_probability(text) == oracle.log2_probability(text)
+
+    def test_order_above_limit_rejected(self):
+        with pytest.raises(InvalidPairSpecError) as exc:
+            NGramModel(MAX_ORDER + 1)
+        assert exc.value.code == "invalid-pair-spec"
+
+    def test_pair_above_order_limit_reads_no_document(self, small_docs):
+        stream = iter(small_docs)
+        with pytest.raises(InvalidPairSpecError):
+            train_pair(stream, 2, MAX_ORDER + 1)
+        assert len(list(stream)) == len(small_docs)
+
+
+class TestModelFileChecks:
+    def test_truncated_file_rejected(self, small_docs):
+        blob = train_ngram(small_docs, order=3).to_bytes()
+        with pytest.raises(ValueError):
+            NGramModel.from_bytes(blob[:-4])
+
+    def test_entries_out_of_order_rejected(self):
+        model = train_ngram([doc("ab")], order=1)
+        blob = model.to_bytes()
+        # order 1: one context of two entries (a, 1), (b, 1); swap their bytes
+        body = len(blob) - 18
+        swapped = blob[:body] + blob[body + 9 :] + blob[body : body + 9]
+        with pytest.raises(ValueError):
+            NGramModel.from_bytes(swapped)
