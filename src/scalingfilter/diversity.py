@@ -146,16 +146,15 @@ def _mixture_values(
         for _ in range(repeats)
     ]
 
-    vectors: list[dict[int, np.ndarray]] = []
+    embedded: list[tuple[np.ndarray, np.ndarray]] = []
     for mi, member in enumerate(members):
-        used = sorted({int(i) for repeat in draws for i in repeat[mi]})
-        X = provider.embed([member[i] for i in used])
-        vectors.append({idx: X[row] for row, idx in enumerate(used)})
+        used = np.unique(np.concatenate([repeat[mi] for repeat in draws]))
+        embedded.append((used, provider.embed([member[i] for i in used.tolist()])))
 
     values = []
     for repeat in draws:
-        rows = [vectors[mi][int(i)] for mi in range(n_members) for i in repeat[mi]]
-        values.append(semantic_diversity(embeddings=np.vstack(rows)))
+        X = np.concatenate([rows[np.searchsorted(used, draw)] for (used, rows), draw in zip(embedded, repeat)])
+        values.append(semantic_diversity(embeddings=X))
     return values
 
 

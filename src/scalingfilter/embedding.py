@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Document
 from .errors import DegenerateEmbeddingError, EmbedderUnavailableError
-from .remote import post_json
+from .remote import post_texts
 from .seeding import rng_for
 
 HASH_BUCKETS = 2**18
@@ -185,16 +185,9 @@ class RemoteEmbedder:
         rows: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             batch = texts[start : start + self.batch_size]
-            try:
-                body = post_json(url, {"texts": batch}, timeout=self.timeout, retries=self.retries)
-            except Exception as exc:
-                raise EmbedderUnavailableError(f"remote embedder {url} failed: {exc}") from exc
-            vecs = body.get("embeddings")
-            if not isinstance(vecs, list) or len(vecs) != len(batch):
-                raise EmbedderUnavailableError(
-                    f"remote embedder returned {len(vecs) if isinstance(vecs, list) else 'no'} "
-                    f"embeddings for {len(batch)} texts"
-                )
+            body, vecs = post_texts(
+                url, batch, "embeddings", EmbedderUnavailableError, self.timeout, self.retries
+            )
             self._model_name = str(body.get("model", ""))
             block = np.asarray(vecs, dtype=np.float64)
             if not bool(body.get("normalized", False)):

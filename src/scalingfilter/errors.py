@@ -104,7 +104,3 @@ class InvalidSecantError(ScalingFilterError):
 
 class ConditionRegionViolatedError(ScalingFilterError):
     code = "condition-region-violated"
-
-
-class AllocationNoConvergeError(ScalingFilterError):
-    code = "allocation-no-converge"

@@ -20,13 +20,12 @@ All losses are bits per token so that perplexity is 2^L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    AllocationNoConvergeError,
     ConditionRegionViolatedError,
     InvalidExponentError,
     InvalidSecantError,
@@ -202,18 +201,27 @@ def verify_monotonic_d_in_a(
     return MonotonicityReport(a_grid=grid, d_values=d_values, passed=passed)
 
 
+def _golden_section_min(f, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of a unimodal f on [lo, hi], to within xatol."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > xatol:
+        c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        if f(c) < f(d):
+            hi = d  # the minimum lies in [lo, d]
+        else:
+            lo = c  # the minimum lies in [c, hi]
+    return (lo + hi) / 2.0
+
+
 def optimal_allocation(
     params: ScalingLawParams, C: float, flops_per_token_per_param: float = 6.0
 ) -> tuple[float, float]:
     """Loss-minimizing (N, D) under the budget C = const * N * D.
 
-    Single-variable convex minimization over ln N; the power laws
-    N_opt ~ C^a and D_opt ~ C^b are recovered empirically from sweeps
-    rather than assumed.
+    Golden-section search over u = ln N: the loss is a sum of exponentials
+    in u, hence strictly convex. The power laws N_opt ~ C^a and D_opt ~ C^b
+    are recovered empirically from sweeps rather than assumed.
     """
-    # imported here: scipy takes most of the package's import time and only this search uses it
-    from scipy.optimize import minimize_scalar
-
     if C <= 0:
         raise ValueError("compute budget C must be > 0")
     const = flops_per_token_per_param
@@ -221,16 +229,15 @@ def optimal_allocation(
         raise ValueError("flops_per_token_per_param must be > 0")
     tokens_at_unit_n = C / const
 
+    floorless = replace(params, E=0.0)  # E does not move the optimum; adding it rounds off the terms' low digits
+
     def objective(u: float) -> float:
         N = math.exp(u)
-        return expected_loss(params, N, tokens_at_unit_n / N)
+        return expected_loss(floorless, N, tokens_at_unit_n / N)
 
     lo = math.log(1e-12)
     hi = math.log(tokens_at_unit_n) + math.log(1e12)
-    result = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
-    if not result.success:
-        raise AllocationNoConvergeError(f"allocation search failed: {result.message}")
-    N_opt = math.exp(result.x)
+    N_opt = math.exp(_golden_section_min(objective, lo, hi, xatol=1e-10))
     return N_opt, tokens_at_unit_n / N_opt
 
 

@@ -30,7 +30,7 @@ from .errors import (
     ScorerUnavailableError,
 )
 from .ngram import tokenize
-from .remote import post_json
+from .remote import post_texts
 
 SCORE_HEADER = ("doc_id", "n_tokens", "ppl_small", "ppl_large", "quality_factor")
 
@@ -80,37 +80,21 @@ class RemotePerplexityModel:
         self.retries = retries
         self._model_name: Optional[str] = None
 
-    def _call(self, texts: list[str]) -> dict:
+    def perplexities(self, texts: list[str]) -> list[float]:
         url = f"{self.base_url}/v1/perplexity"
-        try:
-            body = post_json(url, {"texts": texts}, timeout=self.timeout, retries=self.retries)
-        except Exception as exc:
-            raise ScorerUnavailableError(f"remote scorer {url} failed: {exc}") from exc
+        body, ppls = post_texts(url, texts, "perplexities", ScorerUnavailableError, self.timeout, self.retries)
         if "log_base" in body and body["log_base"] != 2:
             raise InvalidPerplexityError(f"remote scorer {url} declares log_base={body['log_base']}, need 2")
         self._model_name = str(body.get("model", ""))
-        return body
-
-    def perplexities(self, texts: list[str]) -> list[float]:
-        body = self._call(texts)
-        ppls = body.get("perplexities")
-        if not isinstance(ppls, list) or len(ppls) != len(texts):
-            raise ScorerUnavailableError(
-                f"remote scorer returned {len(ppls) if isinstance(ppls, list) else 'no'} "
-                f"perplexities for {len(texts)} texts"
-            )
         try:
             return [float(p) for p in ppls]
         except (TypeError, ValueError) as exc:
             raise ScorerUnavailableError(f"remote scorer returned a non-numeric perplexity: {exc}") from exc
 
-    def model_name(self) -> str:
-        if self._model_name is None:
-            self._call([])
-        return self._model_name or ""
-
     def fingerprint(self) -> str:
-        tag = f"remote:{self.base_url}:{self.model_name()}"
+        if self._model_name is None:
+            self.perplexities([])  # learns the model name
+        tag = f"remote:{self.base_url}:{self._model_name}"
         return hashlib.blake2b(tag.encode("utf-8"), digest_size=8).hexdigest()
 
 
@@ -170,7 +154,7 @@ class ScoreSummary:
     error_count: int
     endpoint_evaluations: int
     cache_hits: int
-    mean_d: float
+    mean_d: Optional[float]  # None (JSON null) when no document was scored
     quantiles: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -334,7 +318,7 @@ def score_corpus(
         error_count=len(errors),
         endpoint_evaluations=evaluations,
         cache_hits=cache_hits,
-        mean_d=sum(d_values) / len(d_values) if d_values else float("nan"),
+        mean_d=sum(d_values) / len(d_values) if d_values else None,
         quantiles=_nearest_rank_quantiles(d_values) if d_values else {},
     )
 

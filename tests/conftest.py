@@ -31,6 +31,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
     embed_fn = None
     model = "test-model"
     fail_requests = False
+    reply = None  # when set, every POST is answered with this JSON value
     requests: list = []  # texts per request received, in arrival order
 
 
@@ -45,7 +46,9 @@ class _JsonHandler(BaseHTTPRequestHandler):
         if self.fail_requests:
             self.send_error(500, "synthetic failure")
             return
-        if self.path == "/v1/perplexity" and self.perplexity_fn is not None:
+        if self.reply is not None:
+            payload = self.reply
+        elif self.path == "/v1/perplexity" and self.perplexity_fn is not None:
             payload = {
                 "perplexities": [self.perplexity_fn(t) for t in texts],
                 "model": self.model,
@@ -84,13 +87,14 @@ def make_service():
     """Start a throwaway JSON service; returns a factory of ServiceHandle."""
     servers = []
 
-    def factory(perplexity_fn=None, embed_fn=None, model="test-model"):
+    def factory(perplexity_fn=None, embed_fn=None, model="test-model", reply=None):
         handler_cls = type(
             "Handler",
             (_JsonHandler,),
             {"perplexity_fn": staticmethod(perplexity_fn) if perplexity_fn else None,
              "embed_fn": staticmethod(embed_fn) if embed_fn else None,
              "model": model,
+             "reply": reply,
              "fail_requests": False,
              "requests": []},
         )

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +146,28 @@ class TestScore:
         summary = json.loads((score_dir / "score_summary.json").read_text(encoding="utf-8"))
         assert summary["count"] == 300
         assert "quality_factor_quantiles" in summary
+
+    def test_no_valid_document_writes_null_mean(self, tmp_path, pair_dir):
+        corpus = tmp_path / "empty"
+        corpus.mkdir()
+        (corpus / "shard-00000.jsonl").write_text('{"text": "   "}\nnot json\n', encoding="utf-8")
+        (corpus / "manifest.json").write_text(
+            json.dumps({
+                "corpus_id": "empty", "shard_paths": ["shard-00000.jsonl"],
+                "doc_count": 2, "total_bytes": 1, "created_at": "",
+            }),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["score", "--corpus", str(corpus), "--pair", str(pair_dir), "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (out / "score_summary.json").read_text(encoding="utf-8")
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["count"] == 0
+        assert summary["mean_quality_factor"] is None
 
     def test_config_snapshot_written(self, score_dir):
         snapshot = json.loads((score_dir / "run_config.json").read_text(encoding="utf-8"))
@@ -571,13 +595,31 @@ class TestRunConfig:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only verify-scaling's allocation search uses scipy; the other commands do not load it."""
+    """The runtime needs numpy only: importing the CLI loads neither requests nor scipy."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, scalingfilter.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, scalingfilter.cli; print(sorted({'requests', 'scipy'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+def test_imports_are_stdlib_or_declared_dependencies():
+    """Every third-party module src/ imports is a declared dependency, and numpy is the only one."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in sorted((root / "src" / "scalingfilter").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
+    assert third_party == declared == {"numpy"}

@@ -222,6 +222,17 @@ class TestOptimalAllocation:
         assert n5 == pytest.approx(n0, rel=1e-6)
         assert d5 == pytest.approx(d0, rel=1e-6)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.31, 0.31), (0.34, 0.28), (0.2, 0.6)])
+    def test_matches_closed_form(self, alpha, beta):
+        # Hoffmann et al. 2022, eq. 4: N_opt = G (C/6)^(beta/(alpha+beta)), G = (alpha A/(beta B))^(1/(alpha+beta))
+        p = ScalingLawParams(E=1.69, A=406.4, B=410.7, alpha=alpha, beta=beta)
+        G = (alpha * p.A / (beta * p.B)) ** (1.0 / (alpha + beta))
+        for C in np.logspace(18, 22, 9):
+            N, D = optimal_allocation(p, C)
+            N_closed = G * (C / 6.0) ** (beta / (alpha + beta))
+            assert N == pytest.approx(N_closed, rel=1e-6)
+            assert D == pytest.approx(C / 6.0 / N_closed, rel=1e-6)
+
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             optimal_allocation(PARAMS, -1.0)
