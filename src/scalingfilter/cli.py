@@ -430,8 +430,8 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[Param, ...]]] = {
     "diversity": (cmd_diversity, "semantic diversity of corpus subsamples", (
         Param("--corpus", help="single corpus directory or manifest"),
         Param("--mix", nargs="+", help="two or more corpora for the dataset-count curve"),
-        Param("--n", int, 1000, help="subsample size"),
-        Param("--repeats", int, 10),
+        Param("--n", _positive_int, 1000, help="subsample size"),
+        Param("--repeats", _positive_int, 10),
         Param("--embedder", default="hashed", choices=("hashed", "remote")),
         Param("--dim", int, 64, help="hashed-projection dimension"),
         Param("--remote-url", help="base URL of the embedding service"),

@@ -43,6 +43,29 @@ def similarity_matrix(X: np.ndarray) -> np.ndarray:
     return S
 
 
+def _rows_ascend(X: np.ndarray) -> bool:
+    """Whether X's rows already stand in ``np.lexsort(X.T[::-1])`` order.
+
+    Each row is compared with the next in the first column where they
+    differ; rows equal in every column are in order either way.
+    """
+    head, tail = X[:-1], X[1:]
+    first = (head != tail).argmax(axis=1)
+    pairs = np.arange(len(head))
+    return bool(np.all(tail[pairs, first] >= head[pairs, first]))
+
+
+def _row_ranks(X: np.ndarray) -> np.ndarray:
+    """Each row's place in ``np.lexsort(X.T[::-1])`` order; equal rows share one."""
+    order = np.lexsort(X.T[::-1])
+    ordered = X[order]
+    new = np.ones(len(X), dtype=np.int64)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ranks = np.empty(len(X), dtype=np.int64)
+    ranks[order] = np.cumsum(new)
+    return ranks
+
+
 def _spectrum(
     similarity: Optional[np.ndarray] = None, embeddings: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -58,7 +81,8 @@ def _spectrum(
     X = np.asarray(embeddings, dtype=np.float64)
     # Canonical row order pins the float summation order, making the result
     # exactly permutation-invariant (eigenvalues do not depend on row order).
-    X = X[np.lexsort(X.T[::-1])]
+    if not _rows_ascend(X):
+        X = X[np.lexsort(X.T[::-1])]
     n, m = X.shape
     if m < n:
         # dual Gram path: XtX/n shares the nonzero spectrum of (X Xt)/n
@@ -120,41 +144,62 @@ class DiversityReport:
         Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _mixture_values(
-    members: Sequence[Sequence[Document]],
-    provider,
+Sample = list[tuple[int, np.ndarray]]  # (corpus index, drawn document indices) per member corpus
+
+
+def _mixture_samples(
+    corpora: Sequence[Sequence[Document]],
+    members: Sequence[int],
     n: int,
     repeats: int,
     rng: np.random.Generator,
-) -> list[float]:
-    """Per-repeat diversity of samples drawn evenly across member corpora.
+) -> list[Sample]:
+    """Samples drawn evenly across the member corpora, one per repeat.
 
     Each repeat draws n // len(members) documents without replacement from
-    every member; draws are independent across repeats. Embeddings are
-    computed once per distinct document and reused across repeats.
+    every member; draws are independent across repeats.
     """
-    n_members = len(members)
-    per_member = n // n_members
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    per_member = n // len(members)
     if per_member < 1:
-        raise ValueError(f"sample size {n} too small for {n_members} member corpora")
-    for member in members:
-        if len(member) < per_member:
-            raise CorpusTooSmallError(f"corpus of {len(member)} docs cannot provide {per_member} samples")
-
-    draws: list[list[np.ndarray]] = [
-        [rng.choice(len(member), size=per_member, replace=False) for member in members]
+        raise ValueError(f"sample size {n} too small for {len(members)} member corpora")
+    for c in members:
+        if len(corpora[c]) < per_member:
+            raise CorpusTooSmallError(f"corpus of {len(corpora[c])} docs cannot provide {per_member} samples")
+    return [
+        [(c, rng.choice(len(corpora[c]), size=per_member, replace=False)) for c in members]
         for _ in range(repeats)
     ]
 
-    embedded: list[tuple[np.ndarray, np.ndarray]] = []
-    for mi, member in enumerate(members):
-        used = np.unique(np.concatenate([repeat[mi] for repeat in draws]))
-        embedded.append((used, provider.embed([member[i] for i in used.tolist()])))
+
+def _mixture_values(
+    corpora: Sequence[Sequence[Document]], provider, samples: Sequence[Sample]
+) -> list[float]:
+    """Diversity of each sample.
+
+    Every document drawn from a corpus, in any sample, is embedded once, and
+    the pool of those rows is ranked in canonical order once. Each sample
+    gathers its rows in rank order, ties in draw order: the order the
+    spectrum would sort them into, so it need not sort them again.
+    """
+    drawn: dict[int, list[np.ndarray]] = {}
+    for sample in samples:
+        for c, draw in sample:
+            drawn.setdefault(c, []).append(draw)
+    used = {c: np.unique(np.concatenate(draws)) for c, draws in sorted(drawn.items())}
+    first_row, offset = {}, 0
+    for c, docs in used.items():
+        first_row[c] = offset
+        offset += len(docs)
+    pool = np.concatenate([provider.embed([corpora[c][i] for i in docs.tolist()]) for c, docs in used.items()])
+    ranks = _row_ranks(pool)
 
     values = []
-    for repeat in draws:
-        X = np.concatenate([rows[np.searchsorted(used, draw)] for (used, rows), draw in zip(embedded, repeat)])
-        values.append(semantic_diversity(embeddings=X))
+    for sample in samples:
+        rows = np.concatenate([first_row[c] + np.searchsorted(used[c], draw) for c, draw in sample])
+        rows = rows[np.argsort(ranks[rows], kind="stable")]
+        values.append(semantic_diversity(embeddings=pool[rows]))
     return values
 
 
@@ -171,12 +216,8 @@ def subsample_diversity(
     Each repeat draws n documents without replacement (independently across
     repeats); a single repeat reports std 0.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if len(docs) < n:
-        raise CorpusTooSmallError(f"corpus has {len(docs)} docs, need at least {n}")
     rng = rng_for(seed, "diversity-subsample")
-    values = _mixture_values([docs], provider, n, repeats, rng)
+    values = _mixture_values([docs], provider, _mixture_samples([docs], [0], n, repeats, rng))
     return DiversityReport(
         corpus_id=corpus_id,
         sample_size=n,
@@ -212,22 +253,27 @@ def dataset_mix_experiment(
     k = len(corpora)
     if k < 2:
         raise ValueError("need at least 2 corpora to mix")
-    curve = []
+    # every combination's samples are drawn first, so each corpus is embedded once
+    plan = []
     for n_datasets in range(1, k + 1):
         combos = list(combinations(range(k), n_datasets))
         if len(combos) > max_combos:
             picker = rng_for(seed, "diversity-mix-combos", n_datasets)
             chosen = picker.choice(len(combos), size=max_combos, replace=False)
             combos = [combos[int(i)] for i in sorted(chosen)]
-        all_values = []
+        samples = []
         for combo_index, combo in enumerate(combos):
             rng = rng_for(mix_seed(seed, n_datasets, combo_index), "diversity-subsample")
-            members = [corpora[i] for i in combo]
-            all_values.extend(_mixture_values(members, provider, n, repeats, rng))
+            samples.extend(_mixture_samples(corpora, combo, n, repeats, rng))
+        plan.append((n_datasets, len(combos), samples))
+    values = iter(_mixture_values(corpora, provider, [s for _, _, samples in plan for s in samples]))
+    curve = []
+    for n_datasets, n_combos, samples in plan:
+        all_values = [next(values) for _ in samples]
         curve.append(
             {
                 "n_datasets": n_datasets,
-                "combinations": len(combos),
+                "combinations": n_combos,
                 "mean": float(np.mean(all_values)),
                 "std": float(np.std(all_values)),
             }

@@ -146,7 +146,7 @@ class HashedProjectionEmbedder:
         ends = np.cumsum(per_doc)
         for row, (end, n) in enumerate(zip(ends.tolist(), per_doc.tolist())):
             if n:
-                vecs[row] = signs[buckets[end - n : end]].sum(axis=0, dtype=np.int64)
+                vecs[row] = np.take(signs, buckets[end - n : end], axis=0).sum(axis=0, dtype=np.int64)
         vecs = vecs.astype(np.float64)
         norms = np.linalg.norm(vecs, axis=1)
         bad = np.flatnonzero(norms <= 0)
@@ -189,7 +189,17 @@ class RemoteEmbedder:
                 url, batch, "embeddings", EmbedderUnavailableError, self.timeout, self.retries
             )
             self._model_name = str(body.get("model", ""))
-            block = np.asarray(vecs, dtype=np.float64)
+            try:
+                block = np.asarray(vecs)
+            except ValueError:  # ragged rows
+                block = np.zeros(0, dtype=object)
+            width = rows[0].shape[1] if rows else block.shape[-1]
+            if (block.dtype.kind not in "iuf" or block.ndim != 2 or block.shape[1] != width or not width
+                    or not np.all(np.isfinite(block))):
+                raise EmbedderUnavailableError(
+                    f"{url} returned embeddings that are not a finite numeric block of one width"
+                )
+            block = block.astype(np.float64)
             if not bool(body.get("normalized", False)):
                 norms = np.linalg.norm(block, axis=1, keepdims=True)
                 if np.any(norms == 0):

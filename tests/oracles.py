@@ -6,6 +6,9 @@ package used before its counts moved into sorted arrays, and
 Both define the exact outputs the package must keep: the same counts,
 the same ``.sfngram`` bytes, the same float log-probabilities (summed left
 to right, ``math.log2`` per token) and the same embedding rows.
+``loop_mixture_values`` builds each diversity sample on its own, in draw
+order, and leaves the canonical row order to ``semantic_diversity``: the
+package must give the same floats from its one sorted pool.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from math import log2
 
 import numpy as np
 
+from scalingfilter.diversity import semantic_diversity
 from scalingfilter.embedding import HASH_BUCKETS, NGRAM_SIZES
 from scalingfilter.ngram import BOUNDARY, VOCAB_SIZE
 
@@ -128,3 +132,21 @@ def loop_embed(signs: np.ndarray, texts: list[str]) -> np.ndarray:
         vec = weights @ signs[buckets].astype(np.float64)
         out[row] = vec / np.linalg.norm(vec)
     return out
+
+
+def loop_mixture_values(members, provider, n: int, repeats: int, rng: np.random.Generator) -> list[float]:
+    """Per-repeat diversity of samples drawn evenly across ``members``, one sample at a time.
+
+    Draws as the package does (per repeat, per member, ``n // len(members)``
+    without replacement), embeds each member's drawn documents, and hands
+    each sample to ``semantic_diversity`` in draw order.
+    """
+    per_member = n // len(members)
+    draws = [[rng.choice(len(member), size=per_member, replace=False) for member in members]
+             for _ in range(repeats)]
+    values = []
+    for repeat in draws:
+        X = np.concatenate([provider.embed([member[i] for i in draw.tolist()])
+                            for member, draw in zip(members, repeat)])
+        values.append(semantic_diversity(embeddings=X))
+    return values

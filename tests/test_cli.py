@@ -389,6 +389,26 @@ class TestDiversity:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag,key", [("--n", "n"), ("--repeats", "repeats")])
+    def test_non_positive_sample_count_exit_2_before_reading(self, tmp_path, corpus_dir, monkeypatch, flag, key):
+        def unread(*args, **kwargs):
+            raise AssertionError("a corpus was read")
+
+        monkeypatch.setattr(cli.corpus_io, "read_manifest_corpus", unread)
+        mix = ["--mix", str(corpus_dir), str(corpus_dir)]
+        assert exit_code(["diversity", *mix, flag, "0", "--out", str(tmp_path / "flag")]) == 2
+        config = write_config(tmp_path / "c.json", {key: 0})
+        assert exit_code(["diversity", *mix, "--config", config, "--out", str(tmp_path / "config")]) == 2
+
+    def test_non_finite_remote_embedding_exit_3(self, tmp_path, corpus_dir, make_service):
+        svc = make_service(embed_fn=lambda texts: ([[float("nan"), 1.0]] * len(texts), True))
+        rc = main([
+            "diversity", "--corpus", str(corpus_dir), "--embedder", "remote", "--remote-url", svc.url,
+            "--n", "20", "--repeats", "2", "--out", str(tmp_path / "nan"),
+        ])
+        assert rc == cli.EXIT_BUDGET
+        assert not (tmp_path / "nan" / "diversity.json").exists()
+
 
 class TestVerifyScaling:
     def test_defaults_pass(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,8 +8,12 @@ from hypothesis import strategies as st
 from mpmath import mp, polyroots
 
 import synth
+from oracles import loop_mixture_values
+from scalingfilter import diversity
 from scalingfilter.corpus import Document
 from scalingfilter.diversity import (
+    _rows_ascend,
+    _spectrum,
     dataset_mix_experiment,
     eigen_entropy,
     mix_seed,
@@ -18,6 +23,7 @@ from scalingfilter.diversity import (
 )
 from scalingfilter.embedding import HashedProjectionEmbedder
 from scalingfilter.errors import CorpusTooSmallError, NotPsdError
+from scalingfilter.seeding import rng_for
 
 
 def random_unit_rows(rng, n, m):
@@ -231,3 +237,126 @@ class TestDatasetMix:
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         with pytest.raises(ValueError):
             dataset_mix_experiment([two_cluster_corpus], emb, n=10, repeats=1, seed=0)
+
+
+class TableEmbedder:
+    """Looks each text up in a table of unit rows; records every document it embeds."""
+
+    def __init__(self, rows: dict[str, np.ndarray]):
+        self.rows = rows
+        self.seen: list[str] = []
+
+    def embed(self, docs):
+        self.seen.extend(d.id for d in docs)
+        return np.array([self.rows[d.text] for d in docs])
+
+    def fingerprint(self):
+        return "table"
+
+
+def tied_rows(seed, n, m=6):
+    """Unit rows over a coarse grid: many share leading columns, some are equal."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    X = rng.integers(0, 2, size=(n, m)).astype(np.float64)
+    X[:, m // 2 :] = rng.integers(-1, 2, size=(n, m - m // 2))
+    X[~X.any(axis=1), -1] = 1.0
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def with_duplicates(docs, tag, every=4):
+    """``docs`` plus a copy, under a new id, of every ``every``-th text."""
+    copies = [Document.create(f"{tag}-copy{i}", d.text) for i, d in enumerate(docs[::every])]
+    return [Document.create(f"{tag}{i}", d.text) for i, d in enumerate(docs)] + copies
+
+
+@pytest.fixture(scope="module")
+def table_corpora():
+    """Three corpora over one table of tied rows; the third repeats texts of the first."""
+    texts = [f"text {i}" for i in range(240)]
+    table = dict(zip(texts, tied_rows(11, len(texts))))
+    a = with_duplicates([Document.create("", t) for t in texts[:90]], "a")
+    b = with_duplicates([Document.create("", t) for t in texts[90:180]], "b")
+    c = with_duplicates([Document.create("", t) for t in texts[180:] + texts[:30]], "c")
+    return table, [a, b, c]
+
+
+def loop_curve(corpora, provider, n, repeats, seed):
+    """dataset_mix_experiment over every combination, one sample at a time."""
+    curve = []
+    for n_datasets in range(1, len(corpora) + 1):
+        values = []
+        for combo_index, combo in enumerate(combinations(range(len(corpora)), n_datasets)):
+            rng = rng_for(mix_seed(seed, n_datasets, combo_index), "diversity-subsample")
+            values.extend(loop_mixture_values([corpora[i] for i in combo], provider, n, repeats, rng))
+        curve.append({"n_datasets": n_datasets, "combinations": math.comb(len(corpora), n_datasets),
+                      "mean": float(np.mean(values)), "std": float(np.std(values))})
+    return curve
+
+
+class TestPooledSamplesMatchLoop:
+    def test_subsample_hashed_with_duplicates(self, two_cluster_corpus):
+        docs = with_duplicates(two_cluster_corpus[:300], "d", every=3)
+        emb = HashedProjectionEmbedder(dim=16, seed=0)
+        report = subsample_diversity(docs, emb, n=250, repeats=4, seed=12)
+        assert report.values == loop_mixture_values([docs], emb, 250, 4, rng_for(12, "diversity-subsample"))
+
+    def test_subsample_tied_rows(self, table_corpora):
+        table, (a, _, _) = table_corpora
+        emb = TableEmbedder(table)
+        report = subsample_diversity(a, emb, n=80, repeats=5, seed=13)
+        assert report.values == loop_mixture_values([a], emb, 80, 5, rng_for(13, "diversity-subsample"))
+
+    def test_mix_tied_rows_embeds_each_document_once(self, table_corpora):
+        table, corpora = table_corpora
+        emb = TableEmbedder(table)
+        curve = dataset_mix_experiment(corpora, emb, n=90, repeats=3, seed=14)
+        assert len(emb.seen) == len(set(emb.seen))
+        assert curve == loop_curve(corpora, TableEmbedder(table), 90, 3, 14)
+
+    def test_mix_hashed(self, two_cluster_corpus):
+        corpora = [with_duplicates(two_cluster_corpus[i * 200 : (i + 1) * 200], f"m{i}") for i in range(3)]
+        emb = HashedProjectionEmbedder(dim=16, seed=1)
+        curve = dataset_mix_experiment(corpora, emb, n=120, repeats=2, seed=15)
+        assert curve == loop_curve(corpora, emb, 120, 2, 15)
+
+    def test_semantic_diversity_called_once_per_repeat(self, monkeypatch, table_corpora):
+        table, corpora = table_corpora
+        calls = []
+        original = diversity.semantic_diversity
+
+        def counted(**kwargs):
+            assert _rows_ascend(kwargs["embeddings"])  # gathered in canonical order: no sort left
+            calls.append(kwargs["embeddings"].shape)
+            return original(**kwargs)
+
+        monkeypatch.setattr(diversity, "semantic_diversity", counted)
+        subsample_diversity(corpora[0], TableEmbedder(table), n=40, repeats=4, seed=16)
+        assert calls == [(40, 6)] * 4
+        calls.clear()
+        dataset_mix_experiment(corpora, TableEmbedder(table), n=60, repeats=2, seed=17)
+        assert calls == [(60, 6)] * (3 + 3 + 1) * 2
+
+    def test_zero_repeats_rejected_on_both_paths(self, table_corpora):
+        table, corpora = table_corpora
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            subsample_diversity(corpora[0], TableEmbedder(table), n=10, repeats=0)
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            dataset_mix_experiment(corpora, TableEmbedder(table), n=10, repeats=0)
+
+
+class TestSpectrumRowOrder:
+    def test_any_row_order_gives_the_same_bits(self):
+        X = tied_rows(18, 400)
+        ascending = X[np.lexsort(X.T[::-1])]
+        descending = ascending[::-1]
+        shuffled = ascending[np.random.Generator(np.random.PCG64(19)).permutation(len(X))]
+        assert _rows_ascend(ascending) and not _rows_ascend(descending) and not _rows_ascend(shuffled)
+        expected = _spectrum(embeddings=ascending).tobytes()
+        for order in (descending, shuffled, X):
+            assert _spectrum(embeddings=order).tobytes() == expected
+
+    def test_rows_ascend_compares_the_first_differing_column(self):
+        assert _rows_ascend(np.array([[0.0, 2.0], [0.0, 2.0], [0.0, 3.0], [1.0, -5.0]]))
+        assert not _rows_ascend(np.array([[0.0, 3.0], [0.0, 2.0]]))
+        assert not _rows_ascend(np.array([[1.0, -5.0], [0.0, 9.0]]))
+        assert _rows_ascend(np.zeros((1, 3)))

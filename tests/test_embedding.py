@@ -163,6 +163,30 @@ class TestRemoteEmbedder:
         with pytest.raises(DegenerateEmbeddingError):
             RemoteEmbedder(svc.url, timeout=5, retries=2).embed(["x"])
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("rows", [
+        [[float("nan"), 1.0]],
+        [[float("inf"), 0.0]],
+        [[1.0, 0.0, 0.0], [1.0, 0.0]],  # ragged
+        [["one", 0.0]],
+        [["0.6", "0.8"]],  # numbers as strings
+        [[True, False]],
+        [[None, 1.0]],
+        [1.0, 0.0],  # scalars, not rows
+        [[[1.0, 0.0]], [[1.0, 0.0]]],  # one level too deep
+        [[], []],
+    ])
+    def test_bad_block_is_unavailable(self, make_service, normalized, rows):
+        svc = make_service(reply={"embeddings": rows, "model": "m", "normalized": normalized})
+        with pytest.raises(EmbedderUnavailableError, match="not a finite numeric block of one width"):
+            RemoteEmbedder(svc.url, timeout=5, retries=2).embed(["x"] * len(rows))
+
+    def test_width_change_between_batches_is_unavailable(self, make_service):
+        widths = iter([2, 3])
+        svc = make_service(embed_fn=lambda texts: ([[1.0] + [0.0] * (next(widths) - 1)] * len(texts), True))
+        with pytest.raises(EmbedderUnavailableError, match="one width"):
+            RemoteEmbedder(svc.url, batch_size=2, timeout=5, retries=2).embed(["a", "b", "c"])
+
     def test_count_mismatch_is_unavailable(self, make_service):
         svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]], True))
         with pytest.raises(EmbedderUnavailableError):
