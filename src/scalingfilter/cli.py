@@ -194,6 +194,9 @@ def cmd_score(p: dict) -> int:
         batch_size=p["batch_size"],
     )
     record_errors.summarize()
+    if summary.cache_rows_skipped:
+        log.warning("skipped %d torn or malformed rows of the score cache %s",
+                    summary.cache_rows_skipped, p["cache"])
     (out_dir / "score_summary.json").write_text(
         json.dumps(summary.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -8,13 +8,16 @@ only within-embedder comparisons are meaningful.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Document
 from .errors import DegenerateEmbeddingError, EmbedderUnavailableError
+from .parallel import fork_map
 from .remote import post_texts
 from .seeding import rng_for
 
@@ -37,6 +40,22 @@ def _chunks(data: list[bytes]):
             end += 1
         yield start, end
         start = end
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _parts(data: list[bytes], count: int) -> list[tuple[int, int]]:
+    """(start, end) of at most ``count`` runs of consecutive documents with about equal shares of the bytes."""
+    ends = np.cumsum(np.fromiter(map(len, data), dtype=np.int64, count=len(data)))
+    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, count) / count) + 1
+    bounds = np.unique(np.concatenate(([0], cuts, [len(data)])))
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
 def _windows(data: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +108,12 @@ class HashedProjectionEmbedder:
     A window's bucket is ``blake2b(window bytes, digest_size=8)`` read
     little-endian, mod 2^18 (feature hashing, Weinberger et al. 2009).
     Documents are embedded in chunks of about ``_CHUNK_BYTES``; each
-    distinct window of one ``embed`` call is hashed once (up to
-    ``_HASHED_LIMIT`` distinct windows).
+    distinct window of one part of an ``embed`` call is hashed once (up
+    to ``_HASHED_LIMIT`` distinct windows). The parts are runs of
+    documents with equal shares of the text bytes, one per CPU this
+    process may use (at most one per chunk), embedded on forked
+    processes. Rows are exact integer sums normalized one at a time, so
+    they do not depend on the number of parts.
     """
 
     kind = "hashed-projection"
@@ -105,9 +128,10 @@ class HashedProjectionEmbedder:
     def _sign_matrix(self) -> np.ndarray:
         if self._signs is None:
             rng = rng_for(self.seed, "hashed-projection-signs")
-            self._signs = (
-                rng.integers(0, 2, size=(HASH_BUCKETS, self.dim), dtype=np.int8) * 2 - 1
-            ).astype(np.int8)
+            signs = rng.integers(0, 2, size=(HASH_BUCKETS, self.dim), dtype=np.int8)
+            signs *= 2
+            signs -= 1
+            self._signs = signs
         return self._signs
 
     def embed(self, docs: Sequence[Document | str]) -> np.ndarray:
@@ -115,12 +139,20 @@ class HashedProjectionEmbedder:
         if not docs:
             raise ValueError("no documents to embed")
         data = [text.encode("utf-8") for text in _texts(docs)]
-        out = np.empty((len(data), self.dim), dtype=np.float64)
-        # the distinct windows hashed so far, sorted, and their buckets: each is hashed once per call
+        self._sign_matrix()  # built before the fork, so every worker shares one copy
+        workers = min(_cpu_count(), sum(1 for _ in _chunks(data)))
+        parts = _parts(data, workers)
+        return np.concatenate(fork_map(functools.partial(self._embed_part, data), parts, workers))
+
+    def _embed_part(self, data: list[bytes], part: tuple[int, int]) -> np.ndarray:
+        """Rows of the documents ``data[start:end]`` of ``part``, chunk by chunk."""
+        start, end = part
+        out = np.empty((end - start, self.dim), dtype=np.float64)
+        # the distinct windows hashed so far, sorted, and their buckets: each is hashed once per part
         hashed = np.zeros(0, dtype=np.int64)
         hashed_buckets = np.zeros(0, dtype=np.int64)
-        for start, end in _chunks(data):
-            windows, per_doc = _windows(data[start:end])
+        for first, last in _chunks(data[start:end]):
+            windows, per_doc = _windows(data[start + first : start + last])
             distinct, inverse = np.unique(windows, return_inverse=True)
             at = np.searchsorted(hashed, distinct)
             known = at < len(hashed)
@@ -132,7 +164,7 @@ class HashedProjectionEmbedder:
             if len(hashed) < _HASHED_LIMIT:
                 hashed = np.insert(hashed, at[fresh], distinct[fresh])
                 hashed_buckets = np.insert(hashed_buckets, at[fresh], buckets[fresh])
-            out[start:end] = self._rows(buckets[inverse], per_doc, start)
+            out[first:last] = self._rows(buckets[inverse], per_doc, start + first)
         return out
 
     def _rows(self, buckets: np.ndarray, per_doc: np.ndarray, first_row: int) -> np.ndarray:

@@ -15,9 +15,10 @@ sorted before writing, never emitted in completion order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-import multiprocessing
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence
@@ -30,6 +31,7 @@ from .errors import (
     ScorerUnavailableError,
 )
 from .ngram import tokenize
+from .parallel import fork_map
 from .remote import post_texts
 
 SCORE_HEADER = ("doc_id", "n_tokens", "ppl_small", "ppl_large", "quality_factor")
@@ -109,6 +111,12 @@ class ScoreCache:
     fingerprints all match, so scores from a retrained pair can never leak
     into a new run. Reads may be concurrent; all writes go through the
     single owning process.
+
+    A last line without its newline was torn by a run killed inside
+    ``flush``: it may parse, with a number cut short, so it is skipped,
+    and the next ``flush`` cuts it off before appending. ``skipped``
+    counts the rows that could not be used: torn, of the wrong shape, or
+    with numbers that do not parse.
     """
 
     def __init__(self, path: str | Path, fp_small: str, fp_large: str):
@@ -116,15 +124,24 @@ class ScoreCache:
         self.fp_small = fp_small
         self.fp_large = fp_large
         self._rows: dict[tuple[str, str], tuple[int, float, float]] = {}
+        self.skipped = 0
+        self._torn_bytes = 0
         if self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
+            # surrogateescape: a torn line may end inside a multi-byte character
+            with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as fh:
                 for line in fh:
                     parts = line.rstrip("\n").split("\t")
-                    if len(parts) != 7:
+                    if not line.endswith("\n"):
+                        self._torn_bytes = len(line.encode("utf-8", errors="surrogateescape"))
+                    if self._torn_bytes or len(parts) != 7:
+                        self.skipped += 1
                         continue
                     doc_id, chash, fs, fl, n_tok, ppl_s, ppl_l = parts
                     if fs == fp_small and fl == fp_large:
-                        self._rows[(doc_id, chash)] = (int(n_tok), float(ppl_s), float(ppl_l))
+                        try:
+                            self._rows[(doc_id, chash)] = (int(n_tok), float(ppl_s), float(ppl_l))
+                        except ValueError:
+                            self.skipped += 1
         self._appended: list[str] = []
 
     def get(self, doc_id: str, chash: str) -> Optional[tuple[int, float, float]]:
@@ -142,9 +159,11 @@ class ScoreCache:
         if not self._appended:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for row in self._appended:
-                fh.write(row + "\n")
+        with open(self.path, "ab") as fh:
+            if self._torn_bytes:  # start on a fresh line
+                fh.truncate(fh.seek(0, os.SEEK_END) - self._torn_bytes)
+                self._torn_bytes = 0
+            fh.write("".join(row + "\n" for row in self._appended).encode("utf-8"))
         self._appended.clear()
 
 
@@ -156,6 +175,7 @@ class ScoreSummary:
     cache_hits: int
     mean_d: Optional[float]  # None (JSON null) when no document was scored
     quantiles: dict[str, float] = field(default_factory=dict)
+    cache_rows_skipped: int = 0  # cache rows that could not be used: torn or malformed
 
     def to_json(self) -> dict:
         return {
@@ -163,6 +183,7 @@ class ScoreSummary:
             "error_count": self.error_count,
             "endpoint_evaluations": self.endpoint_evaluations,
             "cache_hits": self.cache_hits,
+            "cache_rows_skipped": self.cache_rows_skipped,
             "mean_quality_factor": self.mean_d,
             "quality_factor_quantiles": self.quantiles,
         }
@@ -178,21 +199,18 @@ def _nearest_rank_quantiles(values: Sequence[float], pcts=(5, 25, 50, 75, 95)) -
     return out
 
 
-# Module global read by forked workers: set right before the pool is
-# created so children inherit both models without pickling them.
-_WORKER_MODELS: Optional[tuple[PerplexityModel, PerplexityModel]] = None
-
 _Row = tuple[str, int, float, float]  # doc_id, n_tokens, ppl_small, ppl_large
 _Failure = tuple[str, str, str]  # doc_id, code, message
 
 
-def _score_batch(batch: list[tuple[str, str]]) -> tuple[list[_Row], list[_Failure]]:
+def _score_batch(
+    small: PerplexityModel, large: PerplexityModel, batch: list[tuple[str, str]]
+) -> tuple[list[_Row], list[_Failure]]:
     """Score one batch of (doc_id, text) pairs with both models.
 
     A scorer error fails only this batch's documents, and comes back as
     failure rows rather than as an exception pickled across the pool.
     """
-    small, large = _WORKER_MODELS
     texts = [text for _, text in batch]
     try:
         ppl_small = small.perplexities(texts)
@@ -204,26 +222,6 @@ def _score_batch(batch: list[tuple[str, str]]) -> tuple[list[_Row], list[_Failur
         for (doc_id, text), s, l in zip(batch, ppl_small, ppl_large)
     ]
     return rows, []
-
-
-def _score_batches(
-    small: PerplexityModel, large: PerplexityModel, batches: list[list[tuple[str, str]]], workers: int
-) -> list[tuple[list[_Row], list[_Failure]]]:
-    """``_score_batch`` over every batch, in input order.
-
-    With ``workers > 1`` the batches run on a pool of forked processes;
-    where the platform cannot fork they run serially in this process.
-    """
-    global _WORKER_MODELS
-    _WORKER_MODELS = (small, large)
-    try:
-        if workers > 1 and len(batches) > 1 and "fork" in multiprocessing.get_all_start_methods():
-            chunk = max(1, len(batches) // (workers * 8))
-            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-                return pool.map(_score_batch, batches, chunksize=chunk)
-        return [_score_batch(batch) for batch in batches]
-    finally:
-        _WORKER_MODELS = None
 
 
 def score_corpus(
@@ -274,7 +272,7 @@ def score_corpus(
 
     evaluations = len(pending)
     batches = [pending[i : i + batch_size] for i in range(0, len(pending), batch_size)]
-    for scored, failed in _score_batches(small, large, batches, workers):
+    for scored, failed in fork_map(functools.partial(_score_batch, small, large), batches, workers):
         errors.extend(failed)
         for doc_id, n_tok, ppl_s, ppl_l in scored:
             try:
@@ -320,6 +318,7 @@ def score_corpus(
         cache_hits=cache_hits,
         mean_d=sum(d_values) / len(d_values) if d_values else None,
         quantiles=_nearest_rank_quantiles(d_values) if d_values else {},
+        cache_rows_skipped=cache.skipped if cache is not None else 0,
     )
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,20 @@ from pathlib import Path
 import pytest
 
 import synth
-from scalingfilter import cli
+from scalingfilter import cli, embedding
 from scalingfilter.cli import build_parser, main
 from scalingfilter.corpus import Document, corpus_fingerprint, read_manifest_corpus, write_corpus
 from scalingfilter.scoring import read_score_file
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _process_group_alive(pgid):
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +209,30 @@ class TestScore:
         assert s2["cache_hits"] == 300
         assert s2["endpoint_evaluations"] == 0
 
+    def test_torn_cache_row_is_scored_again(self, tmp_path, corpus_dir, pair_dir, caplog):
+        # a run killed inside the cache flush can leave its last row cut mid-number, still 7 fields
+        cache = tmp_path / "cache.tsv"
+        argv = ["score", "--corpus", str(corpus_dir), "--pair", str(pair_dir), "--cache", str(cache)]
+        assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
+        rows = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        last = rows[-1].rstrip("\n")
+        torn = last[: last.rindex(".") + 3]
+        assert len(torn.split("\t")) == 7 and float(torn.split("\t")[-1]) != float(last.split("\t")[-1])
+        cache.write_text("".join(rows[:-1]) + torn, encoding="utf-8")
+
+        assert main([*argv, "--out", str(tmp_path / "resumed")]) == 0
+        assert "skipped 1 torn or malformed rows of the score cache" in caplog.text
+        summary = json.loads((tmp_path / "resumed" / "score_summary.json").read_text(encoding="utf-8"))
+        assert (summary["cache_hits"], summary["endpoint_evaluations"], summary["cache_rows_skipped"]) == (299, 1, 1)
+        cold_scores = (tmp_path / "cold" / "scores.tsv").read_bytes()
+        assert (tmp_path / "resumed" / "scores.tsv").read_bytes() == cold_scores
+        assert sorted(cache.read_text(encoding="utf-8").splitlines(keepends=True)) == sorted(rows)
+
+        assert main([*argv, "--out", str(tmp_path / "again")]) == 0
+        summary = json.loads((tmp_path / "again" / "score_summary.json").read_text(encoding="utf-8"))
+        assert (summary["cache_hits"], summary["endpoint_evaluations"], summary["cache_rows_skipped"]) == (300, 0, 0)
+        assert (tmp_path / "again" / "scores.tsv").read_bytes() == cold_scores
+
     def test_remote_endpoints(self, tmp_path, corpus_dir, make_service):
         small = make_service(perplexity_fn=lambda t: 3.0 * len(t))
         large = make_service(perplexity_fn=lambda t: float(len(t)))
@@ -373,6 +408,33 @@ class TestDiversity:
         report = json.loads((out / "diversity.json").read_text(encoding="utf-8"))
         assert report["kind"] == "dataset-mix"
         assert [row["n_datasets"] for row in report["curve"]] == [1, 2, 3]
+
+    def test_command_on_forked_workers_matches_one_worker(self, tmp_path, monkeypatch):
+        # ~600 KB of text: at least two embedding chunks, so the command may fork one worker per CPU
+        corpus = tmp_path / "big"
+        docs = synth.chain_corpus(seed=43, n_docs=1500, chain_seed=4, words_lo=60, words_hi=100)
+        write_corpus(docs, corpus, shard_size=500, corpus_id="big")
+        assert sum(len(d.text.encode("utf-8")) for d in docs) > 2 * embedding._CHUNK_BYTES
+        args = ["diversity", "--corpus", str(corpus), "--n", "1500", "--repeats", "2"]
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        # a session of its own: any process the command leaves behind stays in its process group
+        proc = subprocess.Popen([sys.executable, "-m", "scalingfilter.cli", *args, "--out", str(tmp_path / "cli")],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            left = _process_group_alive(proc.pid)
+            if left:
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 0, err.decode()
+        assert not left, "the diversity command left a process running"
+
+        monkeypatch.setattr(embedding, "_cpu_count", lambda: 1)
+        assert main([*args, "--out", str(tmp_path / "serial")]) == 0
+        assert ((tmp_path / "cli" / "diversity.json").read_bytes()
+                == (tmp_path / "serial" / "diversity.json").read_bytes())
 
     def test_corpus_with_mix_exit_2(self, tmp_path, corpus_dir):
         out = tmp_path / "both"

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ class TestHashedProjection:
             vec /= np.linalg.norm(vec)
             assert np.allclose(X[row], vec, atol=1e-9)
 
+    def test_sign_matrix_matches_the_drawn_expression(self):
+        emb = HashedProjectionEmbedder(dim=16, seed=4)
+        rng = rng_for(4, "hashed-projection-signs")
+        expected = (rng.integers(0, 2, size=(HASH_BUCKETS, 16), dtype=np.int8) * 2 - 1).astype(np.int8)
+        signs = emb._sign_matrix()
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, expected)
+
     def test_too_short_doc_is_degenerate(self):
         emb = HashedProjectionEmbedder(dim=8, seed=0)
         with pytest.raises(DegenerateEmbeddingError) as exc:
@@ -95,12 +104,15 @@ class TestLoopOracle:
     @pytest.mark.parametrize("hashed_limit", [0, 50, 1 << 22])
     def test_rows_equal_the_loop(self, monkeypatch, chunk_bytes, hashed_limit):
         # chunk_bytes 1, 10 and 100: documents straddle embedding chunks; hashed_limit 0 and 50:
-        # windows past the call's table of known buckets are hashed again in each chunk
+        # windows past the part's table of known buckets are hashed again in each chunk
         monkeypatch.setattr(embedding, "_CHUNK_BYTES", chunk_bytes)
         monkeypatch.setattr(embedding, "_HASHED_LIMIT", hashed_limit)
         emb = HashedProjectionEmbedder(dim=16, seed=3)
-        X = emb.embed(self.TEXTS)
-        assert np.array_equal(X, loop_embed(emb._sign_matrix(), self.TEXTS))
+        expected = loop_embed(emb._sign_matrix(), self.TEXTS)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(embedding, "_cpu_count", lambda: workers)
+            assert np.array_equal(emb.embed(self.TEXTS), expected)
+            assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("chunk_bytes", [1, 30, 1 << 18])
     def test_degenerate_row_named_across_chunks(self, monkeypatch, chunk_bytes):
@@ -111,13 +123,77 @@ class TestLoopOracle:
 
     def test_zero_projection_row_named(self):
         emb = HashedProjectionEmbedder(dim=2, seed=0)
-        signs = emb._sign_matrix()
-        # a 5-byte text whose window signs cancel, found by search: they depend on the hash
-        candidates = ("".join(chars) for chars in itertools.product("abcd", repeat=5))
-        zero = next(t for t in candidates
-                    if not np.any(sum(signs[b] * n for b, n in loop_bucket_counts(t).items())))
+        zero = _zero_projecting_text(emb)
         with pytest.raises(DegenerateEmbeddingError, match="row 2 projects to the zero vector"):
             emb.embed(["first text", "second text", zero])
+
+
+def _zero_projecting_text(emb: HashedProjectionEmbedder) -> str:
+    """A 5-byte text whose window signs cancel, found by search: they depend on the hash."""
+    signs = emb._sign_matrix()
+    candidates = ("".join(chars) for chars in itertools.product("abcd", repeat=5))
+    return next(t for t in candidates
+                if not np.any(sum(signs[b] * n for b, n in loop_bucket_counts(t).items())))
+
+
+class TestParallelEmbed:
+    """Parts of one ``embed`` call run on forked processes; nothing about the result shows how many."""
+
+    TEXTS = TestLoopOracle.TEXTS
+
+    @pytest.fixture
+    def chunked(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_CHUNK_BYTES", 100)
+
+        def force(workers):
+            monkeypatch.setattr(embedding, "_cpu_count", lambda: workers)
+
+        return force
+
+    def test_parts_split_bytes_evenly(self):
+        data = [b"x" * n for n in (5, 5, 5, 5, 40, 5, 5, 5, 5, 5, 5)]
+        assert embedding._parts(data, 1) == [(0, len(data))]
+        assert embedding._parts(data, 2) == [(0, 5), (5, 11)]
+        # one document larger than a share: fewer parts, none empty
+        assert embedding._parts([b"x", b"x" * 100, b"x"], 3) == [(0, 2), (2, 3)]
+
+    @pytest.mark.parametrize("zero_rows", [(5, 25, 45), (45,)])
+    def test_zero_row_named_as_in_a_serial_run(self, chunked, zero_rows):
+        emb = HashedProjectionEmbedder(dim=2, seed=0)
+        zero = _zero_projecting_text(emb)
+        texts = list(self.TEXTS)
+        for row in zero_rows:
+            texts.insert(row, zero)
+        parts = embedding._parts([t.encode("utf-8") for t in texts], 3)
+        assert len(parts) == 3
+        assert [sum(a <= row < b for row in zero_rows) for a, b in parts] == (
+            [1, 1, 1] if len(zero_rows) == 3 else [0, 0, 1])
+        for workers in (1, 3):
+            chunked(workers)
+            with pytest.raises(DegenerateEmbeddingError) as exc:
+                emb.embed(texts)
+            assert exc.value.code == "degenerate-embedding"
+            assert str(exc.value) == f"document row {zero_rows[0]} projects to the zero vector"
+            assert multiprocessing.active_children() == []
+
+    def test_daemonic_process_embeds_serially(self, chunked):
+        chunked(3)
+        expected = HashedProjectionEmbedder(dim=16, seed=3).embed(self.TEXTS)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            # a daemonic process may not start a pool: this raises unless embed stays serial
+            send.send(HashedProjectionEmbedder(dim=16, seed=3).embed(self.TEXTS))
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
+        assert np.array_equal(receive.recv(), expected)
 
 
 class TestRemoteEmbedder:
