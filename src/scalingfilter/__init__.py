@@ -12,7 +12,6 @@ from .ngram import MetaModelPair, NGramModel, train_pair
 from .scaling import ScalingLawParams, expected_loss, optimal_allocation
 from .scoring import PerplexityModel, QualityScore, RemotePerplexityModel, quality_factor, score_corpus
 from .selection import (
-    SelectionPolicy,
     SelectionResult,
     pareto_noisy_threshold,
     percentile_gate,
@@ -31,7 +30,6 @@ __all__ = [
     "QualityScore",
     "RemotePerplexityModel",
     "ScalingLawParams",
-    "SelectionPolicy",
     "SelectionResult",
     "expected_loss",
     "optimal_allocation",

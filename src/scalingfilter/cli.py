@@ -21,6 +21,7 @@ import argparse
 import inspect
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,10 @@ from .ngram import load_pair, save_pair, train_pair
 from .scoring import RemotePerplexityModel, read_score_file, score_corpus
 from .seeding import derive_seed
 from .selection import (
+    GATE_HI_PCT,
+    GATE_LO_PCT,
+    KEEP_RATE,
+    PARETO_ALPHA,
     apply_selection,
     pareto_noisy_threshold,
     percentile_gate,
@@ -74,6 +79,13 @@ def _method(name: str) -> str:
             f"invalid choice: {name!r} (choose from {', '.join(sorted(_METHOD_ALIASES))})"
         )
     return _METHOD_ALIASES[name]
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -197,9 +209,7 @@ def cmd_score(p: dict) -> int:
     if summary.cache_rows_skipped:
         log.warning("skipped %d torn or malformed rows of the score cache %s",
                     summary.cache_rows_skipped, p["cache"])
-    (out_dir / "score_summary.json").write_text(
-        json.dumps(summary.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    corpus_io.write_json(out_dir / "score_summary.json", summary.to_json())
     log.info("scored %d documents (%d errors, %d cache hits)",
              summary.count, summary.error_count, summary.cache_hits)
     return EXIT_OK
@@ -275,11 +285,9 @@ def cmd_diversity(p: dict) -> int:
             "seed": seed,
             "embedder": provider.fingerprint(),
             "curve": curve,
-            "comparability": "diversity values are comparable only within one embedder",
+            "comparability": diversity_mod.COMPARABILITY,
         }
-        (out_dir / "diversity.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        corpus_io.write_json(out_dir / "diversity.json", payload)
         log.info("dataset-mix curve over %d corpora written", len(corpora))
         return EXIT_OK
 
@@ -297,7 +305,7 @@ def cmd_diversity(p: dict) -> int:
         seed=derive_seed(seed, "diversity"),
         corpus_id=manifest.corpus_id,
     )
-    report.save(out_dir / "diversity.json")
+    corpus_io.write_json(out_dir / "diversity.json", report.to_json())
     log.info("diversity %.3f +/- %.3f over %d repeats", report.mean, report.std, report.repeats)
     return EXIT_OK
 
@@ -326,9 +334,7 @@ def cmd_verify_scaling(p: dict) -> int:
         report["passed"] = report["passed"] and recovery["within_1e-3"]
 
     out_dir = Path(p["out"])
-    (out_dir / "verify_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    corpus_io.write_json(out_dir / "verify_report.json", report)
     if p["csv"]:
         mono = report["details"]["monotonicity"]
         lines = ["a,d_model"] + [f"{a!r},{d!r}" for a, d in zip(mono["a_grid"], mono["d_model"])]
@@ -361,10 +367,7 @@ def cmd_report(p: dict) -> int:
         runs.append(entry)
 
     out_dir = Path(p["out"])
-    payload = {"runs": runs, "missing_inputs": missing}
-    (out_dir / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    corpus_io.write_json(out_dir / "report.json", {"runs": runs, "missing_inputs": missing})
 
     lines = [
         f"{'run':<32} {'method':<18} {'input':>8} {'kept':>8} {'rate':>6} "
@@ -403,7 +406,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[Param, ...]]] = {
         Param("--corpus", required=True, help="corpus directory or manifest path"),
         Param("--small-order", int, 2),
         Param("--large-order", int, 5),
-        Param("--smoothing-k", float, 0.01),
+        Param("--smoothing-k", _finite_float, 0.01),
     )),
     "score": (cmd_score, "score every document of a corpus with a model pair", (
         Param("--corpus", required=True, help="corpus directory or manifest path"),
@@ -412,19 +415,19 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[Param, ...]]] = {
         Param("--remote-large", help="base URL of the large-model perplexity service"),
         Param("--cache", help="perplexity cache file (reused across runs)"),
         Param("--batch-size", int, 32, help="documents per unit of work"),
-        Param("--timeout", float, 30.0, help="seconds per remote request"),
-        Param("--error-budget", float, 0.01, help="largest share of documents that may fail"),
+        Param("--timeout", _finite_float, 30.0, help="seconds per remote request"),
+        Param("--error-budget", _finite_float, 0.01, help="largest share of documents that may fail"),
         Param("--workers", _positive_int, 1, help="score worker processes"),
     )),
     "filter": (cmd_filter, "select documents from a score file", (
         Param("--scores", help="score TSV produced by the score command (all methods but pareto)"),
         Param("--method", _method, required=True,
               help="one of " + ", ".join(sorted(_METHOD_ALIASES))),
-        Param("--keep-rate", float, 0.7),
-        Param("--tau", float, help="temperature (temperature method)"),
-        Param("--lo", float, 15.0, dest="lo_pct", help="lower percentile for gate"),
-        Param("--hi", float, 85.0, dest="hi_pct", help="upper percentile for gate"),
-        Param("--pareto-alpha", float, 9.0),
+        Param("--keep-rate", _finite_float, KEEP_RATE),
+        Param("--tau", _finite_float, help="temperature (temperature method)"),
+        Param("--lo", _finite_float, GATE_LO_PCT, dest="lo_pct", help="lower percentile for gate"),
+        Param("--hi", _finite_float, GATE_HI_PCT, dest="hi_pct", help="upper percentile for gate"),
+        Param("--pareto-alpha", _finite_float, PARETO_ALPHA),
         Param("--classifier-scores", help="doc_id/score TSV for the pareto method"),
         Param("--corpus", help="when given, materialize the filtered corpus here from this source"),
         Param("--shard-size", int, 10000),
@@ -441,16 +444,16 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[Param, ...]]] = {
         Param("--seed", int, 0, help="seed of the subsamples and the hashed projection"),
     )),
     "verify-scaling": (cmd_verify_scaling, "run all parametric-loss derivation checks", (
-        Param("--loss-E", float, _LOSS["E"], dest="E"),
-        Param("--loss-A", float, _LOSS["A"], dest="A"),
-        Param("--loss-B", float, _LOSS["B"], dest="B"),
-        Param("--eta", float, _LOSS["eta"]),
-        Param("--n-small", float, _LOSS["N_p"], dest="N_p", help="secant lower model size"),
-        Param("--n-large", float, _LOSS["N_q"], dest="N_q", help="secant upper model size"),
-        Param("--tokens", float, _LOSS["D"], dest="D", help="training tokens D"),
+        Param("--loss-E", _finite_float, _LOSS["E"], dest="E"),
+        Param("--loss-A", _finite_float, _LOSS["A"], dest="A"),
+        Param("--loss-B", _finite_float, _LOSS["B"], dest="B"),
+        Param("--eta", _finite_float, _LOSS["eta"]),
+        Param("--n-small", _finite_float, _LOSS["N_p"], dest="N_p", help="secant lower model size"),
+        Param("--n-large", _finite_float, _LOSS["N_q"], dest="N_q", help="secant upper model size"),
+        Param("--tokens", _finite_float, _LOSS["D"], dest="D", help="training tokens D"),
         # the sweep's exponents split eta evenly unless the config pins them
-        Param(None, float, dest="alpha"),
-        Param(None, float, dest="beta"),
+        Param(None, _finite_float, dest="alpha"),
+        Param(None, _finite_float, dest="beta"),
         Param("--sweep-compute", bool, False, help="also fit allocation power laws"),
         Param("--csv", bool, False, help="emit monotonicity grid as CSV"),
     )),
@@ -514,9 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params["out"] = str(out_dir)
-    (out_dir / "run_config.json").write_text(
-        json.dumps({"command": args.command, **params}, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    corpus_io.write_json(out_dir / "run_config.json", {"command": args.command, **params})
     try:
         return _COMMANDS[args.command][0](params)
     except (ErrorBudgetExceededError, ScorerUnavailableError, EmbedderUnavailableError) as exc:

@@ -20,6 +20,11 @@ from .errors import EmptyTextError, EncodingError, InvalidIdError, RecordError
 MANIFEST_NAME = "manifest.json"
 
 
+def write_json(path: str | Path, obj) -> None:
+    """Write one JSON artifact: indented, keys sorted, and strict (NaN or Infinity raise ValueError)."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+
+
 @dataclass(frozen=True)
 class Document:
     """One text record; the unit that gets scored and selected.
@@ -55,7 +60,7 @@ class CorpusManifest:
             "total_bytes": int(self.total_bytes),
             "created_at": self.created_at,
         }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(path, payload)
 
     @staticmethod
     def load(path: str | Path) -> "CorpusManifest":

@@ -13,10 +13,8 @@ into an m^3 one; both paths are exact and agree to rounding.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +24,8 @@ from .errors import CorpusTooSmallError, NotPsdError
 from .seeding import derive_seed, rng_for
 
 EIG_TOLERANCE = 1e-8
+COMPARABILITY = "diversity values are comparable only within one embedder"
+MAX_MIX_COMBINATIONS = 20  # combinations of one size beyond this are sampled, seeded
 
 
 def similarity_matrix(X: np.ndarray) -> np.ndarray:
@@ -137,11 +137,8 @@ class DiversityReport:
             "std": self.std,
             "seed": self.seed,
             "embedder": self.embedder,
-            "comparability": "diversity values are comparable only within one embedder",
+            "comparability": COMPARABILITY,
         }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 Sample = list[tuple[int, np.ndarray]]  # (corpus index, drawn document indices) per member corpus
@@ -241,14 +238,13 @@ def dataset_mix_experiment(
     n: int = 1000,
     repeats: int = 10,
     seed: int = 0,
-    max_combos: int = 20,
 ) -> list[dict]:
     """Mean diversity as a function of how many distinct corpora are mixed.
 
     For each N in 1..k, draws n // N documents from every member of each
     size-N combination of corpora (all combinations, or a seeded sample of
-    ``max_combos`` when there are more) and averages the per-repeat
-    diversities.
+    ``MAX_MIX_COMBINATIONS`` when there are more) and averages the
+    per-repeat diversities.
     """
     k = len(corpora)
     if k < 2:
@@ -257,9 +253,9 @@ def dataset_mix_experiment(
     plan = []
     for n_datasets in range(1, k + 1):
         combos = list(combinations(range(k), n_datasets))
-        if len(combos) > max_combos:
+        if len(combos) > MAX_MIX_COMBINATIONS:
             picker = rng_for(seed, "diversity-mix-combos", n_datasets)
-            chosen = picker.choice(len(combos), size=max_combos, replace=False)
+            chosen = picker.choice(len(combos), size=MAX_MIX_COMBINATIONS, replace=False)
             combos = [combos[int(i)] for i in sorted(chosen)]
         samples = []
         for combo_index, combo in enumerate(combos):

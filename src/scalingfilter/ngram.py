@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, write_json
 from .errors import InvalidPairSpecError, NoTrainingDataError
 
 VOCAB_SIZE = 256
@@ -408,7 +408,7 @@ def save_pair(pair: MetaModelPair, out_dir: str | Path) -> Path:
         "train_corpus_id": pair.train_corpus_id,
     }
     path = out_dir / PAIR_DESCRIPTOR_NAME
-    path.write_text(json.dumps(descriptor, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, descriptor)
     return path
 
 

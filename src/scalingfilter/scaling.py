@@ -32,6 +32,13 @@ from .errors import (
     NumericRangeError,
 )
 
+FLOPS_PER_TOKEN_PER_PARAM = 6.0  # C = 6 N D; the fitted allocation exponents do not depend on it
+# verification_report's grids: the monotonicity check's A_POINTS values of a on [A_LO, A_HI],
+# and CHECK_GRID_SIZE values each of a and N for the derivative and secant checks
+A_LO, A_HI = 0.1, 0.9
+A_POINTS = 100
+CHECK_GRID_SIZE = 10
+
 
 @dataclass(frozen=True)
 class ScalingLawParams:
@@ -213,10 +220,8 @@ def _golden_section_min(f, lo: float, hi: float, xatol: float) -> float:
     return (lo + hi) / 2.0
 
 
-def optimal_allocation(
-    params: ScalingLawParams, C: float, flops_per_token_per_param: float = 6.0
-) -> tuple[float, float]:
-    """Loss-minimizing (N, D) under the budget C = const * N * D.
+def optimal_allocation(params: ScalingLawParams, C: float) -> tuple[float, float]:
+    """Loss-minimizing (N, D) under the budget C = FLOPS_PER_TOKEN_PER_PARAM * N * D.
 
     Golden-section search over u = ln N: the loss is a sum of exponentials
     in u, hence strictly convex. The power laws N_opt ~ C^a and D_opt ~ C^b
@@ -224,10 +229,7 @@ def optimal_allocation(
     """
     if C <= 0:
         raise ValueError("compute budget C must be > 0")
-    const = flops_per_token_per_param
-    if const <= 0:
-        raise ValueError("flops_per_token_per_param must be > 0")
-    tokens_at_unit_n = C / const
+    tokens_at_unit_n = C / FLOPS_PER_TOKEN_PER_PARAM
 
     floorless = replace(params, E=0.0)  # E does not move the optimum; adding it rounds off the terms' low digits
 
@@ -241,17 +243,13 @@ def optimal_allocation(
     return N_opt, tokens_at_unit_n / N_opt
 
 
-def allocation_power_law_fit(
-    params: ScalingLawParams,
-    C_values: Sequence[float],
-    flops_per_token_per_param: float = 6.0,
-) -> tuple[float, float]:
+def allocation_power_law_fit(params: ScalingLawParams, C_values: Sequence[float]) -> tuple[float, float]:
     """Fitted log-log slopes of N_opt and D_opt against a compute sweep."""
     if len(C_values) < 2:
         raise ValueError("need at least two compute budgets")
     log_c, log_n, log_d = [], [], []
     for C in C_values:
-        N_opt, D_opt = optimal_allocation(params, C, flops_per_token_per_param)
+        N_opt, D_opt = optimal_allocation(params, C)
         log_c.append(math.log(C))
         log_n.append(math.log(N_opt))
         log_d.append(math.log(D_opt))
@@ -268,10 +266,6 @@ def verification_report(
     N_p: float = 1e8,
     N_q: float = 1e9,
     D: float = 1e10,
-    a_points: int = 100,
-    a_lo: float = 0.1,
-    a_hi: float = 0.9,
-    grid_size: int = 10,
 ) -> dict:
     """Run every derivation check on one parameter set and report pass/fail.
 
@@ -283,9 +277,9 @@ def verification_report(
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}
 
-    a_grid = list(np.linspace(a_lo, a_hi, a_points))
-    n_grid = list(np.logspace(math.log10(N_p), math.log10(N_q), grid_size))
-    a_small_grid = list(np.linspace(a_lo, a_hi, grid_size))
+    a_grid = list(np.linspace(A_LO, A_HI, A_POINTS))
+    n_grid = list(np.logspace(math.log10(N_p), math.log10(N_q), CHECK_GRID_SIZE))
+    a_small_grid = list(np.linspace(A_LO, A_HI, CHECK_GRID_SIZE))
 
     checks["dloss_dN_negative"] = all(
         dloss_dN(A, a, eta, N) < 0 for a in a_small_grid for N in n_grid

@@ -115,8 +115,9 @@ class ScoreCache:
     A last line without its newline was torn by a run killed inside
     ``flush``: it may parse, with a number cut short, so it is skipped,
     and the next ``flush`` cuts it off before appending. ``skipped``
-    counts the rows that could not be used: torn, of the wrong shape, or
-    with numbers that do not parse.
+    counts the rows that could not be used: torn, of the wrong shape, with
+    numbers that do not parse, or with a perplexity that is not finite and
+    positive. A skipped row's document is scored again.
     """
 
     def __init__(self, path: str | Path, fp_small: str, fp_large: str):
@@ -139,9 +140,12 @@ class ScoreCache:
                     doc_id, chash, fs, fl, n_tok, ppl_s, ppl_l = parts
                     if fs == fp_small and fl == fp_large:
                         try:
-                            self._rows[(doc_id, chash)] = (int(n_tok), float(ppl_s), float(ppl_l))
-                        except ValueError:
+                            row = (int(n_tok), float(ppl_s), float(ppl_l))
+                            quality_factor(row[1], row[2])
+                        except (ValueError, InvalidPerplexityError):
                             self.skipped += 1
+                            continue
+                        self._rows[(doc_id, chash)] = row
         self._appended: list[str] = []
 
     def get(self, doc_id: str, chash: str) -> Optional[tuple[int, float, float]]:
@@ -249,7 +253,7 @@ def score_corpus(
     if cache_path is not None:
         cache = ScoreCache(cache_path, small.fingerprint(), large.fingerprint())
 
-    rows: dict[str, tuple[str, int, float, float]] = {}  # doc_id -> (chash, n_tok, ppl_s, ppl_l)
+    rows: dict[str, tuple[int, float, float, float]] = {}  # doc_id -> (n_tok, ppl_s, ppl_l, d)
     pending: list[tuple[str, str]] = []
     hashes: dict[str, str] = {}
     total = 0
@@ -258,14 +262,14 @@ def score_corpus(
 
     for doc in docs:
         total += 1
-        if doc.id in rows or doc.id in hashes:
+        if doc.id in hashes:
             raise ValueError(f"duplicate doc_id {doc.id!r} in scoring input")
         chash = content_hash(doc.text)
         hashes[doc.id] = chash
         cached = cache.get(doc.id, chash) if cache is not None else None
         if cached is not None:
             n_tok, ppl_s, ppl_l = cached
-            rows[doc.id] = (chash, n_tok, ppl_s, ppl_l)
+            rows[doc.id] = (n_tok, ppl_s, ppl_l, quality_factor(ppl_s, ppl_l))
             cache_hits += 1
         else:
             pending.append((doc.id, doc.text))
@@ -276,11 +280,10 @@ def score_corpus(
         errors.extend(failed)
         for doc_id, n_tok, ppl_s, ppl_l in scored:
             try:
-                quality_factor(ppl_s, ppl_l)
+                rows[doc_id] = (n_tok, ppl_s, ppl_l, quality_factor(ppl_s, ppl_l))
             except InvalidPerplexityError as exc:
                 errors.append((doc_id, exc.code, str(exc)))
                 continue
-            rows[doc_id] = (hashes[doc_id], n_tok, ppl_s, ppl_l)
             if cache is not None:
                 cache.put(doc_id, hashes[doc_id], n_tok, ppl_s, ppl_l)
 
@@ -306,8 +309,7 @@ def score_corpus(
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(SCORE_HEADER) + "\n")
         for doc_id in sorted(rows):
-            _, n_tok, ppl_s, ppl_l = rows[doc_id]
-            d = quality_factor(ppl_s, ppl_l)
+            n_tok, ppl_s, ppl_l, d = rows[doc_id]
             d_values.append(d)
             fh.write(f"{doc_id}\t{n_tok}\t{_fmt(ppl_s)}\t{_fmt(ppl_l)}\t{_fmt(d)}\n")
 

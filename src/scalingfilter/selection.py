@@ -11,16 +11,18 @@ Four policies:
 * Pareto noisy thresholding of external classifier scores (keep when
   s > 1 - x with x drawn from a unit-scale Pareto with shape alpha).
 
-All stochastic policies are pure functions of (inputs, policy, seed).
+All stochastic policies are pure functions of (inputs, parameters, seed).
+Each policy checks its own parameters before it selects anything.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import corpus as corpus_io
 from .corpus import CorpusManifest, Document
@@ -32,46 +34,19 @@ from .errors import (
 from .scoring import QualityScore
 from .seeding import rng_for
 
-METHODS = ("topk", "temperature", "percentile_gate", "pareto_threshold")
-
-
-@dataclass
-class SelectionPolicy:
-    method: str
-    keep_rate: float = 0.7
-    tau: Optional[float] = None
-    lo_pct: float = 15.0
-    hi_pct: float = 85.0
-    pareto_alpha: float = 9.0
-    seed: Optional[int] = None  # None: the policy draws nothing
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown selection method {self.method!r}")
-        if not (0.0 < self.keep_rate <= 1.0):
-            raise ValueError("keep_rate must be in (0, 1]")
-        if not (self.lo_pct < self.hi_pct):
-            raise ValueError("lo_pct must be < hi_pct")
-        if self.method == "temperature" and (self.tau is None or self.tau <= 0):
-            raise ValueError("temperature selection requires tau > 0")
-        if self.pareto_alpha <= 0:
-            raise ValueError("pareto_alpha must be > 0")
-
-    def params(self) -> dict:
-        out: dict = {"keep_rate": self.keep_rate}
-        if self.method == "temperature":
-            out["tau"] = self.tau
-        if self.method == "percentile_gate":
-            out = {"lo_pct": self.lo_pct, "hi_pct": self.hi_pct}
-        if self.method == "pareto_threshold":
-            out = {"pareto_alpha": self.pareto_alpha}
-        return out
+# the paper's protocol: keep 70%, gate at the 15th/85th percentiles (the same 70%), Pareto alpha 9
+KEEP_RATE = 0.7
+GATE_LO_PCT = 15.0
+GATE_HI_PCT = 85.0
+PARETO_ALPHA = 9.0
 
 
 @dataclass
 class SelectionResult:
     kept_ids: list[str]
-    policy: SelectionPolicy
+    method: str
+    params: dict
+    seed: Optional[int] = None  # None: the policy draws nothing
     threshold_used: Optional[float] = None
     input_count: int = 0
 
@@ -79,83 +54,79 @@ class SelectionResult:
     def kept_count(self) -> int:
         return len(self.kept_ids)
 
-    @property
-    def dropped_count(self) -> int:
-        return self.input_count - self.kept_count
-
     def audit(self) -> dict:
         return {
             "input": self.input_count,
             "kept": self.kept_count,
-            "dropped": self.dropped_count,
-            "method": self.policy.method,
-            "params": self.policy.params(),
-            "seed": self.policy.seed,
+            "dropped": self.input_count - self.kept_count,
+            "method": self.method,
+            "params": self.params,
+            "seed": self.seed,
             "threshold_used": self.threshold_used,
         }
 
     def write(self, kept_path: str | Path, audit_path: str | Path) -> None:
         Path(kept_path).write_text("".join(i + "\n" for i in self.kept_ids), encoding="utf-8")
-        Path(audit_path).write_text(json.dumps(self.audit(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        corpus_io.write_json(audit_path, self.audit())
 
 
-def _keep_count(keep_rate: float, n: int) -> int:
-    # ceil guarantees at least the requested fraction survives
-    return min(n, math.ceil(keep_rate * n))
+def _check_keep_rate(keep_rate: float) -> None:
+    if not 0.0 < keep_rate <= 1.0:
+        raise ValueError(f"keep_rate must be in (0, 1], got {keep_rate!r}")
 
 
-def select_topk(scores: Sequence[QualityScore], keep_rate: float = 0.7) -> SelectionResult:
+def _top_k(doc_ids: Sequence[str], keys: Sequence[float], keep_rate: float) -> tuple[list[str], float]:
+    """The ids of the ceil(keep_rate * n) largest keys, in input order, and the smallest kept key.
+
+    Ties break by (key descending, doc_id ascending); ceil guarantees at
+    least the requested fraction survives.
+    """
+    if not doc_ids:
+        raise EmptySelectionInputError("no scores to select from")
+    k = min(len(keys), math.ceil(keep_rate * len(keys)))
+    ranked = sorted(zip([-key for key in keys], doc_ids))
+    kept = {doc_id for _, doc_id in ranked[:k]}
+    return [doc_id for doc_id in doc_ids if doc_id in kept], -ranked[k - 1][0]
+
+
+def select_topk(scores: Sequence[QualityScore], keep_rate: float = KEEP_RATE) -> SelectionResult:
     """Keep the ceil(keep_rate * n) documents with the largest quality factor.
 
     Ties break by (d descending, doc_id ascending); kept_ids preserve the
     input order of ``scores``.
     """
-    if not scores:
-        raise EmptySelectionInputError("no scores to select from")
-    n = len(scores)
-    k = _keep_count(keep_rate, n)
-    ranked = sorted(scores, key=lambda s: (-s.d, s.doc_id))
-    kept_set = {s.doc_id for s in ranked[:k]}
-    threshold = ranked[k - 1].d
-    kept_ids = [s.doc_id for s in scores if s.doc_id in kept_set]
-    policy = SelectionPolicy(method="topk", keep_rate=keep_rate)
-    return SelectionResult(kept_ids=kept_ids, policy=policy, threshold_used=threshold, input_count=n)
+    _check_keep_rate(keep_rate)
+    kept_ids, threshold = _top_k([s.doc_id for s in scores], [s.d for s in scores], keep_rate)
+    return SelectionResult(kept_ids, "topk", {"keep_rate": keep_rate},
+                           threshold_used=threshold, input_count=len(scores))
 
 
 def select_temperature(
     scores: Sequence[QualityScore],
-    keep_rate: float = 0.7,
+    keep_rate: float = KEEP_RATE,
     tau: float = 1.0,
     seed: int = 0,
 ) -> SelectionResult:
     """Sample k documents without replacement with weights softmax(d / tau).
 
-    Realized with Gumbel-perturbed keys d_i / tau + g_i: keeping the top-k
-    keys draws exactly from the softmax without-replacement distribution.
+    Realized as top-k over Gumbel-perturbed keys d_i / tau + g_i, which
+    draws exactly from the softmax without-replacement distribution.
     Deterministic given the seed.
     """
-    if not scores:
-        raise EmptySelectionInputError("no scores to select from")
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    n = len(scores)
-    k = _keep_count(keep_rate, n)
-    rng = rng_for(seed, "temperature-selection")
-    gumbel = rng.gumbel(size=n)
-    keyed = sorted(
-        ((s.d / tau + gumbel[i], s.doc_id) for i, s in enumerate(scores)),
-        key=lambda kv: (-kv[0], kv[1]),
-    )
-    kept_set = {doc_id for _, doc_id in keyed[:k]}
-    kept_ids = [s.doc_id for s in scores if s.doc_id in kept_set]
-    policy = SelectionPolicy(method="temperature", keep_rate=keep_rate, tau=tau, seed=seed)
-    return SelectionResult(kept_ids=kept_ids, policy=policy, threshold_used=None, input_count=n)
+    _check_keep_rate(keep_rate)
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau!r}")
+    gumbel = rng_for(seed, "temperature-selection").gumbel(size=len(scores))
+    keys = np.array([s.d for s in scores]) / tau + gumbel
+    kept_ids, _ = _top_k([s.doc_id for s in scores], keys.tolist(), keep_rate)
+    return SelectionResult(kept_ids, "temperature", {"keep_rate": keep_rate, "tau": tau},
+                           seed=seed, input_count=len(scores))
 
 
 def percentile_gate(
     perplexities: Sequence[tuple[str, float]],
-    lo_pct: float = 15.0,
-    hi_pct: float = 85.0,
+    lo_pct: float = GATE_LO_PCT,
+    hi_pct: float = GATE_HI_PCT,
 ) -> SelectionResult:
     """Keep documents whose perplexity sits in the middle percentile band.
 
@@ -164,6 +135,8 @@ def percentile_gate(
     keeps exactly the middle 70% and duplicates of a boundary value are
     kept inclusively.
     """
+    if not 0.0 <= lo_pct < hi_pct <= 100.0:
+        raise ValueError(f"need 0 <= lo_pct < hi_pct <= 100, got {lo_pct!r} and {hi_pct!r}")
     if not perplexities:
         raise EmptySelectionInputError("no perplexities to gate")
     n = len(perplexities)
@@ -172,13 +145,13 @@ def percentile_gate(
     ihi = min(max(math.ceil(hi_pct * n / 100.0) - 1, 0), n - 1)
     p_lo, p_hi = ordered[ilo], ordered[ihi]
     kept_ids = [doc_id for doc_id, p in perplexities if p_lo <= p <= p_hi]
-    policy = SelectionPolicy(method="percentile_gate", lo_pct=lo_pct, hi_pct=hi_pct)
-    return SelectionResult(kept_ids=kept_ids, policy=policy, threshold_used=p_hi, input_count=n)
+    return SelectionResult(kept_ids, "percentile_gate", {"lo_pct": lo_pct, "hi_pct": hi_pct},
+                           threshold_used=p_hi, input_count=n)
 
 
 def pareto_noisy_threshold(
     classifier_scores: Sequence[tuple[str, float]],
-    alpha: float = 9.0,
+    alpha: float = PARETO_ALPHA,
     seed: int = 0,
 ) -> SelectionResult:
     """Keep document i iff s_i > 1 - x_i with x_i ~ Pareto(alpha), unit scale.
@@ -187,10 +160,10 @@ def pareto_noisy_threshold(
     tail shifted to start at 0, so a perfect score is always kept and a
     zero score survives with probability 2^(-alpha).
     """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha!r}")
     if not classifier_scores:
         raise EmptySelectionInputError("no classifier scores to threshold")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     for doc_id, s in classifier_scores:
         if not (0.0 <= s <= 1.0) or not math.isfinite(s):
             raise InvalidClassifierScoreError(f"score {s!r} for {doc_id!r} outside [0, 1]")
@@ -199,8 +172,7 @@ def pareto_noisy_threshold(
     u = 1.0 - rng.random(n)  # (0, 1]
     x = u ** (-1.0 / alpha) - 1.0
     kept_ids = [doc_id for (doc_id, s), xi in zip(classifier_scores, x) if s > 1.0 - xi]
-    policy = SelectionPolicy(method="pareto_threshold", pareto_alpha=alpha, seed=seed)
-    return SelectionResult(kept_ids=kept_ids, policy=policy, threshold_used=None, input_count=n)
+    return SelectionResult(kept_ids, "pareto_threshold", {"pareto_alpha": alpha}, seed=seed, input_count=n)
 
 
 def apply_selection(
@@ -231,13 +203,25 @@ def apply_selection(
 
 
 def read_classifier_scores(path: str | Path) -> list[tuple[str, float]]:
-    """Read a two-column TSV of doc_id and classifier score in [0, 1]."""
+    """Read a TSV of doc_id and classifier score, one unique id a line, after an optional header.
+
+    A line without both fields, a score that is not a number or a repeated
+    id raises InvalidClassifierScoreError naming the file and line.
+    """
     rows = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            fields = line.rstrip("\n").split("\t")
-            if line_no == 0 and fields[0] == "doc_id":
+        for line_no, line in enumerate(fh, start=1):
+            text = line.rstrip("\n")
+            fields = text.split("\t")
+            if line_no == 1 and fields[0] == "doc_id":
                 continue
-            doc_id, score = fields[:2]
-            rows.append((doc_id, float(score)))
+            try:
+                doc_id, score = fields[0], float(fields[1])
+            except (IndexError, ValueError):
+                raise InvalidClassifierScoreError(f"{path}:{line_no}: expected doc_id<TAB>score, got {text!r}") from None
+            if doc_id in seen:
+                raise InvalidClassifierScoreError(f"{path}:{line_no}: duplicate id {doc_id!r}")
+            seen.add(doc_id)
+            rows.append((doc_id, score))
     return rows

@@ -233,6 +233,23 @@ class TestScore:
         assert (summary["cache_hits"], summary["endpoint_evaluations"], summary["cache_rows_skipped"]) == (300, 0, 0)
         assert (tmp_path / "again" / "scores.tsv").read_bytes() == cold_scores
 
+    @pytest.mark.parametrize("field,value", [(5, "nan"), (6, "0"), (5, "-1"), (6, "inf")])
+    def test_cache_row_with_unusable_perplexity_is_scored_again(self, tmp_path, corpus_dir, pair_dir, field, value):
+        # such a row parses, but no run could have written it: its document is scored afresh
+        cache = tmp_path / "cache.tsv"
+        argv = ["score", "--corpus", str(corpus_dir), "--pair", str(pair_dir), "--cache", str(cache)]
+        assert main([*argv, "--out", str(tmp_path / "cold")]) == 0
+        rows = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = rows[100].rstrip("\n").split("\t")
+        fields[field] = value
+        cache.write_text("".join(rows[:100] + ["\t".join(fields) + "\n"] + rows[101:]), encoding="utf-8")
+
+        assert main([*argv, "--out", str(tmp_path / "resumed")]) == 0
+        summary = json.loads((tmp_path / "resumed" / "score_summary.json").read_text(encoding="utf-8"))
+        assert (summary["cache_hits"], summary["endpoint_evaluations"], summary["cache_rows_skipped"]) == (299, 1, 1)
+        assert (tmp_path / "resumed" / "scores.tsv").read_bytes() == (tmp_path / "cold" / "scores.tsv").read_bytes()
+        assert cache.read_text(encoding="utf-8").splitlines(keepends=True)[-1] == rows[100]
+
     def test_remote_endpoints(self, tmp_path, corpus_dir, make_service):
         small = make_service(perplexity_fn=lambda t: 3.0 * len(t))
         large = make_service(perplexity_fn=lambda t: float(len(t)))
@@ -376,6 +393,44 @@ class TestFilter:
             "--method", "temperature", "--out", str(tmp_path / "no-tau"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--method", "topk", "--keep-rate", "inf"], "keep_rate"),
+        (["--method", "topk", "--keep-rate", "nan"], "keep_rate"),
+        (["--method", "temperature", "--tau", "nan"], "tau"),
+        (["--method", "temperature", "--tau", "-inf"], "tau"),
+        (["--method", "gate", "--lo", "nan"], "lo_pct"),
+        (["--method", "gate", "--hi", "inf"], "hi_pct"),
+        (["--method", "pareto", "--pareto-alpha", "nan"], "pareto_alpha"),
+    ])
+    def test_non_finite_float_exit_2(self, tmp_path, score_dir, flags, key):
+        table = tmp_path / "cls.tsv"
+        table.write_text("a\t0.5\n", encoding="utf-8")
+        inputs = ["--scores", str(score_dir / "scores.tsv"), "--classifier-scores", str(table)]
+        assert exit_code(["filter", *inputs, *flags, "--out", str(tmp_path / "flag")]) == 2
+        config = write_config(tmp_path / "c.json", {key: float(flags[-1])})
+        argv = ["filter", *inputs, *flags[:2], "--config", config, "--out", str(tmp_path / "config")]
+        assert exit_code(argv) == 2
+        assert not (tmp_path / "flag" / "audit.json").exists()
+        assert not (tmp_path / "config" / "audit.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "topk", "--keep-rate", "1.5"],
+        ["--method", "temperature", "--tau", "0"],
+        ["--method", "gate", "--lo", "60", "--hi", "40"],
+    ])
+    def test_out_of_range_parameter_exit_2(self, tmp_path, score_dir, flags):
+        out = tmp_path / "o"
+        assert main(["filter", "--scores", str(score_dir / "scores.tsv"), *flags, "--out", str(out)]) == 2
+        assert not (out / "audit.json").exists()
+
+    def test_malformed_classifier_row_exit_2(self, tmp_path, caplog):
+        table = tmp_path / "cls.tsv"
+        table.write_text("doc_id\tscore\na\t0.5\n\nb\t0.5\n", encoding="utf-8")
+        rc = main(["filter", "--method", "pareto", "--classifier-scores", str(table),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{table}:3:" in caplog.text
 
     def test_topk_without_scores_exit_2(self, tmp_path):
         rc = main(["filter", "--method", "topk", "--out", str(tmp_path / "no-scores")])
@@ -530,6 +585,37 @@ class TestReport:
             assert rc == 0
         assert (o1 / "report.json").read_bytes() == (o2 / "report.json").read_bytes()
         assert (o1 / "report.txt").read_bytes() == (o2 / "report.txt").read_bytes()
+
+
+def test_every_artifact_is_strict_json(tmp_path, corpus_dir, pair_dir, score_dir):
+    """No JSON file a full chain writes holds NaN or Infinity."""
+    scores = str(score_dir / "scores.tsv")
+    table = tmp_path / "cls.tsv"
+    table.write_text("".join(f"{s.doc_id}\t{1 / s.d}\n" for s in read_score_file(scores)), encoding="utf-8")
+    runs = {
+        "topk": ["filter", "--scores", scores, "--method", "topk", "--corpus", str(corpus_dir)],
+        "temperature": ["filter", "--scores", scores, "--method", "temperature", "--tau", "0.5"],
+        "gate": ["filter", "--scores", scores, "--method", "gate"],
+        "pareto": ["filter", "--method", "pareto", "--classifier-scores", str(table)],
+        "div": ["diversity", "--corpus", str(tmp_path / "topk" / "filtered"), "--n", "50", "--repeats", "2"],
+        "mix": ["diversity", "--mix", str(corpus_dir), str(tmp_path / "topk" / "filtered"),
+                "--n", "50", "--repeats", "2"],
+        "verify": ["verify-scaling", "--sweep-compute", "--csv"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+    assert main(["report", "--runs", str(score_dir), *(str(tmp_path / name) for name in runs),
+                 "--out", str(tmp_path / "report")]) == 0
+
+    def reject(constant):
+        raise AssertionError(f"{constant} in a JSON artifact")
+
+    paths = sorted([*tmp_path.rglob("*.json"), *pair_dir.rglob("*.json"), *score_dir.rglob("*.json")])
+    assert len(paths) == 21
+    for path in paths:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    single, mix = (json.loads((tmp_path / name / "diversity.json").read_text()) for name in ("div", "mix"))
+    assert single["comparability"] == mix["comparability"]
 
 
 def _outputs(out):

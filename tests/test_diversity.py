@@ -10,7 +10,7 @@ from mpmath import mp, polyroots
 import synth
 from oracles import loop_mixture_values
 from scalingfilter import diversity
-from scalingfilter.corpus import Document
+from scalingfilter.corpus import Document, write_json
 from scalingfilter.diversity import (
     _rows_ascend,
     _spectrum,
@@ -199,7 +199,7 @@ class TestSubsampleDiversity:
 
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         report = subsample_diversity(two_cluster_corpus, emb, n=30, repeats=2, seed=6, corpus_id="tc")
-        report.save(tmp_path / "d.json")
+        write_json(tmp_path / "d.json", report.to_json())
         obj = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
         assert obj["corpus_id"] == "tc"
         assert obj["values"] == report.values

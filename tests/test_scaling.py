@@ -11,6 +11,7 @@ from scalingfilter.errors import (
     InvalidSecantError,
 )
 from scalingfilter.scaling import (
+    FLOPS_PER_TOKEN_PER_PARAM,
     ScalingLawParams,
     allocation_exponents,
     allocation_power_law_fit,
@@ -205,8 +206,8 @@ class TestOptimalAllocation:
         assert slope == pytest.approx(0.5, abs=1e-6)
 
     def test_budget_constraint_holds(self):
-        N, D = optimal_allocation(PARAMS, 1e20, flops_per_token_per_param=6.0)
-        assert 6.0 * N * D == pytest.approx(1e20, rel=1e-12)
+        N, D = optimal_allocation(PARAMS, 1e20)
+        assert FLOPS_PER_TOKEN_PER_PARAM * N * D == pytest.approx(1e20, rel=1e-12)
 
     def test_power_law_recovery(self):
         sweep = [10.0**e for e in np.linspace(18, 22, 9)]

@@ -13,10 +13,13 @@ from scalingfilter.errors import (
 )
 from scalingfilter.scoring import QualityScore
 from scalingfilter.selection import (
-    SelectionPolicy,
+    GATE_HI_PCT,
+    GATE_LO_PCT,
+    KEEP_RATE,
     apply_selection,
     pareto_noisy_threshold,
     percentile_gate,
+    read_classifier_scores,
     select_temperature,
     select_topk,
 )
@@ -32,20 +35,58 @@ def random_scores(rng, n, tag="s"):
 
 class TestPolicy:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SelectionPolicy(method="nope")
-        with pytest.raises(ValueError):
-            SelectionPolicy(method="topk", keep_rate=0.0)
-        with pytest.raises(ValueError):
-            SelectionPolicy(method="topk", keep_rate=1.5)
-        with pytest.raises(ValueError):
-            SelectionPolicy(method="percentile_gate", lo_pct=90, hi_pct=10)
-        with pytest.raises(ValueError):
-            SelectionPolicy(method="temperature")
+        # parameters are checked before the input: an empty input still reports the bad parameter
+        for scores, pairs in (([score("a", 1.0), score("b", 2.0)], [("a", 0.5), ("b", 1.0)]), ([], [])):
+            for keep_rate in (0.0, -0.1, 1.5, math.inf, math.nan):
+                with pytest.raises(ValueError, match="keep_rate"):
+                    select_topk(scores, keep_rate=keep_rate)
+                with pytest.raises(ValueError, match="keep_rate"):
+                    select_temperature(scores, keep_rate=keep_rate, tau=1.0)
+            for tau in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="tau"):
+                    select_temperature(scores, tau=tau)
+            for lo, hi in ((90.0, 10.0), (50.0, 50.0), (math.nan, 85.0), (15.0, math.nan),
+                           (-1.0, 85.0), (15.0, 101.0), (-math.inf, 85.0)):
+                with pytest.raises(ValueError, match="lo_pct"):
+                    percentile_gate(pairs, lo_pct=lo, hi_pct=hi)
+            for alpha in (0.0, -9.0, math.nan):
+                with pytest.raises(ValueError, match="alpha"):
+                    pareto_noisy_threshold(pairs, alpha=alpha)
 
     def test_gate_band_matches_keep_rate(self):
-        policy = SelectionPolicy(method="percentile_gate")
-        assert (policy.hi_pct - policy.lo_pct) / 100.0 == pytest.approx(policy.keep_rate)
+        assert GATE_HI_PCT - GATE_LO_PCT == 100 * KEEP_RATE
+
+    # written by the SelectionPolicy-based selection these functions replaced
+    AUDITS = {
+        "topk": ('{\n  "dropped": 3,\n  "input": 10,\n  "kept": 7,\n  "method": "topk",\n  "params": {\n'
+                 '    "keep_rate": 0.7\n  },\n  "seed": null,\n  "threshold_used": 1.75\n}\n',
+                 ["d1", "d2", "d4", "d5", "d7", "d8", "d9"]),
+        "temperature": ('{\n  "dropped": 3,\n  "input": 10,\n  "kept": 7,\n  "method": "temperature",\n'
+                        '  "params": {\n    "keep_rate": 0.7,\n    "tau": 0.5\n  },\n  "seed": 11,\n'
+                        '  "threshold_used": null\n}\n',
+                        ["d1", "d2", "d4", "d5", "d6", "d7", "d8"]),
+        "gate": ('{\n  "dropped": 3,\n  "input": 10,\n  "kept": 7,\n  "method": "percentile_gate",\n'
+                 '  "params": {\n    "hi_pct": 85.0,\n    "lo_pct": 15.0\n  },\n  "seed": null,\n'
+                 '  "threshold_used": 9.0\n}\n',
+                 ["d1", "d2", "d4", "d5", "d6", "d8", "d9"]),
+        "pareto": ('{\n  "dropped": 9,\n  "input": 10,\n  "kept": 1,\n  "method": "pareto_threshold",\n'
+                   '  "params": {\n    "pareto_alpha": 9.0\n  },\n  "seed": 5,\n  "threshold_used": null\n}\n',
+                   ["d7"]),
+    }
+
+    @pytest.mark.parametrize("method", sorted(AUDITS))
+    def test_audit_bytes_pinned(self, tmp_path, method):
+        scores = [score(f"d{i}", 1.0 + (i * 7 % 10) / 4) for i in range(10)]
+        result = {
+            "topk": lambda: select_topk(scores),
+            "temperature": lambda: select_temperature(scores, tau=0.5, seed=11),
+            "gate": lambda: percentile_gate([(s.doc_id, s.d * 3) for s in scores]),
+            "pareto": lambda: pareto_noisy_threshold([(s.doc_id, (s.d - 1) / 2.25) for s in scores], seed=5),
+        }[method]()
+        result.write(tmp_path / "kept_ids.txt", tmp_path / "audit.json")
+        audit, kept = self.AUDITS[method]
+        assert (tmp_path / "audit.json").read_text(encoding="utf-8") == audit
+        assert (tmp_path / "kept_ids.txt").read_text(encoding="utf-8") == "".join(i + "\n" for i in kept)
 
 
 class TestTopK:
@@ -183,7 +224,7 @@ class TestPercentileGate:
             rng = np.random.Generator(np.random.PCG64(n))
             ppls = [(f"d{i:04d}", float(p)) for i, p in enumerate(rng.uniform(0, 1, n))]
             result = percentile_gate(ppls, lo_pct=15, hi_pct=85)
-            assert result.kept_count + result.dropped_count == n
+            assert result.kept_count + result.audit()["dropped"] == n
             assert abs(result.kept_count / n - 0.70) <= 1.0 / n + 1e-12
 
     def test_empty_input(self):
@@ -281,3 +322,26 @@ class TestApplySelection:
         audit = json.loads((tmp_path / "audit.json").read_text(encoding="utf-8"))
         assert audit["method"] == "topk"
         assert audit["kept"] == 7
+
+
+class TestReadClassifierScores:
+    def test_header_optional_and_extra_columns_ignored(self, tmp_path):
+        path = tmp_path / "cls.tsv"
+        path.write_text("doc_id\tscore\na\t0.25\nb\t1\textra\n", encoding="utf-8")
+        assert read_classifier_scores(path) == [("a", 0.25), ("b", 1.0)]
+        path.write_text("a\t0.5\n", encoding="utf-8")
+        assert read_classifier_scores(path) == [("a", 0.5)]
+
+    @pytest.mark.parametrize("bad_line,line_no,what", [
+        ("\n", 3, "expected doc_id<TAB>score"),
+        ("c\n", 3, "expected doc_id<TAB>score"),
+        ("c\thigh\n", 3, "expected doc_id<TAB>score"),
+        ("a\t0.75\n", 3, "duplicate id 'a'"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, bad_line, line_no, what):
+        path = tmp_path / "cls.tsv"
+        path.write_text("doc_id\tscore\na\t0.5\n" + bad_line + "d\t0.1\n", encoding="utf-8")
+        with pytest.raises(InvalidClassifierScoreError) as exc:
+            read_classifier_scores(path)
+        assert exc.value.code == "invalid-classifier-score"
+        assert f"{path}:{line_no}: {what}" in str(exc.value)
