@@ -82,16 +82,22 @@ def _method(name: str) -> str:
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 

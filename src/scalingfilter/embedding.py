@@ -2,14 +2,14 @@
 
 Two kinds: a remote embedding service client, and a fully deterministic
 offline fallback (hashed character n-gram counts projected with a seeded
-random sign matrix). Absolute diversity numbers differ between embedders;
-only within-embedder comparisons are meaningful.
+random sign matrix). Absolute diversity numbers differ between embedders
+and between versions of one embedder's hash; only comparisons within one
+fingerprint are meaningful.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 from typing import Sequence
 
@@ -26,8 +26,6 @@ NGRAM_SIZES = (3, 4, 5)
 _SIZE_SHIFT = 40  # a packed window keeps its (at most 5) bytes below this bit and its size above
 # text bytes embedded at once: bounds the window arrays (~100 bytes of them per text byte)
 _CHUNK_BYTES = 1 << 18
-# distinct windows an embed call remembers the bucket of (16 bytes each); later ones are hashed per chunk
-_HASHED_LIMIT = 1 << 22
 
 
 def _chunks(data: list[bytes]):
@@ -81,17 +79,16 @@ def _windows(data: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     return windows[windows >= 0], per_doc
 
 
-def _hash_buckets(windows: np.ndarray) -> np.ndarray:
-    """Bucket of each packed window: blake2b of its bytes, little-endian, mod ``HASH_BUCKETS``."""
-    out = np.empty(len(windows), dtype=np.int64)
-    for size in NGRAM_SIZES:
-        of_size = (windows >> _SIZE_SHIFT) == size
-        shifts = 8 * np.arange(size - 1, -1, -1)
-        raw = (windows[of_size][:, None] >> shifts).astype(np.uint8).tobytes()
-        digests = b"".join([hashlib.blake2b(raw[i : i + size], digest_size=8).digest()
-                            for i in range(0, len(raw), size)])
-        out[of_size] = np.frombuffer(digests, dtype="<u8") % HASH_BUCKETS
-    return out
+def _buckets(windows: np.ndarray) -> np.ndarray:
+    """Bucket of each packed window, computed in place: the top 18 bits of its splitmix64 finalizer."""
+    v = windows.view(np.uint64)
+    v ^= v >> np.uint64(30)
+    v *= np.uint64(0xBF58476D1CE4E5B9)
+    v ^= v >> np.uint64(27)
+    v *= np.uint64(0x94D049BB133111EB)
+    v ^= v >> np.uint64(31)
+    v >>= np.uint64(64 - 18)
+    return windows
 
 
 def _texts(docs: Sequence[Document | str]) -> list[str]:
@@ -105,15 +102,16 @@ class HashedProjectionEmbedder:
     the sparse count vector through a {-1, +1} matrix drawn once from the
     projection seed, and L2-normalizes. Deterministic per (seed, dim).
 
-    A window's bucket is ``blake2b(window bytes, digest_size=8)`` read
-    little-endian, mod 2^18 (feature hashing, Weinberger et al. 2009).
-    Documents are embedded in chunks of about ``_CHUNK_BYTES``; each
-    distinct window of one part of an ``embed`` call is hashed once (up
-    to ``_HASHED_LIMIT`` distinct windows). The parts are runs of
-    documents with equal shares of the text bytes, one per CPU this
-    process may use (at most one per chunk), embedded on forked
-    processes. Rows are exact integer sums normalized one at a time, so
-    they do not depend on the number of parts.
+    A window of ``size`` bytes is packed as ``v = int.from_bytes(window,
+    "big") | size << 40``, and its bucket is the top 18 bits (``>> 46``) of
+    the splitmix64 finalizer of ``v`` mod 2^64 (feature hashing, Weinberger
+    et al. 2009); ``fingerprint`` names the hash as ``hash=splitmix64``.
+    Documents are embedded in chunks of about ``_CHUNK_BYTES``, and every
+    window of a chunk is hashed in numpy at once. An ``embed`` call cuts
+    its documents into parts of equal shares of the text bytes, one per
+    CPU this process may use (at most one per chunk), and embeds them on
+    forked processes. Rows are exact integer sums normalized one at a
+    time, so they do not depend on the number of parts.
     """
 
     kind = "hashed-projection"
@@ -148,23 +146,9 @@ class HashedProjectionEmbedder:
         """Rows of the documents ``data[start:end]`` of ``part``, chunk by chunk."""
         start, end = part
         out = np.empty((end - start, self.dim), dtype=np.float64)
-        # the distinct windows hashed so far, sorted, and their buckets: each is hashed once per part
-        hashed = np.zeros(0, dtype=np.int64)
-        hashed_buckets = np.zeros(0, dtype=np.int64)
         for first, last in _chunks(data[start:end]):
             windows, per_doc = _windows(data[start + first : start + last])
-            distinct, inverse = np.unique(windows, return_inverse=True)
-            at = np.searchsorted(hashed, distinct)
-            known = at < len(hashed)
-            known[known] = hashed[at[known]] == distinct[known]
-            buckets = np.empty(len(distinct), dtype=np.int64)
-            buckets[known] = hashed_buckets[at[known]]
-            fresh = ~known
-            buckets[fresh] = _hash_buckets(distinct[fresh])
-            if len(hashed) < _HASHED_LIMIT:
-                hashed = np.insert(hashed, at[fresh], distinct[fresh])
-                hashed_buckets = np.insert(hashed_buckets, at[fresh], buckets[fresh])
-            out[first:last] = self._rows(buckets[inverse], per_doc, start + first)
+            out[first:last] = self._rows(_buckets(windows), per_doc, start + first)
         return out
 
     def _rows(self, buckets: np.ndarray, per_doc: np.ndarray, first_row: int) -> np.ndarray:
@@ -190,7 +174,8 @@ class HashedProjectionEmbedder:
         return vecs / norms[:, None]
 
     def fingerprint(self) -> str:
-        return f"hashed-projection:dim={self.dim}:buckets={HASH_BUCKETS}:ngrams={NGRAM_SIZES}:seed={self.seed}"
+        return (f"hashed-projection:dim={self.dim}:buckets={HASH_BUCKETS}:ngrams={NGRAM_SIZES}:seed={self.seed}"
+                ":hash=splitmix64")
 
 
 class RemoteEmbedder:

@@ -296,6 +296,7 @@ def verification_report(
                 sign_ok = False
     checks["mixed_partial_sign_matches_bracket"] = sign_ok
 
+    # relative errors, or absolute ones where the analytic value is exactly 0 (A = 0)
     fd_ok = True
     worst_fd = 0.0
     for a in a_small_grid:
@@ -305,12 +306,12 @@ def verification_report(
                 reparam_loss(E, A, B, a, eta, N + h, D) - reparam_loss(E, A, B, a, eta, N - h, D)
             ) / (2 * h)
             analytic = dloss_dN(A, a, eta, N)
-            rel = abs(fd - analytic) / abs(analytic)
+            rel = abs(fd - analytic) / (abs(analytic) or 1.0)
             worst_fd = max(worst_fd, rel)
             ha = 1e-6
             fd2 = (dloss_dN(A, a + ha, eta, N) - dloss_dN(A, a - ha, eta, N)) / (2 * ha)
             analytic2 = d2loss_da_dN(A, a, eta, N)
-            rel2 = abs(fd2 - analytic2) / abs(analytic2)
+            rel2 = abs(fd2 - analytic2) / (abs(analytic2) or 1.0)
             worst_fd = max(worst_fd, rel2)
             if rel > 1e-5 or rel2 > 1e-5:
                 fd_ok = False
@@ -323,7 +324,7 @@ def verification_report(
         gap = N_p * 1e-6
         analysis = secant_slope(E, A, B, a, eta, N_p, N_p + gap, D)
         tangent = dloss_dN(A, a, eta, N_p)
-        rel = abs(analysis.slope - tangent) / abs(tangent)
+        rel = abs(analysis.slope - tangent) / (abs(tangent) or 1.0)
         worst_sec = max(worst_sec, rel)
         if rel > 1e-4:
             sec_ok = False

@@ -2,10 +2,13 @@
 
 ``LoopNGramModel`` is the dict-of-dicts, byte-at-a-time n-gram model the
 package used before its counts moved into sorted arrays, and
-``loop_embed`` is the one-``blake2b``-call-per-window hashed embedder.
-Both define the exact outputs the package must keep: the same counts,
-the same ``.sfngram`` bytes, the same float log-probabilities (summed left
+``loop_embed`` is the hashed embedder one text and one window at a time,
+hashing each window with Python ints (``loop_bucket_counts``). Both
+define the exact outputs the package must keep: the same counts, the
+same ``.sfngram`` bytes, the same float log-probabilities (summed left
 to right, ``math.log2`` per token) and the same embedding rows.
+``loop_bucket_counts_v1`` is the embedder's earlier ``blake2b`` bucket,
+kept to bound the change of hash: it is not an exact oracle of anything.
 ``loop_mixture_values`` builds each diversity sample on its own, in draw
 order, and leaves the canonical row order to ``semantic_diversity``: the
 package must give the same floats from its one sorted pool.
@@ -13,6 +16,7 @@ package must give the same floats from its one sorted pool.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
@@ -110,23 +114,46 @@ class LoopNGramModel:
         return b"".join(chunks)
 
 
-def loop_bucket_counts(text: str) -> dict[int, int]:
-    """Hashed n-gram counts of one text, one blake2b call per window."""
+def loop_bucket(window: bytes) -> int:
+    """Bucket of one window: the top 18 bits of the splitmix64 finalizer of the window packed with its size."""
+    mask = (1 << 64) - 1
+    v = int.from_bytes(window, "big") | len(window) << 40
+    v ^= v >> 30
+    v = v * 0xBF58476D1CE4E5B9 & mask
+    v ^= v >> 27
+    v = v * 0x94D049BB133111EB & mask
+    v ^= v >> 31
+    return v >> 46
+
+
+@functools.lru_cache(maxsize=None)
+def loop_bucket_v1(window: bytes, person: bytes) -> int:
+    """The earlier bucket of one window: blake2b (keyed by ``person``), little-endian, mod 2^18."""
+    digest = hashlib.blake2b(window, digest_size=8, person=person).digest()
+    return int.from_bytes(digest, "little") % HASH_BUCKETS
+
+
+def loop_bucket_counts(text: str, bucket=loop_bucket) -> dict[int, int]:
+    """Hashed n-gram counts of one text, one ``bucket`` call per window."""
     data = text.encode("utf-8")
     counts: dict[int, int] = {}
     for size in NGRAM_SIZES:
         for i in range(len(data) - size + 1):
-            digest = hashlib.blake2b(data[i : i + size], digest_size=8).digest()
-            bucket = int.from_bytes(digest, "little") % HASH_BUCKETS
-            counts[bucket] = counts.get(bucket, 0) + 1
+            b = bucket(data[i : i + size])
+            counts[b] = counts.get(b, 0) + 1
     return counts
 
 
-def loop_embed(signs: np.ndarray, texts: list[str]) -> np.ndarray:
+def loop_bucket_counts_v1(text: str, person: bytes = b"") -> dict[int, int]:
+    """Hashed n-gram counts of one text under the earlier bucket, blake2b keyed by ``person``."""
+    return loop_bucket_counts(text, functools.partial(loop_bucket_v1, person=person))
+
+
+def loop_embed(signs: np.ndarray, texts: list[str], bucket_counts=loop_bucket_counts) -> np.ndarray:
     """Rows of the hashed embedder, one text at a time (no degenerate-row checks)."""
     out = np.empty((len(texts), signs.shape[1]), dtype=np.float64)
     for row, text in enumerate(texts):
-        counts = loop_bucket_counts(text)
+        counts = bucket_counts(text)
         buckets = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
         weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
         vec = weights @ signs[buckets].astype(np.float64)

@@ -2,6 +2,7 @@
 pass/fail line (run with -s to see them) and enforcing its runtime budget.
 """
 
+import functools
 import math
 import time
 from contextlib import contextmanager
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import synth
+from oracles import loop_bucket_counts_v1, loop_embed
 from test_ngram import oracle_log2prob
 from scalingfilter.cli import main
 from scalingfilter.corpus import Document, write_corpus
@@ -23,6 +25,7 @@ from scalingfilter.diversity import (
 from scalingfilter.embedding import HashedProjectionEmbedder
 from scalingfilter.errors import ConditionRegionViolatedError
 from scalingfilter.ngram import train_ngram, train_pair
+from scalingfilter.parallel import fork_map
 from scalingfilter.scaling import (
     ScalingLawParams,
     allocation_power_law_fit,
@@ -364,8 +367,10 @@ def test_criterion_11_diversity_trends(fidelity_corpus):
     with criterion(11, "subsample std shrinks with n; mix curve strictly increases", 120):
         emb = HashedProjectionEmbedder(dim=64, seed=0)
         corpus = fidelity_corpus[:1000] + fidelity_corpus[6000:7000]
+        # 60 repeats: with 10, the std estimates were too noisy for a strict ordering on about
+        # a quarter of seeds
         stds = [
-            subsample_diversity(corpus, emb, n=n, repeats=10, seed=42).std
+            subsample_diversity(corpus, emb, n=n, repeats=60, seed=42).std
             for n in (50, 200, 800)
         ]
         assert stds[0] > stds[1] > stds[2]
@@ -376,3 +381,43 @@ def test_criterion_11_diversity_trends(fidelity_corpus):
         curve = dataset_mix_experiment([a, b, c], emb, n=300, repeats=5, seed=7)
         means = [row["mean"] for row in curve]
         assert means[0] < means[1] < means[2]
+
+
+class _V1Embedder:
+    """The hashed embedder with its earlier blake2b bucket, one text at a time, from ``bucket_counts``."""
+
+    def __init__(self, seed: int, bucket_counts):
+        self.signs = HashedProjectionEmbedder(dim=64, seed=seed)._sign_matrix()
+        self.bucket_counts = bucket_counts
+
+    def embed(self, docs):
+        return loop_embed(self.signs, [d.text for d in docs], self.bucket_counts)
+
+    def fingerprint(self):
+        return "hashed-projection-v1"
+
+
+def _v1_mean(docs, person: bytes) -> float:
+    """Mean diversity under one v1 draw, averaged over projection seeds 0-3."""
+    counts = functools.lru_cache(maxsize=None)(functools.partial(loop_bucket_counts_v1, person=person))
+    return float(np.mean([subsample_diversity(docs, _V1Embedder(s, counts), n=500, repeats=5, seed=5).mean
+                          for s in range(4)]))
+
+
+def test_criterion_12_hash_change_bounded():
+    # sizes and seeds fixed before the splitmix64 bucket replaced blake2b; measured z 0.76, 1.51, 0.61
+    with criterion(12, "splitmix64 bucket keeps diversity within 3 sd of five blake2b draws", 120):
+        chain = synth.chain_corpus(seed=11, n_docs=1500)
+        corpora = {
+            "chain": chain,
+            "shuffled": synth.shuffled_counterparts(chain, seed=12),
+            "a-m": synth.cluster_corpus(seed=701, alphabet="abcdefghijklm", tag="am", n_docs=1500),
+        }
+        persons = [b"", b"1", b"2", b"3", b"4"]
+        for name, docs in corpora.items():
+            v2 = np.mean([subsample_diversity(docs, HashedProjectionEmbedder(dim=64, seed=s), n=500, repeats=5,
+                                              seed=5).mean for s in range(4)])
+            v1 = fork_map(functools.partial(_v1_mean, docs), persons, 2)
+            z = (v2 - np.mean(v1)) / np.std(v1, ddof=1)
+            assert abs(z) <= 3, (name, v2, v1, z)
+

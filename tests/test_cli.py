@@ -299,6 +299,13 @@ class TestScore:
         assert not (tmp_path / "flag" / "scores.tsv").exists()
         assert not (tmp_path / "config" / "scores.tsv").exists()
 
+    def test_non_numeric_workers_named_readably(self, tmp_path, corpus_dir, pair_dir, capsys):
+        argv = ["score", "--corpus", str(corpus_dir), "--pair", str(pair_dir), "--workers", "two"]
+        assert exit_code([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "argument --workers: expected a positive integer, got 'two'" in err
+        assert "_positive_int" not in err
+
     def test_pair_and_remote_flags_conflict(self, tmp_path, corpus_dir, pair_dir):
         rc = main([
             "score", "--corpus", str(corpus_dir), "--pair", str(pair_dir),
@@ -413,6 +420,13 @@ class TestFilter:
         assert exit_code(argv) == 2
         assert not (tmp_path / "flag" / "audit.json").exists()
         assert not (tmp_path / "config" / "audit.json").exists()
+
+    def test_non_numeric_float_named_readably(self, tmp_path, score_dir, capsys):
+        argv = ["filter", "--scores", str(score_dir / "scores.tsv"), "--method", "topk"]
+        assert exit_code([*argv, "--keep-rate", "abc", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "argument --keep-rate: expected a finite number, got 'abc'" in err
+        assert "_finite_float" not in err
 
     @pytest.mark.parametrize("flags", [
         ["--method", "topk", "--keep-rate", "1.5"],
@@ -540,6 +554,16 @@ class TestVerifyScaling:
             "verify-scaling", "--n-small", "2", "--out", str(tmp_path / "tiny"),
         ])
         assert rc == 4
+
+    def test_zero_A_ends_with_a_verdict(self, tmp_path):
+        # dL/dN and d2L/(da dN) are exactly 0 when A = 0: their checks compare absolute errors
+        out = tmp_path / "flat"
+        rc = main(["verify-scaling", "--loss-A", "0", "--out", str(out)])
+        assert rc in (0, 4)
+        report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
+        assert report["passed"] == (rc == 0)
+        assert report["checks"]["finite_difference_agreement"]
+        assert report["checks"]["secant_tangent_convergence"]
 
     def test_sweep_compute_recovery(self, tmp_path):
         out = tmp_path / "sweep"

@@ -1,11 +1,12 @@
-import hashlib
 import itertools
+import math
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from oracles import loop_bucket_counts, loop_embed
+import synth
+from oracles import loop_bucket, loop_bucket_counts, loop_embed
 from scalingfilter import embedding
 from scalingfilter.corpus import Document
 from scalingfilter.embedding import (
@@ -61,9 +62,7 @@ class TestHashedProjection:
             vec = np.zeros(dim)
             for size in NGRAM_SIZES:
                 for i in range(len(data) - size + 1):
-                    digest = hashlib.blake2b(data[i : i + size], digest_size=8).digest()
-                    bucket = int.from_bytes(digest, "little") % HASH_BUCKETS
-                    vec += signs[bucket]
+                    vec += signs[loop_bucket(data[i : i + size])]
             vec /= np.linalg.norm(vec)
             assert np.allclose(X[row], vec, atol=1e-9)
 
@@ -88,31 +87,39 @@ class TestHashedProjection:
         X2 = emb.embed([text])
         assert np.array_equal(X1, X2)
 
+    def test_fingerprint_names_the_hash(self):
+        assert HashedProjectionEmbedder(dim=8, seed=1).fingerprint() == (
+            "hashed-projection:dim=8:buckets=262144:ngrams=(3, 4, 5):seed=1:hash=splitmix64")
+
     def test_dim_validation(self):
         with pytest.raises(ValueError):
             HashedProjectionEmbedder(dim=1)
 
 
 class TestLoopOracle:
-    """The chunked embedder equals one blake2b call per window, one text at a time, exactly."""
+    """The chunked embedder equals one Python-int hash per window, one text at a time, exactly."""
 
     TEXTS = ["abc", "abcd", "abcde", "é€x", "😀😀", "中文字符", "the quick brown fox", "abc abc abc abc"] + [
         f"document {i} about topic {i % 7}, with accents éàü and symbols €{i}" for i in range(40)
     ]
 
     @pytest.mark.parametrize("chunk_bytes", [1, 10, 100, 1 << 18])
-    @pytest.mark.parametrize("hashed_limit", [0, 50, 1 << 22])
-    def test_rows_equal_the_loop(self, monkeypatch, chunk_bytes, hashed_limit):
-        # chunk_bytes 1, 10 and 100: documents straddle embedding chunks; hashed_limit 0 and 50:
-        # windows past the part's table of known buckets are hashed again in each chunk
+    def test_rows_equal_the_loop(self, monkeypatch, chunk_bytes):
+        # chunk_bytes 1, 10 and 100: documents straddle embedding chunks
         monkeypatch.setattr(embedding, "_CHUNK_BYTES", chunk_bytes)
-        monkeypatch.setattr(embedding, "_HASHED_LIMIT", hashed_limit)
         emb = HashedProjectionEmbedder(dim=16, seed=3)
         expected = loop_embed(emb._sign_matrix(), self.TEXTS)
         for workers in (1, 2, 3):
             monkeypatch.setattr(embedding, "_cpu_count", lambda: workers)
             assert np.array_equal(emb.embed(self.TEXTS), expected)
             assert multiprocessing.active_children() == []
+
+    def test_buckets_equal_the_loop_on_every_byte(self):
+        data = [bytes(range(256)), bytes(range(255, -1, -1)), b"\xff" * 7]
+        windows, _ = embedding._windows(data)
+        expected = [loop_bucket(d[i : i + size])
+                    for d in data for i in range(len(d)) for size in NGRAM_SIZES if i + size <= len(d)]
+        assert embedding._buckets(windows).tolist() == expected
 
     @pytest.mark.parametrize("chunk_bytes", [1, 30, 1 << 18])
     def test_degenerate_row_named_across_chunks(self, monkeypatch, chunk_bytes):
@@ -134,6 +141,34 @@ def _zero_projecting_text(emb: HashedProjectionEmbedder) -> str:
     candidates = ("".join(chars) for chars in itertools.product("abcd", repeat=5))
     return next(t for t in candidates
                 if not np.any(sum(signs[b] * n for b, n in loop_bucket_counts(t).items())))
+
+
+class TestHashUniformity:
+    """The numpy bucket spreads real window sets over the buckets as a random function would.
+
+    Sets and sizes were fixed before the hash was chosen. Measured z: 1.26,
+    -0.24, 0.45 and 0.27 (the earlier blake2b bucket: -0.36, -1.14, 1.37, 1.0).
+    """
+
+    def test_buckets_used_within_three_sigma(self):
+        chain = synth.chain_corpus(seed=11, n_docs=3000)
+        sets = {
+            "chain": chain,
+            "shuffled": synth.shuffled_counterparts(chain, seed=12),
+            "a-m": synth.cluster_corpus(seed=701, alphabet="abcdefghijklm", tag="am", n_docs=3000),
+            "n-z": synth.cluster_corpus(seed=701, alphabet="nopqrstuvwxyz", tag="nz", n_docs=3000),
+        }
+        B = HASH_BUCKETS
+        for name, docs in sets.items():
+            windows, _ = embedding._windows([d.text.encode("utf-8") for d in docs])
+            distinct = np.unique(windows)
+            k = len(distinct)
+            used = len(np.unique(embedding._buckets(distinct)))
+            # k balls into B bins: expected occupied bins and its variance
+            empty = math.exp(-k / B)
+            mean = B * (1 - empty)
+            std = math.sqrt(B * empty * (1 - (1 + k / B) * empty))
+            assert abs(used - mean) <= 3 * std, (name, k, used, mean, std)
 
 
 class TestParallelEmbed:
