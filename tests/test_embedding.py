@@ -104,10 +104,12 @@ class TestLoopOracle:
     ]
 
     @pytest.mark.parametrize("chunk_bytes", [1, 10, 100, 1 << 18])
-    def test_rows_equal_the_loop(self, monkeypatch, chunk_bytes):
-        # chunk_bytes 1, 10 and 100: documents straddle embedding chunks
+    @pytest.mark.parametrize("seed", [0, 50, 1 << 22])
+    def test_rows_equal_the_loop(self, monkeypatch, chunk_bytes, seed):
+        # chunk_bytes 1, 10 and 100: documents straddle embedding chunks; each projection
+        # seed draws its own sign matrix, which the chunked rows must reproduce exactly
         monkeypatch.setattr(embedding, "_CHUNK_BYTES", chunk_bytes)
-        emb = HashedProjectionEmbedder(dim=16, seed=3)
+        emb = HashedProjectionEmbedder(dim=16, seed=seed)
         expected = loop_embed(emb._sign_matrix(), self.TEXTS)
         for workers in (1, 2, 3):
             monkeypatch.setattr(embedding, "_cpu_count", lambda: workers)
