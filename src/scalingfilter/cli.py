@@ -11,6 +11,10 @@ resolved parameters and run_config.json records exactly them, so
 ``scalingfilter <command> --config <run>/run_config.json --out <new>``
 replays a run bit-identically (timestamps excluded).
 
+verify-scaling writes one artifact, verify_report.json, with the checks of
+``scaling.verification_report``; it takes the compute-optimal exponent as
+a premise and fits no allocation sweep.
+
 Exit codes: 0 success, 2 invalid arguments, 3 scorer/embedder error budget
 breach, 4 verification failure, 1 other fatal error.
 """
@@ -26,8 +30,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import __version__, corpus as corpus_io, diversity as diversity_mod, scaling
 from .embedding import HashedProjectionEmbedder, RemoteEmbedder
@@ -105,8 +107,8 @@ def _positive_int(text: str) -> int:
 class Param:
     """One run parameter; ``key`` is its run_config.json key and argparse dest."""
 
-    flag: Optional[str]  # None: set only through --config
-    type: Callable = str  # bool: an on/off flag
+    flag: str
+    type: Callable = str
     default: object = None
     choices: Optional[tuple] = None
     required: bool = False
@@ -120,23 +122,18 @@ class Param:
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         text = self.help
-        if self.default is not None and self.type is not bool:
+        if self.default is not None:
             text = f"{text} (default {self.default})".lstrip()
         # default None: a flag that was not given yields to the config
-        if self.type is bool:
-            parser.add_argument(self.flag, dest=self.key, action="store_true", default=None, help=text)
-        else:
-            parser.add_argument(self.flag, dest=self.key, type=self.type, choices=self.choices,
-                                nargs=self.nargs, default=None, help=text)
+        parser.add_argument(self.flag, dest=self.key, type=self.type, choices=self.choices,
+                            nargs=self.nargs, default=None, help=text)
 
     def from_config(self, value):
         """A config file's value, checked as the flag's text would be."""
         if self.nargs and isinstance(value, list) and value:
             return [self._scalar(v) for v in value]
-        if self.type is bool and isinstance(value, bool):
-            return value
-        if self.nargs or self.type is bool:
-            raise ValueError(f"config {self.key!r}: {value!r} is not a {'list' if self.nargs else 'boolean'}")
+        if self.nargs:
+            raise ValueError(f"config {self.key!r}: {value!r} is not a list")
         return self._scalar(value)
 
     def _scalar(self, value):
@@ -317,35 +314,8 @@ def cmd_diversity(p: dict) -> int:
 
 
 def cmd_verify_scaling(p: dict) -> int:
-    E, A, B, eta = p["E"], p["A"], p["B"], p["eta"]
-    report = scaling.verification_report(E=E, A=A, B=B, eta=eta, N_p=p["N_p"], N_q=p["N_q"], D=p["D"])
-
-    if p["sweep_compute"]:
-        alpha = 0.5 * eta if p["alpha"] is None else p["alpha"]
-        beta = 0.5 * eta if p["beta"] is None else p["beta"]
-        params = scaling.ScalingLawParams(E=E, A=A, B=B, alpha=alpha, beta=beta)
-        sweep = [10.0**e for e in np.linspace(18, 22, 9)]
-        slope_n, slope_d = scaling.allocation_power_law_fit(params, sweep)
-        a_expect, b_expect = scaling.allocation_exponents(alpha, beta)
-        recovery = {
-            "alpha": alpha,
-            "beta": beta,
-            "expected_a": a_expect,
-            "expected_b": b_expect,
-            "fitted_a": slope_n,
-            "fitted_b": slope_d,
-            "within_1e-3": abs(slope_n - a_expect) < 1e-3 and abs(slope_d - b_expect) < 1e-3,
-        }
-        report["power_law_recovery"] = recovery
-        report["passed"] = report["passed"] and recovery["within_1e-3"]
-
-    out_dir = Path(p["out"])
-    corpus_io.write_json(out_dir / "verify_report.json", report)
-    if p["csv"]:
-        mono = report["details"]["monotonicity"]
-        lines = ["a,d_model"] + [f"{a!r},{d!r}" for a, d in zip(mono["a_grid"], mono["d_model"])]
-        (out_dir / "monotonicity.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    report = scaling.verification_report(**{name: p[name] for name in _LOSS})
+    corpus_io.write_json(Path(p["out"]) / "verify_report.json", report)
     if not report["passed"]:
         log.error("verification failed: %s", {k: v for k, v in report["checks"].items() if not v})
         return EXIT_VERIFY
@@ -420,7 +390,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[Param, ...]]] = {
         Param("--remote-small", help="base URL of the small-model perplexity service"),
         Param("--remote-large", help="base URL of the large-model perplexity service"),
         Param("--cache", help="perplexity cache file (reused across runs)"),
-        Param("--batch-size", int, 32, help="documents per unit of work"),
+        Param("--batch-size", _positive_int, 32, help="documents per unit of work"),
         Param("--timeout", _finite_float, 30.0, help="seconds per remote request"),
         Param("--error-budget", _finite_float, 0.01, help="largest share of documents that may fail"),
         Param("--workers", _positive_int, 1, help="score worker processes"),
@@ -436,7 +406,7 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[Param, ...]]] = {
         Param("--pareto-alpha", _finite_float, PARETO_ALPHA),
         Param("--classifier-scores", help="doc_id/score TSV for the pareto method"),
         Param("--corpus", help="when given, materialize the filtered corpus here from this source"),
-        Param("--shard-size", int, 10000),
+        Param("--shard-size", _positive_int, 10000),
         Param("--seed", int, 0, help="seed of the temperature and pareto draws"),
     )),
     "diversity": (cmd_diversity, "semantic diversity of corpus subsamples", (
@@ -457,11 +427,6 @@ _COMMANDS: dict[str, tuple[Callable[[dict], int], str, tuple[Param, ...]]] = {
         Param("--n-small", _finite_float, _LOSS["N_p"], dest="N_p", help="secant lower model size"),
         Param("--n-large", _finite_float, _LOSS["N_q"], dest="N_q", help="secant upper model size"),
         Param("--tokens", _finite_float, _LOSS["D"], dest="D", help="training tokens D"),
-        # the sweep's exponents split eta evenly unless the config pins them
-        Param(None, _finite_float, dest="alpha"),
-        Param(None, _finite_float, dest="beta"),
-        Param("--sweep-compute", bool, False, help="also fit allocation power laws"),
-        Param("--csv", bool, False, help="emit monotonicity grid as CSV"),
     )),
     "report": (cmd_report, "merge run outputs into one comparison report", (
         Param("--runs", nargs="+", required=True, help="run output directories"),
@@ -479,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, text, params) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
         for param in params + (_LOG_LEVEL,):
-            if param.flag:
-                param.add_to(p)
+            param.add_to(p)
         p.add_argument("--out", required=True, help="output directory for this run")
         p.add_argument("--config", help="JSON file (e.g. a run_config.json) giving any parameter not flagged")
     return parser

@@ -228,14 +228,6 @@ class CorpusFingerprint:
         return self._hash.hexdigest()
 
 
-def corpus_fingerprint(docs: Iterable[Document]) -> str:
-    """Order-sensitive 64-bit content hash over (id, text) pairs."""
-    fingerprint = CorpusFingerprint()
-    for _ in fingerprint.passthrough(docs):
-        pass
-    return fingerprint.hexdigest()
-
-
 def find_manifest(corpus: str | Path) -> Path:
     """Accept either a manifest path or a corpus directory containing one."""
     p = Path(corpus)

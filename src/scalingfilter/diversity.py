@@ -6,16 +6,19 @@ S/n has nonnegative eigenvalues summing to 1; their Shannon entropy H
 the diversity: 1 when all documents are identical, n when all embeddings
 are mutually orthogonal.
 
-When m < n the same nonzero spectrum is available from the m x m dual
-Gram matrix (1/n) X^T X, which turns a 10,000-document eigendecomposition
-into an m^3 one; both paths are exact and agree to rounding.
+The embeddings are the only input. When n <= m the spectrum comes from S
+itself, built with an exact unit diagonal after a check that the rows are
+unit-normalized. When m < n the same nonzero spectrum comes from the m x m
+dual Gram matrix (1/n) X^T X, which turns a 10,000-document
+eigendecomposition into an m^3 one. The two paths agree with
+eigvalsh(X X^T)/n to rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,21 +29,6 @@ from .seeding import derive_seed, rng_for
 EIG_TOLERANCE = 1e-8
 COMPARABILITY = "diversity values are comparable only within one embedder"
 MAX_MIX_COMBINATIONS = 20  # combinations of one size beyond this are sampled, seeded
-
-
-def similarity_matrix(X: np.ndarray) -> np.ndarray:
-    """Cosine similarity matrix of unit-normalized embedding rows.
-
-    Returned matrix is exactly symmetric with a unit diagonal.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    norms = np.linalg.norm(X, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ValueError("embedding rows must be unit-normalized")
-    S = X @ X.T
-    S = (S + S.T) / 2.0
-    np.fill_diagonal(S, 1.0)
-    return S
 
 
 def _rows_ascend(X: np.ndarray) -> bool:
@@ -66,18 +54,8 @@ def _row_ranks(X: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _spectrum(
-    similarity: Optional[np.ndarray] = None, embeddings: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _spectrum(embeddings: np.ndarray) -> np.ndarray:
     """Eigenvalues of S/n (nonzero part only when the dual path applies)."""
-    if (similarity is None) == (embeddings is None):
-        raise ValueError("provide exactly one of similarity= or embeddings=")
-    if similarity is not None:
-        S = np.asarray(similarity, dtype=np.float64)
-        n = S.shape[0]
-        if S.shape != (n, n):
-            raise ValueError("similarity matrix must be square")
-        return np.linalg.eigvalsh(S) / n
     X = np.asarray(embeddings, dtype=np.float64)
     # Canonical row order pins the float summation order, making the result
     # exactly permutation-invariant (eigenvalues do not depend on row order).
@@ -87,18 +65,20 @@ def _spectrum(
     if m < n:
         # dual Gram path: XtX/n shares the nonzero spectrum of (X Xt)/n
         return np.linalg.eigvalsh(X.T @ X) / n
-    return np.linalg.eigvalsh(similarity_matrix(X)) / n
+    if np.any(np.abs(np.linalg.norm(X, axis=1) - 1.0) > 1e-6):
+        raise ValueError("embedding rows must be unit-normalized")
+    S = X @ X.T
+    np.fill_diagonal(S, 1.0)
+    return np.linalg.eigvalsh(S) / n
 
 
-def eigen_entropy(
-    similarity: Optional[np.ndarray] = None, embeddings: Optional[np.ndarray] = None
-) -> float:
+def eigen_entropy(embeddings: np.ndarray) -> float:
     """Shannon entropy (natural log) of the eigenvalues of S/n.
 
     Eigenvalues are clamped onto [0, 1] before the sum; clamping beyond
     ``EIG_TOLERANCE`` signals broken embeddings or solver failure.
     """
-    lam = _spectrum(similarity=similarity, embeddings=embeddings)
+    lam = _spectrum(embeddings)
     low, high = float(lam.min()), float(lam.max())
     if low < -EIG_TOLERANCE:
         raise NotPsdError(f"eigenvalue {low} below -{EIG_TOLERANCE}")
@@ -109,11 +89,9 @@ def eigen_entropy(
     return float(-(positive * np.log(positive)).sum())
 
 
-def semantic_diversity(
-    similarity: Optional[np.ndarray] = None, embeddings: Optional[np.ndarray] = None
-) -> float:
+def semantic_diversity(embeddings: np.ndarray) -> float:
     """exp of the eigenvalue entropy; ranges over [1, n]."""
-    return float(np.exp(eigen_entropy(similarity=similarity, embeddings=embeddings)))
+    return float(np.exp(eigen_entropy(embeddings)))
 
 
 @dataclass

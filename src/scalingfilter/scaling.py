@@ -3,9 +3,11 @@
 The loss surface is L(N, D) = E + A/N^alpha + B/D^beta for N parameters
 and D training tokens. Under a compute budget C = const * N * D the
 optimal allocation follows N_opt ~ C^a, D_opt ~ C^b with a = beta/(alpha+beta)
-and b = alpha/(alpha+beta). Substituting alpha = (1-a)*eta, beta = a*eta
-(eta = alpha + beta) exposes the model scaling exponent a directly in the
-loss, and everything this module verifies follows from that form:
+and b = alpha/(alpha+beta), a premise taken from Hoffmann et al. 2022
+(arXiv:2203.15556) and not re-derived here. Substituting
+alpha = (1-a)*eta, beta = a*eta (eta = alpha + beta) exposes the model
+scaling exponent a directly in the loss, and everything this module
+verifies follows from that form:
 
 * dL/dN = A*(a-1)*eta*N^((a-1)*eta - 1) < 0,
 * d2L/(da dN) = A*eta*N^((a-1)*eta - 1) * (1 + (a-1)*eta*ln N), negative
@@ -20,7 +22,7 @@ All losses are bits per token so that perplexity is 2^L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,6 @@ from .errors import (
     NumericRangeError,
 )
 
-FLOPS_PER_TOKEN_PER_PARAM = 6.0  # C = 6 N D; the fitted allocation exponents do not depend on it
 # verification_report's grids: the monotonicity check's A_POINTS values of a on [A_LO, A_HI],
 # and CHECK_GRID_SIZE values each of a and N for the derivative and secant checks
 A_LO, A_HI = 0.1, 0.9
@@ -42,7 +43,7 @@ CHECK_GRID_SIZE = 10
 
 @dataclass(frozen=True)
 class ScalingLawParams:
-    """Loss-surface parameters (E, A, B, alpha, beta) with derived exponents."""
+    """Loss-surface parameters (E, A, B, alpha, beta)."""
 
     E: float
     A: float
@@ -58,18 +59,6 @@ class ScalingLawParams:
             raise ValueError("A and B must be >= 0")
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidExponentError("alpha and beta must be > 0")
-
-    @property
-    def a(self) -> float:
-        return self.beta / (self.alpha + self.beta)
-
-    @property
-    def b(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def eta(self) -> float:
-        return self.alpha + self.beta
 
 
 def _power_term(coeff: float, base: float, exponent: float) -> float:
@@ -90,14 +79,6 @@ def expected_loss(params: ScalingLawParams, N: float, D: float) -> float:
     if params.B > 0:
         out += _power_term(params.B, D, params.beta)
     return out
-
-
-def allocation_exponents(alpha: float, beta: float) -> tuple[float, float]:
-    """Compute-optimal exponents (a, b) = (beta, alpha) / (alpha + beta)."""
-    if alpha <= 0 or beta <= 0:
-        raise InvalidExponentError("alpha and beta must be > 0")
-    total = alpha + beta
-    return beta / total, alpha / total
 
 
 def reparam_loss(E: float, A: float, B: float, a: float, eta: float, N: float, D: float) -> float:
@@ -206,56 +187,6 @@ def verify_monotonic_d_in_a(
     d_values = [secant_slope(E, A, B, a, eta, N_p, N_q, D).d_model for a in grid]
     passed = all(d_values[i] < d_values[i + 1] for i in range(len(d_values) - 1))
     return MonotonicityReport(a_grid=grid, d_values=d_values, passed=passed)
-
-
-def _golden_section_min(f, lo: float, hi: float, xatol: float) -> float:
-    """Minimizer of a unimodal f on [lo, hi], to within xatol."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    while hi - lo > xatol:
-        c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
-        if f(c) < f(d):
-            hi = d  # the minimum lies in [lo, d]
-        else:
-            lo = c  # the minimum lies in [c, hi]
-    return (lo + hi) / 2.0
-
-
-def optimal_allocation(params: ScalingLawParams, C: float) -> tuple[float, float]:
-    """Loss-minimizing (N, D) under the budget C = FLOPS_PER_TOKEN_PER_PARAM * N * D.
-
-    Golden-section search over u = ln N: the loss is a sum of exponentials
-    in u, hence strictly convex. The power laws N_opt ~ C^a and D_opt ~ C^b
-    are recovered empirically from sweeps rather than assumed.
-    """
-    if C <= 0:
-        raise ValueError("compute budget C must be > 0")
-    tokens_at_unit_n = C / FLOPS_PER_TOKEN_PER_PARAM
-
-    floorless = replace(params, E=0.0)  # E does not move the optimum; adding it rounds off the terms' low digits
-
-    def objective(u: float) -> float:
-        N = math.exp(u)
-        return expected_loss(floorless, N, tokens_at_unit_n / N)
-
-    lo = math.log(1e-12)
-    hi = math.log(tokens_at_unit_n) + math.log(1e12)
-    N_opt = math.exp(_golden_section_min(objective, lo, hi, xatol=1e-10))
-    return N_opt, tokens_at_unit_n / N_opt
-
-
-def allocation_power_law_fit(params: ScalingLawParams, C_values: Sequence[float]) -> tuple[float, float]:
-    """Fitted log-log slopes of N_opt and D_opt against a compute sweep."""
-    if len(C_values) < 2:
-        raise ValueError("need at least two compute budgets")
-    log_c, log_n, log_d = [], [], []
-    for C in C_values:
-        N_opt, D_opt = optimal_allocation(params, C)
-        log_c.append(math.log(C))
-        log_n.append(math.log(N_opt))
-        log_d.append(math.log(D_opt))
-    slope_n = float(np.polyfit(log_c, log_n, 1)[0])
-    slope_d = float(np.polyfit(log_c, log_d, 1)[0])
-    return slope_n, slope_d
 
 
 def verification_report(

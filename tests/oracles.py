@@ -12,6 +12,9 @@ kept to bound the change of hash: it is not an exact oracle of anything.
 ``loop_mixture_values`` builds each diversity sample on its own, in draw
 order, and leaves the canonical row order to ``semantic_diversity``: the
 package must give the same floats from its one sorted pool.
+``direct_diversity`` takes the spectrum of the n x n Gram matrix
+``eigvalsh(X @ X.T) / n`` whatever the shape of X: the dual path must agree
+with it to rounding.
 """
 
 from __future__ import annotations
@@ -177,3 +180,10 @@ def loop_mixture_values(members, provider, n: int, repeats: int, rng: np.random.
                             for member, draw in zip(members, repeat)])
         values.append(semantic_diversity(embeddings=X))
     return values
+
+
+def direct_diversity(X: np.ndarray) -> float:
+    """exp of the entropy of ``eigvalsh(X @ X.T) / n``, clamped onto [0, 1] as the package clamps."""
+    lam = np.clip(np.linalg.eigvalsh(X @ X.T) / len(X), 0.0, 1.0)
+    positive = lam[lam > 0.0]
+    return float(np.exp(-(positive * np.log(positive)).sum()))

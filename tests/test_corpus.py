@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalingfilter.corpus import (
+    CorpusFingerprint,
     CorpusManifest,
     Document,
-    corpus_fingerprint,
     read_corpus,
     read_manifest_corpus,
     validate_record,
@@ -185,7 +185,12 @@ class TestRoundTrip:
         assert [(d.id, d.text, d.source) for d in back] == [(d.id, d.text, d.source) for d in docs]
 
     def test_fingerprint_sensitive_to_content_and_order(self):
+        def fingerprint(docs):
+            fp = CorpusFingerprint()
+            assert list(fp.passthrough(docs)) == list(docs)
+            return fp.hexdigest()
+
         a = [Document.create("x", "one"), Document.create("y", "two")]
         b = [Document.create("y", "two"), Document.create("x", "one")]
-        assert corpus_fingerprint(a) != corpus_fingerprint(b)
-        assert corpus_fingerprint(a) == corpus_fingerprint(list(a))
+        assert fingerprint(a) != fingerprint(b)
+        assert fingerprint(a) == fingerprint(list(a))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, polyroots
 
 import synth
-from oracles import loop_mixture_values
+from oracles import direct_diversity, loop_mixture_values
 from scalingfilter import diversity
 from scalingfilter.corpus import Document, write_json
 from scalingfilter.diversity import (
@@ -18,7 +18,6 @@ from scalingfilter.diversity import (
     eigen_entropy,
     mix_seed,
     semantic_diversity,
-    similarity_matrix,
     subsample_diversity,
 )
 from scalingfilter.embedding import HashedProjectionEmbedder
@@ -32,54 +31,54 @@ def random_unit_rows(rng, n, m):
 
 
 class TestSimilarityMatrix:
+    """The n <= m path, which builds S = X X^T itself."""
+
     def test_orthonormal_rows_give_identity(self):
+        # S = I exactly when every eigenvalue of the symmetric S is 1
         X = np.eye(4)
-        assert np.allclose(similarity_matrix(X), np.eye(4))
+        assert np.allclose(_spectrum(embeddings=X) * 4, np.ones(4))
 
     def test_duplicated_doc_gives_all_ones(self):
-        X = np.tile(np.array([[0.6, 0.8]]), (5, 1))
-        assert np.allclose(similarity_matrix(X), np.ones((5, 5)))
+        # S = all ones: one eigenvalue n, the rest 0
+        X = np.tile(np.array([[0.6, 0.8, 0.0, 0.0, 0.0]]), (5, 1))
+        assert np.allclose(_spectrum(embeddings=X) * 5, [0.0, 0.0, 0.0, 0.0, 5.0])
 
-    def test_entries_match_pairwise_dots(self):
+    def test_spectrum_matches_gram_oracle(self):
         rng = np.random.Generator(np.random.PCG64(1))
         X = random_unit_rows(rng, 5, 7)
-        S = similarity_matrix(X)
-        for i in range(5):
-            for j in range(5):
-                expected = 1.0 if i == j else float(np.dot(X[i], X[j]))
-                assert S[i, j] == pytest.approx(expected, abs=1e-12)
-        assert np.array_equal(S, S.T)
+        assert np.allclose(_spectrum(embeddings=X), np.linalg.eigvalsh(X @ X.T) / 5, rtol=0, atol=1e-12)
 
     def test_rejects_unnormalized_rows(self):
         with pytest.raises(ValueError):
-            similarity_matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
+            semantic_diversity(embeddings=np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
 class TestEigenEntropy:
     def test_rank_one_similarity_is_zero(self):
-        S = np.ones((6, 6))
-        assert eigen_entropy(similarity=S) == pytest.approx(0.0, abs=1e-12)
+        X = np.ones((6, 1))  # S = all ones
+        assert eigen_entropy(embeddings=X) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_similarity_is_log_n(self):
         for n in (2, 5, 16):
-            assert eigen_entropy(similarity=np.eye(n)) == pytest.approx(math.log(n), abs=1e-12)
+            assert eigen_entropy(embeddings=np.eye(n)) == pytest.approx(math.log(n), abs=1e-12)
 
     def test_two_doc_half_similarity_closed_form(self):
-        S = np.array([[1.0, 0.5], [0.5, 1.0]])
+        X = np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])  # cosine 0.5
         # eigenvalues of S/2 are 0.75, 0.25
-        assert eigen_entropy(similarity=S) == pytest.approx(0.5623351446188083, abs=1e-12)
+        assert eigen_entropy(embeddings=X) == pytest.approx(0.5623351446188083, abs=1e-12)
 
-    def test_not_psd_rejected(self):
-        S = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(NotPsdError) as exc:
-            eigen_entropy(similarity=S)
+    def test_not_psd_rejected(self, monkeypatch):
+        monkeypatch.setattr(diversity, "_spectrum", lambda embeddings: np.array([-1e-7, 0.5, 0.5]))
+        with pytest.raises(NotPsdError, match="below") as exc:
+            eigen_entropy(embeddings=np.eye(3))
         assert exc.value.code == "not-psd"
 
-    def test_requires_exactly_one_input(self):
-        with pytest.raises(ValueError):
-            eigen_entropy()
-        with pytest.raises(ValueError):
-            eigen_entropy(similarity=np.eye(2), embeddings=np.eye(2))
+    def test_eigenvalue_above_one_rejected(self):
+        # rows are not unit-normalized, which the dual path does not check: X^T X / 3 has eigenvalue 4
+        X = np.tile(np.array([[2.0, 0.0]]), (3, 1))
+        with pytest.raises(NotPsdError, match="above") as exc:
+            eigen_entropy(embeddings=X)
+        assert exc.value.code == "not-psd"
 
 
 class TestSemanticDiversity:
@@ -91,8 +90,8 @@ class TestSemanticDiversity:
         assert semantic_diversity(embeddings=np.eye(16)) == pytest.approx(16.0, abs=1e-9)
 
     def test_two_doc_half_similarity(self):
-        S = np.array([[1.0, 0.5], [0.5, 1.0]])
-        assert semantic_diversity(similarity=S) == pytest.approx(1.7547653506033232, abs=1e-9)
+        X = np.array([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])  # cosine 0.5
+        assert semantic_diversity(embeddings=X) == pytest.approx(1.7547653506033232, abs=1e-9)
 
     def test_permutation_invariance_exact(self):
         rng = np.random.Generator(np.random.PCG64(2))
@@ -121,13 +120,11 @@ class TestSemanticDiversity:
             m = int(rng.integers(2, 11))
             X = random_unit_rows(rng, n, m)
             dual = semantic_diversity(embeddings=X)  # m < n: dual path
-            direct = semantic_diversity(similarity=similarity_matrix(X))
+            direct = direct_diversity(X)
             assert abs(dual - direct) < 1e-8
 
     def test_eigenvalue_simplex(self):
         rng = np.random.Generator(np.random.PCG64(4))
-        from scalingfilter.diversity import _spectrum
-
         for _ in range(10):
             X = random_unit_rows(rng, 20, 6)
             lam = _spectrum(embeddings=X)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,15 +9,11 @@ from scalingfilter.errors import (
     InvalidSecantError,
 )
 from scalingfilter.scaling import (
-    FLOPS_PER_TOKEN_PER_PARAM,
     ScalingLawParams,
-    allocation_exponents,
-    allocation_power_law_fit,
     d2loss_da_dN,
     dloss_dN,
     expected_loss,
     mixed_partial_bracket,
-    optimal_allocation,
     reparam_loss,
     secant_slope,
     verification_report,
@@ -55,18 +49,9 @@ class TestExpectedLoss:
 
 
 class TestExponents:
-    def test_symmetric_case(self):
-        assert allocation_exponents(0.5, 0.5) == (0.5, 0.5)
-
-    def test_frozen_rational_value(self):
-        a, b = allocation_exponents(0.34, 0.28)
-        assert a == pytest.approx(0.4516129032258065, abs=1e-15)
-        assert b == pytest.approx(0.5483870967741936, abs=1e-15)
-        assert a + b == pytest.approx(1.0, abs=1e-15)
-
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidExponentError) as exc:
-            allocation_exponents(0.0, 0.5)
+            ScalingLawParams(E=1.0, A=1.0, B=1.0, alpha=0.0, beta=0.5)
         assert exc.value.code == "invalid-exponent"
 
     @settings(max_examples=100, deadline=None)
@@ -77,8 +62,8 @@ class TestExponents:
         d_exp=st.floats(min_value=3, max_value=12),
     )
     def test_reparam_identity(self, alpha, beta, n_exp, d_exp):
-        a, _ = allocation_exponents(alpha, beta)
         eta = alpha + beta
+        a = beta / eta  # the compute-optimal model exponent of Hoffmann et al. 2022
         N, D = 10.0**n_exp, 10.0**d_exp
         p = ScalingLawParams(E=1.2, A=100.0, B=150.0, alpha=alpha, beta=beta)
         assert reparam_loss(1.2, 100.0, 150.0, a, eta, N, D) == pytest.approx(
@@ -195,48 +180,6 @@ class TestMonotonicity:
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
             verify_monotonic_d_in_a(1.69, 406.4, 410.7, 0.6, 1e8, 1e9, 1e10, [0.5, 0.3])
-
-
-class TestOptimalAllocation:
-    def test_symmetric_exponents_split_compute_evenly(self):
-        p = ScalingLawParams(E=1.0, A=100.0, B=100.0, alpha=0.5, beta=0.5)
-        n1, _ = optimal_allocation(p, 1e18)
-        n2, _ = optimal_allocation(p, 1e22)
-        slope = (math.log(n2) - math.log(n1)) / (math.log(1e22) - math.log(1e18))
-        assert slope == pytest.approx(0.5, abs=1e-6)
-
-    def test_budget_constraint_holds(self):
-        N, D = optimal_allocation(PARAMS, 1e20)
-        assert FLOPS_PER_TOKEN_PER_PARAM * N * D == pytest.approx(1e20, rel=1e-12)
-
-    def test_power_law_recovery(self):
-        sweep = [10.0**e for e in np.linspace(18, 22, 9)]
-        slope_n, slope_d = allocation_power_law_fit(PARAMS, sweep)
-        assert slope_n == pytest.approx(PARAMS.a, abs=1e-3)
-        assert slope_d == pytest.approx(PARAMS.b, abs=1e-3)
-
-    def test_floor_E_does_not_move_optimum(self):
-        p0 = ScalingLawParams(E=0.0, A=406.4, B=410.7, alpha=0.34, beta=0.28)
-        p5 = ScalingLawParams(E=5.0, A=406.4, B=410.7, alpha=0.34, beta=0.28)
-        n0, d0 = optimal_allocation(p0, 1e20)
-        n5, d5 = optimal_allocation(p5, 1e20)
-        assert n5 == pytest.approx(n0, rel=1e-6)
-        assert d5 == pytest.approx(d0, rel=1e-6)
-
-    @pytest.mark.parametrize("alpha, beta", [(0.31, 0.31), (0.34, 0.28), (0.2, 0.6)])
-    def test_matches_closed_form(self, alpha, beta):
-        # Hoffmann et al. 2022, eq. 4: N_opt = G (C/6)^(beta/(alpha+beta)), G = (alpha A/(beta B))^(1/(alpha+beta))
-        p = ScalingLawParams(E=1.69, A=406.4, B=410.7, alpha=alpha, beta=beta)
-        G = (alpha * p.A / (beta * p.B)) ** (1.0 / (alpha + beta))
-        for C in np.logspace(18, 22, 9):
-            N, D = optimal_allocation(p, C)
-            N_closed = G * (C / 6.0) ** (beta / (alpha + beta))
-            assert N == pytest.approx(N_closed, rel=1e-6)
-            assert D == pytest.approx(C / 6.0 / N_closed, rel=1e-6)
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            optimal_allocation(PARAMS, -1.0)
 
 
 class TestVerificationReport:
