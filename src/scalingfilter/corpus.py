@@ -30,18 +30,12 @@ class Document:
     """One text record; the unit that gets scored and selected.
 
     Invariants: ``id`` unique within a corpus, ``text`` has at least one
-    non-whitespace character, ``n_bytes`` is the UTF-8 byte length of
-    ``text``.
+    non-whitespace character.
     """
 
     id: str
     text: str
     source: Optional[str] = None
-    n_bytes: int = 0
-
-    @staticmethod
-    def create(id: str, text: str, source: Optional[str] = None) -> "Document":
-        return Document(id=id, text=text, source=source, n_bytes=len(text.encode("utf-8")))
 
 
 @dataclass
@@ -98,7 +92,7 @@ def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
         # every TSV artifact (scores, errors, cache, kept ids) is keyed by id
         raise InvalidIdError(f"id {doc_id!r} contains a tab or line break", shard=shard, line_no=line_no)
     source = raw.get("source")
-    return Document.create(id=doc_id, text=text, source=str(source) if source is not None else None)
+    return Document(id=doc_id, text=text, source=str(source) if source is not None else None)
 
 
 def iter_shard(path: str | Path, on_error: Optional[Callable[[RecordError], None]] = None) -> Iterator[Document]:
@@ -193,7 +187,7 @@ def write_corpus(
             fh.write(_doc_json(doc) + "\n")
             in_shard += 1
             doc_count += 1
-            total_bytes += doc.n_bytes
+            total_bytes += len(doc.text.encode("utf-8"))
     finally:
         if fh is not None:
             fh.close()

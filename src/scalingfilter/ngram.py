@@ -20,8 +20,8 @@ Conventions:
 Storage is the sorted-array layout of KenLM (Heafield 2011): one sorted
 int64 array of keys ``context * 256 + byte`` and one array of their
 counts. A context is its (order - 1) previous symbols packed base 257,
-oldest symbol most significant, so each context's keys are contiguous
-and sort in the order of the model file. Training buffers document bytes
+oldest symbol most significant, so each context's keys are contiguous.
+A model file holds the two arrays as they are. Training buffers document bytes
 and counts them a chunk at a time with ``np.unique``; scoring finds every
 token with one ``np.searchsorted``. Each term is ``math.log2`` of the
 add-k probability and a document's terms are summed left to right, so
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass
 from math import log2
 from pathlib import Path
@@ -52,7 +51,8 @@ MAX_ORDER = 7
 _FOLD_BYTES = 1 << 20
 
 _MAGIC = b"SFNGRAM1\n"
-_ENTRY = np.dtype([("token", "u1"), ("count", "<u8")])  # "<BQ", one (byte, count) entry of format v1
+# a model file is _MAGIC, a JSON header line, then the n_keys keys and the n_keys counts, each "<i8"
+_FORMAT_VERSION = 2
 
 
 def tokenize(text: str) -> bytes:
@@ -87,14 +87,6 @@ def _contexts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(np.append(starts, len(keys)))
 
 
-def _context_symbols(ctx: np.ndarray, width: int) -> np.ndarray:
-    """Packed contexts as rows of ``width`` symbols, oldest first."""
-    out = np.empty((len(ctx), width), dtype=np.int64)
-    for j in range(width - 1, -1, -1):
-        ctx, out[:, j] = np.divmod(ctx, _CTX_BASE)
-    return out
-
-
 class NGramModel:
     """Order-n byte model storing sparse (context, next byte) counts in sorted arrays.
 
@@ -111,7 +103,6 @@ class NGramModel:
             raise ValueError("smoothing_k must be > 0")
         self.order = order
         self.smoothing_k = float(smoothing_k)
-        self.vocab_size = VOCAB_SIZE
         self.total_tokens_trained = 0
         self._keys = np.zeros(0, dtype=np.int64)
         self._counts = np.zeros(0, dtype=np.int64)
@@ -201,10 +192,6 @@ class NGramModel:
             end += n
         return totals, lengths
 
-    def log2_probability(self, text: str) -> float:
-        """Total log2 probability of the text's byte tokens (not averaged)."""
-        return self._log2_probabilities([text])[0][0]
-
     def cross_entropy(self, doc: Document | str) -> float:
         """Bits per token: -(1/T) * sum log2 P(byte_t | context_t)."""
         text = doc.text if isinstance(doc, Document) else doc
@@ -218,63 +205,24 @@ class NGramModel:
         totals, lengths = self._log2_probabilities(texts)
         return [2.0 ** (-total / n) for total, n in zip(totals, lengths)]
 
-    def probability(self, context: tuple[int, ...], token: int) -> float:
-        """Add-k probability of one byte after an explicit context tuple."""
-        if len(context) != self.order - 1:
-            raise ValueError(f"context must have length {self.order - 1}")
-        ctx = 0
-        for c in context:
-            ctx = ctx * _CTX_BASE + c
-        keys, counts = self._arrays()
-        in_ctx = (keys >> 8) == ctx
-        count = int(counts[in_ctx & ((keys & 255) == token)].sum())
-        k = self.smoothing_k
-        return (count + k) / (int(counts[in_ctx].sum()) + k * VOCAB_SIZE)
-
     @property
     def n_contexts(self) -> int:
         return len(_contexts(self._arrays()[0])[0])
 
-    def iter_counts(self):
-        """Yield (context tuple, next byte, count) sorted by context then byte."""
-        keys, counts = self._arrays()
-        contexts = _context_symbols(keys >> 8, self.order - 1).tolist()
-        for ctx, tok, count in zip(contexts, (keys & 255).tolist(), counts.tolist()):
-            yield tuple(ctx), tok, count
-
     # -- persistence ------------------------------------------------------
-
-    def _head_dtype(self) -> np.dtype:
-        """Per-context record of format v1: ``<{order-1}H`` symbols, ``<H`` entry count."""
-        return np.dtype([("context", "<u2", (self.order - 1,)), ("entries", "<u2")])
 
     def to_bytes(self) -> bytes:
         keys, counts = self._arrays()
-        starts, sizes = _contexts(keys)
         header = {
-            "format_version": 1,
+            "format_version": _FORMAT_VERSION,
             "order": self.order,
             "smoothing_k": self.smoothing_k,
-            "vocab_size": self.vocab_size,
             "total_tokens_trained": self.total_tokens_trained,
-            "n_contexts": len(starts),
+            "n_keys": len(keys),
         }
-        head = np.empty(len(starts), dtype=self._head_dtype())
-        head["context"] = _context_symbols(keys[starts] >> 8, self.order - 1)
-        head["entries"] = sizes
-        entries = np.empty(len(keys), dtype=_ENTRY)
-        entries["token"] = keys & 255
-        entries["count"] = counts
-        # one row per key: its context's record (kept for a context's first key only), then its entry
-        width = head.dtype.itemsize
-        rows = np.empty((len(keys), width + _ENTRY.itemsize), dtype=np.uint8)
-        rows[:, width:] = entries.view(np.uint8).reshape(len(keys), _ENTRY.itemsize)
-        rows[starts, :width] = head.view(np.uint8).reshape(len(starts), width)
-        keep = np.zeros(rows.shape, dtype=bool)
-        keep[:, width:] = True
-        keep[starts, :width] = True
         return b"".join([_MAGIC, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n",
-                         rows[keep].tobytes()])
+                         keys.astype("<i8", copy=False).tobytes(),
+                         counts.astype("<i8", copy=False).tobytes()])
 
     def save(self, path: str | Path) -> None:
         blob = self.to_bytes()
@@ -287,45 +235,22 @@ class NGramModel:
             raise ValueError("not a recognized n-gram model file")
         header_end = blob.index(b"\n", len(_MAGIC))
         header = json.loads(blob[len(_MAGIC):header_end].decode("utf-8"))
-        if header.get("format_version") != 1:
-            raise ValueError(f"unsupported model format version {header.get('format_version')}")
+        version = header.get("format_version")
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"n-gram model file has format version {version}, and only version "
+                             f"{_FORMAT_VERSION} is read: run train-meta again to rewrite the pair")
         model = cls(order=int(header["order"]), smoothing_k=float(header["smoothing_k"]))
         model.total_tokens_trained = int(header["total_tokens_trained"])
-        head = model._head_dtype()
-        # each record's entry count gives the next record's offset: one step per context
-        starts, sizes = [], []
-        pos = header_end + 1
-        n_entries = struct.Struct("<H").unpack_from
-        try:
-            for _ in range(int(header["n_contexts"])):
-                (n,) = n_entries(blob, pos + head.itemsize - 2)
-                starts.append(pos)
-                sizes.append(n)
-                pos += head.itemsize + _ENTRY.itemsize * n
-        except struct.error:
-            raise ValueError("n-gram model file ends inside a context") from None
-        if pos != len(blob):
-            raise ValueError(f"{len(blob) - pos} bytes after the last n-gram context")
-        starts_a = np.array(starts, dtype=np.int64)
-        sizes_a = np.array(sizes, dtype=np.int64)
-        if np.any(sizes_a == 0):
-            raise ValueError("n-gram model file has a context without entries")
-        # every 2- and 8-byte little-endian value of the blob, at any byte offset
-        u16 = np.ndarray((len(blob) - 1,), dtype="<u2", buffer=blob, strides=(1,))
-        u64 = np.ndarray((len(blob) - 7,), dtype="<u8", buffer=blob, strides=(1,))
-        ctx = np.zeros(len(starts_a), dtype=np.int64)
-        for j in range(model.order - 1):
-            symbols = u16[starts_a + 2 * j]
-            if np.any(symbols > BOUNDARY):
-                raise ValueError("n-gram model file has a context symbol above 256")
-            ctx = ctx * _CTX_BASE + symbols
-        first = np.cumsum(sizes_a) - sizes_a
-        entry_at = np.repeat(starts_a + head.itemsize - _ENTRY.itemsize * first, sizes_a)
-        entry_at += _ENTRY.itemsize * np.arange(len(entry_at))
-        counts = u64[entry_at + 1].view(np.int64)
-        keys = np.repeat(ctx, sizes_a) * VOCAB_SIZE + np.frombuffer(blob, dtype=np.uint8)[entry_at]
-        if np.any(counts <= 0) or np.any(keys[1:] <= keys[:-1]):
-            raise ValueError("n-gram model file has a zero count or entries out of order")
+        n = int(header["n_keys"])
+        body = memoryview(blob)[header_end + 1:]
+        if len(body) != 16 * n:
+            raise ValueError(f"n-gram model file has {len(body)} bytes of arrays, not {16 * n} for {n} keys")
+        # a copy, so that a loaded model can still add documents
+        keys, counts = np.frombuffer(body, dtype="<i8").reshape(2, n).astype(np.int64)
+        if n and not (0 <= keys[0] and keys[-1] < _CTX_BASE ** (model.order - 1) * VOCAB_SIZE):
+            raise ValueError("n-gram model file has a key out of range")
+        if np.any(keys[1:] <= keys[:-1]) or np.any(counts <= 0):
+            raise ValueError("n-gram model file has keys out of order or a zero count")
         model._keys, model._counts = keys, counts
         # a saved model's bytes are its to_bytes(), so their digest is its fingerprint
         model._fingerprint = _digest(blob)

@@ -123,6 +123,11 @@ class SecantAnalysis:
     d_model: float
 
 
+def _check_sizes(N_p: float, N_q: float) -> None:
+    if not (0 < N_p < N_q):
+        raise InvalidSecantError(f"need 0 < N_p < N_q, got ({N_p}, {N_q})")
+
+
 def secant_slope(
     E: float, A: float, B: float, a: float, eta: float, N_p: float, N_q: float, D: float
 ) -> SecantAnalysis:
@@ -131,8 +136,7 @@ def secant_slope(
     The slope is always negative and d_model = 2^(L_p - L_q) always
     exceeds 1, since loss strictly decreases with model size.
     """
-    if not (0 < N_p < N_q):
-        raise InvalidSecantError(f"need 0 < N_p < N_q, got ({N_p}, {N_q})")
+    _check_sizes(N_p, N_q)
     L_p = reparam_loss(E, A, B, a, eta, N_p, D)
     L_q = reparam_loss(E, A, B, a, eta, N_q, D)
     slope = (L_q - L_p) / (N_q - N_p)
@@ -171,8 +175,7 @@ def verify_monotonic_d_in_a(
     a across the whole size interval [N_p, N_q]; the bracket is monotone in
     ln N, so both endpoints are checked and the offending (a, N) reported.
     """
-    if not (0 < N_p < N_q):
-        raise InvalidSecantError(f"need 0 < N_p < N_q, got ({N_p}, {N_q})")
+    _check_sizes(N_p, N_q)
     grid = [float(a) for a in a_grid]
     if any(not (0.0 < a < 1.0) for a in grid):
         raise InvalidExponentError("a_grid values must lie in (0, 1)")
@@ -205,6 +208,7 @@ def verification_report(
     derivatives; secant-to-tangent convergence; strict monotonicity of
     d_model in a.
     """
+    _check_sizes(N_p, N_q)  # before log10 takes them
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}
 

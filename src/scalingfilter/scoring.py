@@ -325,20 +325,23 @@ def score_corpus(
 
 
 def read_score_file(path: str | Path) -> list[QualityScore]:
+    """Read a scores.tsv; a row without its five fields or with a non-finite number raises
+    ValueError naming the file and line."""
     scores = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != SCORE_HEADER:
             raise ValueError(f"unexpected score file header {header!r}")
-        for line in fh:
-            doc_id, n_tok, ppl_s, ppl_l, d = line.rstrip("\n").split("\t")
-            scores.append(
-                QualityScore(
-                    doc_id=doc_id,
-                    n_tokens=int(n_tok),
-                    ppl_small=float(ppl_s),
-                    ppl_large=float(ppl_l),
-                    d=float(d),
-                )
-            )
+        for line_no, line in enumerate(fh, start=2):
+            text = line.rstrip("\n")
+            try:
+                doc_id, n_tok, ppl_s, ppl_l, d = text.split("\t")
+                values = float(ppl_s), float(ppl_l), float(d)
+                if not all(map(math.isfinite, values)):
+                    raise ValueError
+                score = QualityScore(doc_id, int(n_tok), *values)
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: expected {'<TAB>'.join(SCORE_HEADER)} with finite "
+                                 f"numbers, got {text!r}") from None
+            scores.append(score)
     return scores

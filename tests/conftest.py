@@ -12,7 +12,7 @@ from scalingfilter.corpus import Document, write_corpus
 @pytest.fixture
 def small_docs() -> list[Document]:
     return [
-        Document.create(f"doc:{i:03d}", f"sample text number {i} with some shared words")
+        Document(f"doc:{i:03d}", f"sample text number {i} with some shared words")
         for i in range(10)
     ]
 

@@ -5,8 +5,9 @@ package used before its counts moved into sorted arrays, and
 ``loop_embed`` is the hashed embedder one text and one window at a time,
 hashing each window with Python ints (``loop_bucket_counts``). Both
 define the exact outputs the package must keep: the same counts, the
-same ``.sfngram`` bytes, the same float log-probabilities (summed left
-to right, ``math.log2`` per token) and the same embedding rows.
+same ``.sfngram`` bytes (model file format 2), the same float
+log-probabilities (summed left to right, ``math.log2`` per token) and
+the same embedding rows.
 ``loop_bucket_counts_v1`` is the embedder's earlier ``blake2b`` bucket,
 kept to bound the change of hash: it is not an exact oracle of anything.
 ``loop_mixture_values`` builds each diversity sample on its own, in draw
@@ -81,21 +82,28 @@ class LoopNGramModel:
     def perplexity(self, text: str) -> float:
         return 2.0 ** (-self.log2_probability(text) / len(text.encode("utf-8")))
 
-    def unpack_context(self, ctx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.order - 1):
-            ctx, tok = divmod(ctx, _CTX_BASE)
-            out.append(tok)
-        return tuple(reversed(out))
-
-    def iter_counts(self):
-        """(context tuple, next byte, count), sorted by context then byte."""
-        for ctx in sorted(self.counts):
-            table = self.counts[ctx]
-            for tok in sorted(table):
-                yield self.unpack_context(ctx), tok, table[tok]
+    def key_counts(self) -> tuple[list[int], list[int]]:
+        """Keys ``context * 256 + byte`` in ascending order, and the count of each."""
+        items = sorted((ctx * VOCAB_SIZE + tok, count) for ctx, table in self.counts.items()
+                       for tok, count in table.items())
+        return [key for key, _ in items], [count for _, count in items]
 
     def to_bytes(self) -> bytes:
+        """Model file format 2: the header line, then every key and every count as ``<q``."""
+        keys, counts = self.key_counts()
+        header = {
+            "format_version": 2,
+            "order": self.order,
+            "smoothing_k": self.smoothing_k,
+            "total_tokens_trained": self.total_tokens_trained,
+            "n_keys": len(keys),
+        }
+        values = struct.pack(f"<{2 * len(keys)}q", *keys, *counts)
+        return b"".join([_MAGIC, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", values])
+
+    def format_1_bytes(self) -> bytes:
+        """The earlier model file format 1: per context, its symbols (``<H`` each), its entry
+        count (``<H``) and its (byte, count) entries (``<BQ``). Kept to test that it is refused."""
         header = {
             "format_version": 1,
             "order": self.order,
@@ -105,15 +113,15 @@ class LoopNGramModel:
             "n_contexts": len(self.counts),
         }
         chunks = [_MAGIC, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n"]
-        ctx_fmt = struct.Struct(f"<{self.order - 1}H") if self.order > 1 else None
-        entry_fmt = struct.Struct("<BQ")
         for ctx in sorted(self.counts):
             table = self.counts[ctx]
-            if ctx_fmt is not None:
-                chunks.append(ctx_fmt.pack(*self.unpack_context(ctx)))
-            chunks.append(struct.pack("<H", len(table)))
+            symbols = []
+            for _ in range(self.order - 1):
+                ctx, symbol = divmod(ctx, _CTX_BASE)
+                symbols.insert(0, symbol)
+            chunks.append(struct.pack(f"<{len(symbols)}HH", *symbols, len(table)))
             for tok in sorted(table):
-                chunks.append(entry_fmt.pack(tok, table[tok]))
+                chunks.append(struct.pack("<BQ", tok, table[tok]))
         return b"".join(chunks)
 
 

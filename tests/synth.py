@@ -60,7 +60,7 @@ def chain_corpus(
     chain = make_chain(chain_rng)
     rng = np.random.Generator(np.random.PCG64(seed))
     return [
-        Document.create(f"{tag}:{i:05d}", chain_doc(rng, chain, int(rng.integers(words_lo, words_hi))))
+        Document(f"{tag}:{i:05d}", chain_doc(rng, chain, int(rng.integers(words_lo, words_hi))))
         for i in range(n_docs)
     ]
 
@@ -74,7 +74,7 @@ def shuffle_words(rng: np.random.Generator, text: str) -> str:
 def shuffled_counterparts(docs: list[Document], seed: int, tag: str = "shuf") -> list[Document]:
     rng = np.random.Generator(np.random.PCG64(seed))
     return [
-        Document.create(f"{tag}:{i:05d}", shuffle_words(rng, doc.text))
+        Document(f"{tag}:{i:05d}", shuffle_words(rng, doc.text))
         for i, doc in enumerate(docs)
     ]
 
@@ -93,7 +93,7 @@ def cluster_corpus(
         for _ in range(vocab_size)
     ]
     return [
-        Document.create(
+        Document(
             f"{tag}:{i:05d}",
             " ".join(vocab[int(j)] for j in rng.integers(len(vocab), size=n_words)),
         )

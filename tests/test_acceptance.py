@@ -102,7 +102,7 @@ def test_criterion_02_perplexity_oracle_equivalence():
     with criterion(2, "cross-entropy matches brute-force oracle, orders {1,2,3,5}", 30):
         rng = np.random.Generator(np.random.PCG64(2002))
         texts = [synth.random_text(rng, int(rng.integers(10, 120))) for _ in range(100)]
-        docs = [Document.create(f"toy:{i:03d}", t) for i, t in enumerate(texts)]
+        docs = [Document(f"toy:{i:03d}", t) for i, t in enumerate(texts)]
         for order in (1, 2, 3, 5):
             model = train_ngram(docs, order=order, smoothing_k=0.01)
             for text in texts:

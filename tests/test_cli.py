@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import synth
+from oracles import LoopNGramModel
 from scalingfilter import cli, embedding
 from scalingfilter.cli import build_parser, main
 from scalingfilter.corpus import CorpusFingerprint, Document, read_manifest_corpus, write_corpus
@@ -278,8 +279,8 @@ class TestScore:
 
     @pytest.mark.parametrize("bad_id", ["bad\tid", "bad\nid", "bad\rid"])
     def test_tsv_breaking_id_skipped_through_filter(self, tmp_path, pair_dir, bad_id):
-        docs = [Document.create(f"d{i:02d}", f"usable text number {i}") for i in range(20)]
-        docs.insert(3, Document.create(bad_id, "usable text with a bad id"))
+        docs = [Document(f"d{i:02d}", f"usable text number {i}") for i in range(20)]
+        docs.insert(3, Document(bad_id, "usable text with a bad id"))
         corpus = tmp_path / "ids"
         write_corpus(docs, corpus, corpus_id="ids")
         score_out, filter_out = tmp_path / "score", tmp_path / "filter"
@@ -315,6 +316,22 @@ class TestScore:
             "--out", str(tmp_path / "c"),
         ])
         assert rc == 2
+
+    def test_format_1_pair_exit_2_naming_version_1(self, tmp_path, corpus_dir, pair_dir, caplog):
+        # the same pair as the earlier model file format wrote it
+        old = tmp_path / "old-pair"
+        old.mkdir()
+        descriptor = json.loads((pair_dir / "pair.json").read_text(encoding="utf-8"))
+        for size in ("small", "large"):
+            oracle = LoopNGramModel(descriptor[f"{size}_order"], descriptor["smoothing_k"])
+            for doc in read_manifest_corpus(corpus_dir / "manifest.json"):
+                oracle.add_document(doc.text)
+            (old / descriptor[f"{size}_path"]).write_bytes(oracle.format_1_bytes())
+        (old / "pair.json").write_text(json.dumps(descriptor), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["score", "--corpus", str(corpus_dir), "--pair", str(old), "--out", str(out)]) == 2
+        assert "format version 1" in caplog.text and "run train-meta again" in caplog.text
+        assert not (out / "scores.tsv").exists()
 
     def test_inputs_not_mutated(self, corpus_dir, pair_dir, score_dir):
         # the score run above must leave corpus and pair untouched
@@ -458,6 +475,18 @@ class TestFilter:
         assert rc == 2
         assert f"{table}:3:" in caplog.text
 
+    def test_non_finite_score_row_exit_2(self, tmp_path, score_dir, caplog):
+        # a NaN quality factor used to be kept first by top-k
+        rows = (score_dir / "scores.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        doc_id, n_tok, ppl_s, ppl_l, _ = rows[2].rstrip("\n").split("\t")
+        rows[2] = "\t".join([doc_id, n_tok, ppl_s, ppl_l, "nan"]) + "\n"
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("".join(rows), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["filter", "--scores", str(scores), "--method", "topk", "--out", str(out)]) == 2
+        assert f"{scores}:3:" in caplog.text
+        assert not (out / "kept_ids.txt").exists()
+
     def test_topk_without_scores_exit_2(self, tmp_path):
         rc = main(["filter", "--method", "topk", "--out", str(tmp_path / "no-scores")])
         assert rc == 2
@@ -566,6 +595,13 @@ class TestVerifyScaling:
             "verify-scaling", "--n-small", "2", "--out", str(tmp_path / "tiny"),
         ])
         assert rc == 4
+
+    @pytest.mark.parametrize("flag", ["--n-small", "--n-large"])
+    def test_zero_model_size_exit_2_invalid_secant(self, tmp_path, caplog, flag):
+        rc = main(["verify-scaling", flag, "0", "--out", str(tmp_path / "zero")])
+        assert rc == 2
+        assert "invalid-secant" in caplog.text and "0 < N_p < N_q" in caplog.text
+        assert not (tmp_path / "zero" / "verify_report.json").exists()
 
     def test_zero_A_ends_with_a_verdict(self, tmp_path):
         # dL/dN and d2L/(da dN) are exactly 0 when A = 0: their checks compare absolute errors

@@ -23,10 +23,10 @@ def write_shard(path, records):
 
 
 class TestValidateRecord:
-    def test_ascii_byte_count(self):
+    def test_ascii_byte_count(self, tmp_path):
         doc = validate_record({"id": "a", "text": "hello"})
         assert doc.id == "a"
-        assert doc.n_bytes == 5
+        assert write_corpus([doc], tmp_path).total_bytes == 5
 
     def test_missing_id_synthesized_from_shard_and_line(self):
         doc = validate_record({"text": "hi"}, shard="data/s0.jsonl", line_no=7)
@@ -41,9 +41,9 @@ class TestValidateRecord:
         with pytest.raises(EmptyTextError):
             validate_record({"id": "b"})
 
-    def test_multibyte_utf8_byte_count(self):
+    def test_multibyte_utf8_byte_count(self, tmp_path):
         doc = validate_record({"id": "c", "text": "héllo"})
-        assert doc.n_bytes == 6
+        assert write_corpus([doc], tmp_path).total_bytes == 6
 
 
 class TestReadCorpus:
@@ -121,7 +121,7 @@ class TestReadCorpus:
 
 class TestWriteCorpus:
     def test_shard_sizes_and_counts(self, tmp_path):
-        docs = [Document.create(f"d{i}", f"text {i}") for i in range(5)]
+        docs = [Document(f"d{i}", f"text {i}") for i in range(5)]
         manifest = write_corpus(docs, tmp_path / "out", shard_size=2)
         assert len(manifest.shard_paths) == 3
         assert manifest.doc_count == 5
@@ -136,8 +136,14 @@ class TestWriteCorpus:
         assert manifest.shard_paths == []
         assert manifest.doc_count == 0
 
+    def test_total_bytes_counts_utf8_of_every_text(self, tmp_path):
+        # é is two UTF-8 bytes: each "héllo" is 6 bytes, however the document was made
+        manifest = write_corpus([Document("a", "héllo"), Document("b", "héllo")], tmp_path / "out")
+        assert manifest.total_bytes == 12
+        assert CorpusManifest.load(tmp_path / "out" / "manifest.json").total_bytes == 12
+
     def test_rewrite_identical_except_timestamp(self, tmp_path):
-        docs = [Document.create(f"d{i}", f"text {i}") for i in range(10)]
+        docs = [Document(f"d{i}", f"text {i}") for i in range(10)]
         m1 = write_corpus(docs, tmp_path / "o1", shard_size=4, corpus_id="same")
         m2 = write_corpus(docs, tmp_path / "o2", shard_size=4, corpus_id="same")
         for p1, p2 in zip(m1.shard_paths, m2.shard_paths):
@@ -147,18 +153,18 @@ class TestWriteCorpus:
         assert d1 == d2
 
     def test_manifest_round_trip(self, tmp_path):
-        docs = [Document.create(f"d{i}", f"text {i}", source="unit") for i in range(3)]
+        docs = [Document(f"d{i}", f"text {i}", source="unit") for i in range(3)]
         manifest = write_corpus(docs, tmp_path / "out", shard_size=10)
         loaded = CorpusManifest.load(tmp_path / "out" / "manifest.json")
         assert loaded == manifest
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        docs = [Document.create("same", "one"), Document.create("same", "two")]
+        docs = [Document("same", "one"), Document("same", "two")]
         with pytest.raises(ValueError):
             write_corpus(docs, tmp_path / "out")
 
     def test_doc_count_equals_sum_over_shards(self, tmp_path):
-        docs = [Document.create(f"d{i}", "x") for i in range(23)]
+        docs = [Document(f"d{i}", "x") for i in range(23)]
         manifest = write_corpus(docs, tmp_path / "out", shard_size=7)
         total = sum(
             sum(1 for _ in open(tmp_path / "out" / p, encoding="utf-8"))
@@ -168,7 +174,7 @@ class TestWriteCorpus:
 
 
 doc_strategy = st.builds(
-    Document.create,
+    Document,
     id=st.uuids().map(str),
     text=st.text(min_size=1).filter(lambda t: t.strip()),
     source=st.one_of(st.none(), st.sampled_from(["web", "books"])),
@@ -190,7 +196,7 @@ class TestRoundTrip:
             assert list(fp.passthrough(docs)) == list(docs)
             return fp.hexdigest()
 
-        a = [Document.create("x", "one"), Document.create("y", "two")]
-        b = [Document.create("y", "two"), Document.create("x", "one")]
+        a = [Document("x", "one"), Document("y", "two")]
+        b = [Document("y", "two"), Document("x", "one")]
         assert fingerprint(a) != fingerprint(b)
         assert fingerprint(a) == fingerprint(list(a))

@@ -167,7 +167,7 @@ class TestSubsampleDiversity:
         assert len(report.values) == 1
 
     def test_identical_docs_mean_one_std_zero(self):
-        docs = [Document.create(f"d{i}", "exactly the same text body") for i in range(50)]
+        docs = [Document(f"d{i}", "exactly the same text body") for i in range(50)]
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         report = subsample_diversity(docs, emb, n=20, repeats=10, seed=2)
         assert report.mean == pytest.approx(1.0, abs=1e-9)
@@ -262,8 +262,8 @@ def tied_rows(seed, n, m=6):
 
 def with_duplicates(docs, tag, every=4):
     """``docs`` plus a copy, under a new id, of every ``every``-th text."""
-    copies = [Document.create(f"{tag}-copy{i}", d.text) for i, d in enumerate(docs[::every])]
-    return [Document.create(f"{tag}{i}", d.text) for i, d in enumerate(docs)] + copies
+    copies = [Document(f"{tag}-copy{i}", d.text) for i, d in enumerate(docs[::every])]
+    return [Document(f"{tag}{i}", d.text) for i, d in enumerate(docs)] + copies
 
 
 @pytest.fixture(scope="module")
@@ -271,9 +271,9 @@ def table_corpora():
     """Three corpora over one table of tied rows; the third repeats texts of the first."""
     texts = [f"text {i}" for i in range(240)]
     table = dict(zip(texts, tied_rows(11, len(texts))))
-    a = with_duplicates([Document.create("", t) for t in texts[:90]], "a")
-    b = with_duplicates([Document.create("", t) for t in texts[90:180]], "b")
-    c = with_duplicates([Document.create("", t) for t in texts[180:] + texts[:30]], "c")
+    a = with_duplicates([Document("", t) for t in texts[:90]], "a")
+    b = with_duplicates([Document("", t) for t in texts[90:180]], "b")
+    c = with_duplicates([Document("", t) for t in texts[180:] + texts[:30]], "c")
     return table, [a, b, c]
 
 

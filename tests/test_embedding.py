@@ -83,7 +83,7 @@ class TestHashedProjection:
     def test_accepts_documents_and_strings(self):
         emb = HashedProjectionEmbedder(dim=8, seed=0)
         text = "interchangeable input types"
-        X1 = emb.embed([Document.create("d", text)])
+        X1 = emb.embed([Document("d", text)])
         X2 = emb.embed([text])
         assert np.array_equal(X1, X2)
 

@@ -21,7 +21,34 @@ from scalingfilter.ngram import (
 
 
 def doc(text, id="d"):
-    return Document.create(id, text)
+    return Document(id, text)
+
+
+def count_table(model):
+    """{(context tuple, next byte): count} decoded from the model's sorted key array."""
+    keys, counts = model._arrays()
+    table = {}
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        ctx, tok = divmod(key, 256)
+        symbols = []
+        for _ in range(model.order - 1):
+            ctx, symbol = divmod(ctx, 257)
+            symbols.insert(0, symbol)
+        table[tuple(symbols), tok] = count
+    return table
+
+
+def probability(model, context, token):
+    """P(token | context) from the model's per-key log2 terms."""
+    ctx = 0
+    for symbol in context:
+        ctx = ctx * 257 + symbol
+    keys, seen, unseen = model._log2_terms()
+    in_ctx = np.flatnonzero((keys >> 8) == ctx)
+    if len(in_ctx) == 0:
+        return 2.0 ** unseen[0]  # a context never seen
+    hit = in_ctx[keys[in_ctx] == ctx * 256 + token]
+    return 2.0 ** (seen[hit[0]] if len(hit) else unseen[in_ctx[0]])
 
 
 class TestTokenize:
@@ -66,12 +93,12 @@ class TestTraining:
     def test_unigram_counts_direct(self):
         model = train_ngram([doc("aaaa")], order=1)
         assert model.total_tokens_trained == 4
-        counts = list(model.iter_counts())
-        assert counts == [((), ord("a"), 4)]
+        keys, counts = model._arrays()
+        assert keys.tolist() == [ord("a")] and counts.tolist() == [4]
 
     def test_bigram_counts_direct(self):
         model = train_ngram([doc("ab", "1"), doc("ab", "2")], order=2)
-        table = {(ctx, tok): c for ctx, tok, c in model.iter_counts()}
+        table = count_table(model)
         assert table[((ord("a"),), ord("b"))] == 2
         assert table[((BOUNDARY,), ord("a"))] == 2
 
@@ -81,7 +108,7 @@ class TestTraining:
         model = train_ngram([doc(t, str(i)) for i, t in enumerate(texts)], order=3)
         expected = oracle_counts(texts, 3)
         got = {}
-        for ctx, tok, count in model.iter_counts():
+        for (ctx, tok), count in count_table(model).items():
             got.setdefault(ctx, {})[tok] = count
         assert got == expected
 
@@ -92,8 +119,7 @@ class TestTraining:
 
     def test_boundary_never_predicted(self):
         model = train_ngram([doc("xy")], order=2)
-        for _, tok, _ in model.iter_counts():
-            assert 0 <= tok < 256
+        assert count_table(model) == {((BOUNDARY,), ord("x")): 1, ((ord("x"),), ord("y")): 1}
 
 
 class TestCrossEntropy:
@@ -127,14 +153,14 @@ class TestCrossEntropy:
     def test_probabilities_sum_to_one(self):
         model = train_ngram([doc("abcabcabd")], order=2)
         for ctx in [(ord("a"),), (ord("z"),), (BOUNDARY,)]:
-            total = sum(model.probability(ctx, t) for t in range(256))
+            total = sum(probability(model, ctx, t) for t in range(256))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_training_order_invariance(self):
         docs = [doc(t, str(i)) for i, t in enumerate(["abc", "bcd", "cde", "def"])]
         m1 = train_ngram(docs, order=3)
         m2 = train_ngram(list(reversed(docs)), order=3)
-        assert list(m1.iter_counts()) == list(m2.iter_counts())
+        assert all(map(np.array_equal, m1._arrays(), m2._arrays()))
         assert m1.cross_entropy("abcdef") == m2.cross_entropy("abcdef")
 
 
@@ -193,7 +219,7 @@ class TestSerialization:
         assert loaded.order == model.order
         assert loaded.smoothing_k == model.smoothing_k
         assert loaded.total_tokens_trained == model.total_tokens_trained
-        assert list(loaded.iter_counts()) == list(model.iter_counts())
+        assert all(map(np.array_equal, loaded._arrays(), model._arrays()))
         for d in small_docs:
             assert loaded.perplexity(d) == model.perplexity(d)
 
@@ -252,7 +278,8 @@ class TestLoopOracle:
             oracle.add_document(text)
         model = train_ngram([doc(t, str(i)) for i, t in enumerate(texts)], order=order)
         assert model.total_tokens_trained == oracle.total_tokens_trained
-        assert list(model.iter_counts()) == list(oracle.iter_counts())
+        keys, counts = model._arrays()
+        assert (keys.tolist(), counts.tolist()) == oracle.key_counts()
         assert model.n_contexts == len(oracle.counts)
         blob = model.to_bytes()
         assert blob == oracle.to_bytes()
@@ -260,7 +287,7 @@ class TestLoopOracle:
         loaded = NGramModel.from_bytes(blob)
         for m in (model, loaded):
             for text in texts + held_out:
-                assert m.log2_probability(text) == oracle.log2_probability(text)
+                assert m._log2_probabilities([text])[0] == [oracle.log2_probability(text)]
             assert m.perplexities(texts + held_out) == [oracle.perplexity(t) for t in texts + held_out]
 
     @pytest.mark.parametrize("order", [2, 5])
@@ -284,12 +311,12 @@ class TestLoopOracle:
         differs = np.argwhere(np.log2(prob) != np.vectorize(math.log2)(prob))
         t, c = (int(total[differs[0][0], 0]), int(count[0, differs[0][1]])) if len(differs) else (2, 1)
         model = train_ngram([doc("a" * c + "b" * (t - c))], order=1, smoothing_k=k)
-        assert model.log2_probability("a") == math.log2((c + k) / (t + k * 256))
+        assert model._log2_probabilities(["a"])[0] == [math.log2((c + k) / (t + k * 256))]
 
     def test_untrained_model_equals_the_loop(self):
         model, oracle = NGramModel(3), LoopNGramModel(3)
         assert model.to_bytes() == oracle.to_bytes()
-        assert model.log2_probability("a€") == oracle.log2_probability("a€")
+        assert model._log2_probabilities(["a€"])[0] == [oracle.log2_probability("a€")]
         assert NGramModel.from_bytes(model.to_bytes()).perplexity("xyz") == oracle.perplexity("xyz")
 
     def test_highest_order_keys_do_not_overflow(self):
@@ -300,7 +327,7 @@ class TestLoopOracle:
         oracle.add_document(text)
         model = train_ngram([doc(text)], order=MAX_ORDER)
         assert model.to_bytes() == oracle.to_bytes()
-        assert model.log2_probability(text) == oracle.log2_probability(text)
+        assert model._log2_probabilities([text])[0] == [oracle.log2_probability(text)]
 
     def test_order_above_limit_rejected(self):
         with pytest.raises(InvalidPairSpecError) as exc:
@@ -315,16 +342,61 @@ class TestLoopOracle:
 
 
 class TestModelFileChecks:
+    """Every malformed model file raises ValueError."""
+
+    @staticmethod
+    def arrays_file(model, keys, counts):
+        """``model``'s header line followed by the given keys and counts."""
+        blob = model.to_bytes()
+        head = blob[: len(blob) - 16 * len(model._arrays()[0])]
+        return head + np.asarray(keys, dtype="<i8").tobytes() + np.asarray(counts, dtype="<i8").tobytes()
+
+    def test_arrays_follow_the_header(self):
+        model = train_ngram([doc("aab")], order=1)
+        body = model.to_bytes().split(b"\n", 2)[2]
+        assert np.frombuffer(body, dtype="<i8").tolist() == [ord("a"), ord("b"), 2, 1]
+        assert self.arrays_file(model, [ord("a"), ord("b")], [2, 1]) == model.to_bytes()
+
     def test_truncated_file_rejected(self, small_docs):
         blob = train_ngram(small_docs, order=3).to_bytes()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bytes of arrays"):
             NGramModel.from_bytes(blob[:-4])
+        with pytest.raises(ValueError, match="bytes of arrays"):
+            NGramModel.from_bytes(blob[:-16])
 
     def test_entries_out_of_order_rejected(self):
         model = train_ngram([doc("ab")], order=1)
-        blob = model.to_bytes()
-        # order 1: one context of two entries (a, 1), (b, 1); swap their bytes
-        body = len(blob) - 18
-        swapped = blob[:body] + blob[body + 9 :] + blob[body : body + 9]
-        with pytest.raises(ValueError):
-            NGramModel.from_bytes(swapped)
+        assert NGramModel.from_bytes(self.arrays_file(model, [ord("a"), ord("b")], [1, 1])).n_contexts == 1
+        for keys in ([ord("b"), ord("a")], [ord("a"), ord("a")]):
+            with pytest.raises(ValueError, match="out of order"):
+                NGramModel.from_bytes(self.arrays_file(model, keys, [1, 1]))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_count_rejected(self, count):
+        model = train_ngram([doc("ab")], order=1)
+        with pytest.raises(ValueError, match="zero count"):
+            NGramModel.from_bytes(self.arrays_file(model, [ord("a"), ord("b")], [1, count]))
+
+    @pytest.mark.parametrize("order", [1, 3, MAX_ORDER])
+    def test_key_out_of_range_rejected(self, order):
+        model = train_ngram([doc("ab")], order=order)
+        keys = model._arrays()[0].tolist()
+        limit = 257 ** (order - 1) * 256
+        # the largest key in range loads; one past it, or a negative key, does not
+        ok = NGramModel.from_bytes(self.arrays_file(model, keys[:-1] + [limit - 1], [1] * len(keys)))
+        assert ok._arrays()[0][-1] == limit - 1
+        for bad in (keys[:-1] + [limit], [-1] + keys[1:]):
+            with pytest.raises(ValueError, match="out of range"):
+                NGramModel.from_bytes(self.arrays_file(model, bad, [1] * len(keys)))
+
+    def test_format_1_file_names_its_version(self):
+        oracle = LoopNGramModel(2)
+        oracle.add_document("ab")
+        with pytest.raises(ValueError, match="format version 1.*train-meta"):
+            NGramModel.from_bytes(oracle.format_1_bytes())
+
+    def test_loaded_model_keeps_training(self, small_docs):
+        loaded = NGramModel.from_bytes(train_ngram(small_docs[:5], order=3).to_bytes())
+        for d in small_docs[5:]:
+            loaded.add_document(d)
+        assert loaded.to_bytes() == train_ngram(small_docs, order=3).to_bytes()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,32 @@ class TestQualityFactor:
         assert by_ratio == by_logdiff
 
 
+class TestReadScoreFile:
+    HEADER = "doc_id\tn_tokens\tppl_small\tppl_large\tquality_factor\n"
+
+    def test_rows_read_back(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text(self.HEADER + "a\t3\t8\t4\t2\nb\t5\t1.5\t3\t0.5\n", encoding="utf-8")
+        assert [(s.doc_id, s.n_tokens, s.ppl_small, s.ppl_large, s.d) for s in read_score_file(path)] == [
+            ("a", 3, 8.0, 4.0, 2.0), ("b", 5, 1.5, 3.0, 0.5)]
+
+    @pytest.mark.parametrize("row", [
+        "c\t3\t8\t4",  # four fields
+        "c\t3\t8\t4\t2\t9",  # six fields
+        "c",
+        "",
+        "c\tthree\t8\t4\t2",
+        "c\t3\t8\t4\tnan",
+        "c\t3\tinf\t4\t2",
+        "c\t3\t8\t-inf\t2",
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "s.tsv"
+        path.write_text(self.HEADER + "a\t3\t8\t4\t2\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+            read_score_file(path)
+
+
 @pytest.fixture(scope="module")
 def toy_pair():
     return train_pair(synth.chain_corpus(seed=21, n_docs=300, chain_seed=2), 2, 5)
@@ -80,17 +107,17 @@ def score_one(tmp_path, small, large, doc, **kwargs):
 
 class TestScoreDocument:
     def test_local_matches_model_oracle(self, tmp_path, toy_pair, models):
-        doc = Document.create("x", "the quality of the data stream")
+        doc = Document("x", "the quality of the data stream")
         score = score_one(tmp_path, *models, doc)
         l_small = toy_pair.small.cross_entropy(doc)
         l_large = toy_pair.large.cross_entropy(doc)
         assert score.d == pytest.approx(2.0 ** (l_small - l_large), rel=1e-9)
-        assert score.n_tokens == doc.n_bytes
+        assert score.n_tokens == len(doc.text.encode("utf-8"))
 
     def test_remote_pair(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: 2.0 * len(t))
         large = make_service(perplexity_fn=lambda t: float(len(t)))
-        score = score_one(tmp_path, *remote_pair(small, large), Document.create("r", "x" * 15))
+        score = score_one(tmp_path, *remote_pair(small, large), Document("r", "x" * 15))
         assert score.ppl_small == 30.0
         assert score.ppl_large == 15.0
         assert score.d == 2.0
@@ -102,7 +129,7 @@ class TestScoreDocument:
         with pytest.raises(InvalidPerplexityError):
             quality_factor(*small_model.perplexities(["text"]), *large_model.perplexities(["text"]))
         with pytest.raises(ErrorBudgetExceededError):
-            score_corpus(*remote_pair(small, large), [Document.create("r", "text")], tmp_path / "s.tsv")
+            score_corpus(*remote_pair(small, large), [Document("r", "text")], tmp_path / "s.tsv")
         sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8")
         assert sidecar.splitlines()[1].split("\t")[:2] == ["r", "invalid-perplexity"]
 
@@ -117,7 +144,7 @@ class TestScoreDocument:
             models[1].perplexities(["text"])
         assert exc.value.code == "scorer-unavailable"
         with pytest.raises(ErrorBudgetExceededError):
-            score_corpus(*models, [Document.create("r", "text")], tmp_path / "s.tsv")
+            score_corpus(*models, [Document("r", "text")], tmp_path / "s.tsv")
         sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8")
         assert sidecar.splitlines()[1].split("\t")[:2] == ["r", "scorer-unavailable"]
 
@@ -166,7 +193,7 @@ class TestScoreCorpus:
     def test_changed_content_invalidates_cache_row(self, tmp_path, models):
         docs = self.make_docs(10)
         score_corpus(*models, docs, tmp_path / "s1.tsv", cache_path=tmp_path / "c.tsv")
-        changed = [Document.create(docs[0].id, docs[0].text + " extra")] + docs[1:]
+        changed = [Document(docs[0].id, docs[0].text + " extra")] + docs[1:]
         summary = score_corpus(*models, changed, tmp_path / "s2.tsv", cache_path=tmp_path / "c.tsv")
         assert summary.endpoint_evaluations == 1
         assert summary.cache_hits == 9
@@ -194,7 +221,7 @@ class TestScoreCorpus:
     def test_error_sidecar_within_budget(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan") if t.startswith("bad") else 4.0)
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document.create(f"d{i:03d}", "bad doc" if i == 7 else f"fine doc {i}") for i in range(100)]
+        docs = [Document(f"d{i:03d}", "bad doc" if i == 7 else f"fine doc {i}") for i in range(100)]
         summary = score_corpus(*remote_pair(small, large), docs, tmp_path / "s.tsv", error_budget=0.05)
         assert summary.count == 99
         assert summary.error_count == 1
@@ -204,7 +231,7 @@ class TestScoreCorpus:
     def test_error_budget_breach_aborts(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan"))
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document.create(f"d{i}", f"doc {i}") for i in range(20)]
+        docs = [Document(f"d{i}", f"doc {i}") for i in range(20)]
         with pytest.raises(ErrorBudgetExceededError):
             score_corpus(*remote_pair(small, large), docs, tmp_path / "s.tsv", error_budget=0.01)
 
@@ -220,7 +247,7 @@ class TestScoreCorpus:
 
         small = make_service(perplexity_fn=small_fn)
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document.create(f"d{i:03d}", f"doc {i}") for i in range(100)]
+        docs = [Document(f"d{i:03d}", f"doc {i}") for i in range(100)]
         summary = score_corpus(
             *remote_pair(small, large), docs, tmp_path / "s.tsv",
             workers=workers, error_budget=0.2, batch_size=10,
@@ -235,7 +262,7 @@ class TestScoreCorpus:
     def test_cacheless_remote_run_sends_only_batches(self, tmp_path, make_service, workers):
         small = make_service(perplexity_fn=lambda t: 4.0)
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document.create(f"d{i:03d}", f"doc {i}") for i in range(25)]
+        docs = [Document(f"d{i:03d}", f"doc {i}") for i in range(25)]
         score_corpus(*remote_pair(small, large), docs, tmp_path / "s.tsv", workers=workers, batch_size=10)
         # no model-name handshake (an empty request): without a cache the fingerprints go unused
         assert sorted(small.requests) == sorted(large.requests) == [5, 10, 10]
@@ -245,7 +272,7 @@ class TestScoreCorpus:
             score_corpus(*models, self.make_docs(3), tmp_path / "s.tsv", batch_size=0)
 
     def test_duplicate_doc_id_rejected(self, tmp_path, models):
-        docs = [Document.create("same", "a text"), Document.create("same", "b text")]
+        docs = [Document("same", "a text"), Document("same", "b text")]
         with pytest.raises(ValueError):
             score_corpus(*models, docs, tmp_path / "s.tsv")
 

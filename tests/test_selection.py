@@ -274,7 +274,7 @@ class TestParetoThreshold:
 
 class TestApplySelection:
     def make_corpus(self, tmp_path, n=20):
-        docs = [Document.create(f"d{i:03d}", f"text number {i}") for i in range(n)]
+        docs = [Document(f"d{i:03d}", f"text number {i}") for i in range(n)]
         out = tmp_path / "corpus"
         write_corpus(docs, out, shard_size=6, corpus_id="src")
         return docs, out / "manifest.json"

@@ -1,12 +1,13 @@
-"""Keep the public surface small: every public top-level name in src/ has a user.
+"""Keep the public surface small: every public name in src/ has a user.
 
 A public name is a top-level function, class or constant of a module under
-src/scalingfilter/ whose name does not start with an underscore. It has a
-user when some file of src/ or bench/ reads it outside the lines of its own
-definition: as a name, an attribute, an imported name, or a string literal
-(bench/launcher.py names the functions it wraps as strings). A name that
-only the tests reach fails here: delete it, or give it an entry with a
-reason in ``ALLOWED``.
+src/scalingfilter/, or a method of such a class, whose name does not start
+with an underscore. It has a user when some file of src/ or bench/ reads it
+outside the lines of its own definition: as a name, an attribute, an
+imported name, or a string literal (bench/launcher.py names the functions
+it wraps as strings). A method is matched by its name alone, whatever the
+object it is read from. A name that only the tests reach fails here: delete
+it, or give it an entry with a reason in ``ALLOWED``.
 """
 
 import ast
@@ -21,8 +22,14 @@ ALLOWED = {
 }
 
 
+def _lines(node):
+    """First line (its decorators included) and last line of a definition."""
+    return min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])]), node.end_lineno
+
+
 def _public_definitions(tree):
-    """(name, first line, last line) of each public top-level definition."""
+    """(qualified name, name, first line, last line) of each public top-level definition
+    and of each public method of a public top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -31,10 +38,13 @@ def _public_definitions(tree):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         for name in names:
             if not name.startswith("_"):
-                yield name, start, node.end_lineno
+                yield (name, name, *_lines(node))
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield (f"{node.name}.{item.name}", item.name, *_lines(item))
 
 
 def _uses(tree):
@@ -59,14 +69,14 @@ def _unused_public_names():
     uses = {path: _uses(tree) for path, tree in trees.items()}
     unused = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for name, start, end in _public_definitions(trees[path]):
+        for qualified, name, start, end in _public_definitions(trees[path]):
             used = any(
                 not (other == path and start <= line <= end)
                 for other, by_name in uses.items()
                 for line in by_name.get(name, ())
             )
             if not used:
-                unused.add(f"{path.stem}.{name}")
+                unused.add(f"{path.stem}.{qualified}")
     return unused
 
 
