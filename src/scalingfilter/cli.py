@@ -22,8 +22,8 @@ breach, 4 verification failure, 1 other fatal error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import inspect
-import json
 import logging
 import math
 import sys
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import __version__, corpus as corpus_io, diversity as diversity_mod, scaling
-from .embedding import HashedProjectionEmbedder, RemoteEmbedder
+from . import __version__, corpus as corpus_io, scaling
 from .errors import (
     ConditionRegionViolatedError,
     EmbedderUnavailableError,
@@ -40,7 +39,6 @@ from .errors import (
     ScalingFilterError,
     ScorerUnavailableError,
 )
-from .ngram import load_pair, save_pair, train_pair
 from .scoring import RemotePerplexityModel, read_score_file, score_corpus
 from .seeding import derive_seed
 from .selection import (
@@ -57,6 +55,18 @@ from .selection import (
 )
 
 log = logging.getLogger("scalingfilter")
+
+# Modules that load numpy (ngram, embedding, diversity) are imported by the
+# commands that run them, so report and filter start without numpy.
+_LAZY = {"load_pair": "ngram", "HashedProjectionEmbedder": "embedding", "RemoteEmbedder": "embedding"}
+
+
+def __getattr__(name: str):
+    """``cli.load_pair`` and the embedders, which bench/probe.py reads from this module."""
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -168,6 +178,8 @@ class _RecordErrorLog:
 
 
 def cmd_train_meta(p: dict) -> int:
+    from .ngram import save_pair, train_pair
+
     record_errors = _RecordErrorLog()
     docs = corpus_io.read_manifest_corpus(corpus_io.find_manifest(p["corpus"]), on_error=record_errors)
     fingerprint = corpus_io.CorpusFingerprint()
@@ -187,6 +199,8 @@ def cmd_train_meta(p: dict) -> int:
 
 def cmd_score(p: dict) -> int:
     if p["pair"] and not (p["remote_small"] or p["remote_large"]):
+        from .ngram import load_pair
+
         pair = load_pair(p["pair"])
         small, large = pair.small, pair.large
     elif p["remote_small"] and p["remote_large"] and not p["pair"]:
@@ -259,6 +273,9 @@ def cmd_filter(p: dict) -> int:
 
 
 def cmd_diversity(p: dict) -> int:
+    from . import diversity as diversity_mod
+    from .embedding import HashedProjectionEmbedder, RemoteEmbedder
+
     if p["mix"] and p["corpus"]:
         raise ValueError("provide --corpus or --mix, not both")
     n, repeats, seed = p["n"], p["repeats"], p["seed"]
@@ -337,7 +354,7 @@ def cmd_report(p: dict) -> int:
         ):
             path = run_dir / name
             if path.exists():
-                entry[key] = json.loads(path.read_text(encoding="utf-8"))
+                entry[key] = corpus_io.read_json(path, {})
         if len(entry) == 1:
             missing.append(str(run_dir))
         runs.append(entry)
@@ -452,9 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Every parameter of ``command``: its flag, else its config value, else its default."""
-    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    if not isinstance(config, dict):
-        raise ValueError("config file must contain a JSON object")
+    config = corpus_io.read_json(args.config, {}) if args.config else {}
     if config.get("command", command) != command:
         raise ValueError(f"the config was written by {config['command']!r}, not {command!r}")
     params = _COMMANDS[command][2] + (_LOG_LEVEL,)

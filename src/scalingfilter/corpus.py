@@ -25,6 +25,34 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
+def json_object(data: str | bytes, source: str | Path, required: dict[str, type | tuple[type, ...]]) -> dict:
+    """Parse one JSON object that holds every ``required`` key with a value of its type.
+
+    The strict reader that ``write_json`` mirrors: text that is not JSON, a
+    value that is not an object, or a key that is missing or of another
+    type raises ValueError naming ``source``. A JSON boolean is not a number.
+    """
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:  # not JSON, or bytes that are not UTF-8
+        raise ValueError(f"{source}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{source}: expected a JSON object, got {type(obj).__name__}")
+    for key, kind in required.items():
+        if key not in obj:
+            raise ValueError(f"{source}: has no {key!r}")
+        value = obj[key]
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            names = " or ".join(t.__name__ for t in (kind if isinstance(kind, tuple) else (kind,)))
+            raise ValueError(f"{source}: {key!r} is {type(value).__name__}, not {names}")
+    return obj
+
+
+def read_json(path: str | Path, required: dict[str, type | tuple[type, ...]]) -> dict:
+    """``json_object`` of a file's bytes, naming the file."""
+    return json_object(Path(path).read_bytes(), path, required)
+
+
 @dataclass(frozen=True)
 class Document:
     """One text record; the unit that gets scored and selected.
@@ -58,12 +86,12 @@ class CorpusManifest:
 
     @staticmethod
     def load(path: str | Path) -> "CorpusManifest":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = read_json(path, {"corpus_id": str, "shard_paths": list, "doc_count": int, "total_bytes": int})
         return CorpusManifest(
-            corpus_id=str(obj["corpus_id"]),
+            corpus_id=obj["corpus_id"],
             shard_paths=[str(p) for p in obj["shard_paths"]],
-            doc_count=int(obj["doc_count"]),
-            total_bytes=int(obj["total_bytes"]),
+            doc_count=obj["doc_count"],
+            total_bytes=obj["total_bytes"],
             created_at=str(obj.get("created_at", "")),
         )
 

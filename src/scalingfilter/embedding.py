@@ -18,7 +18,6 @@ import numpy as np
 from .corpus import Document
 from .errors import DegenerateEmbeddingError, EmbedderUnavailableError
 from .parallel import fork_map
-from .remote import post_texts
 from .seeding import rng_for
 
 HASH_BUCKETS = 2**18
@@ -188,6 +187,9 @@ class RemoteEmbedder:
     kind = "remote"
 
     def __init__(self, base_url: str, batch_size: int = 64, timeout: float = 30.0, retries: int = 3):
+        from . import remote  # the HTTP client: loaded by the remote embedder alone
+
+        self._remote = remote
         self.base_url = base_url.rstrip("/")
         self.batch_size = batch_size
         self.timeout = timeout
@@ -202,7 +204,7 @@ class RemoteEmbedder:
         rows: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             batch = texts[start : start + self.batch_size]
-            body, vecs = post_texts(
+            body, vecs = self._remote.post_texts(
                 url, batch, "embeddings", EmbedderUnavailableError, self.timeout, self.retries
             )
             self._model_name = str(body.get("model", ""))

@@ -39,7 +39,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .corpus import Document, write_json
+from .corpus import Document, json_object, read_json, write_json
 from .errors import InvalidPairSpecError, NoTrainingDataError
 
 VOCAB_SIZE = 256
@@ -53,6 +53,7 @@ _FOLD_BYTES = 1 << 20
 _MAGIC = b"SFNGRAM1\n"
 # a model file is _MAGIC, a JSON header line, then the n_keys keys and the n_keys counts, each "<i8"
 _FORMAT_VERSION = 2
+_HEADER_KEYS = {"order": int, "smoothing_k": (int, float), "total_tokens_trained": int, "n_keys": int}
 
 
 def tokenize(text: str) -> bytes:
@@ -234,14 +235,16 @@ class NGramModel:
         if not blob.startswith(_MAGIC):
             raise ValueError("not a recognized n-gram model file")
         header_end = blob.index(b"\n", len(_MAGIC))
-        header = json.loads(blob[len(_MAGIC):header_end].decode("utf-8"))
-        version = header.get("format_version")
+        line = blob[len(_MAGIC):header_end]
+        # the version decides the layout, so it is checked before the other keys
+        version = json_object(line, "n-gram model header", {"format_version": int})["format_version"]
         if version != _FORMAT_VERSION:
             raise ValueError(f"n-gram model file has format version {version}, and only version "
                              f"{_FORMAT_VERSION} is read: run train-meta again to rewrite the pair")
-        model = cls(order=int(header["order"]), smoothing_k=float(header["smoothing_k"]))
-        model.total_tokens_trained = int(header["total_tokens_trained"])
-        n = int(header["n_keys"])
+        header = json_object(line, "n-gram model header", _HEADER_KEYS)
+        model = cls(order=header["order"], smoothing_k=header["smoothing_k"])
+        model.total_tokens_trained = header["total_tokens_trained"]
+        n = header["n_keys"]
         body = memoryview(blob)[header_end + 1:]
         if len(body) != 16 * n:
             raise ValueError(f"n-gram model file has {len(body)} bytes of arrays, not {16 * n} for {n} keys")
@@ -258,7 +261,10 @@ class NGramModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "NGramModel":
-        return cls.from_bytes(Path(path).read_bytes())
+        try:
+            return cls.from_bytes(Path(path).read_bytes())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def fingerprint(self) -> str:
         """Stable 64-bit hex digest of the full model state (of ``to_bytes()``)."""
@@ -339,7 +345,7 @@ def save_pair(pair: MetaModelPair, out_dir: str | Path) -> Path:
 
 def load_pair(pair_dir: str | Path) -> MetaModelPair:
     pair_dir = Path(pair_dir)
-    descriptor = json.loads((pair_dir / PAIR_DESCRIPTOR_NAME).read_text(encoding="utf-8"))
+    descriptor = read_json(pair_dir / PAIR_DESCRIPTOR_NAME, {"small_path": str, "large_path": str})
     small = NGramModel.load(pair_dir / descriptor["small_path"])
     large = NGramModel.load(pair_dir / descriptor["large_path"])
     return MetaModelPair(small=small, large=large, train_corpus_id=descriptor.get("train_corpus_id", ""))

@@ -6,6 +6,8 @@ reply stalls about 40 ms (Nagle's algorithm plus delayed ACKs).
 
 from __future__ import annotations
 
+# the host-name codec a process loads at its first connection: loaded here, not in each forked worker
+import encodings.idna  # noqa: F401
 import json
 import time
 import urllib.error

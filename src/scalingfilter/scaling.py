@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     ConditionRegionViolatedError,
     InvalidExponentError,
@@ -208,6 +206,8 @@ def verification_report(
     derivatives; secant-to-tangent convergence; strict monotonicity of
     d_model in a.
     """
+    import numpy as np  # for the grids alone: loaded by verify-scaling, not by every command
+
     _check_sizes(N_p, N_q)  # before log10 takes them
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}

@@ -30,9 +30,6 @@ from .errors import (
     ScalingFilterError,
     ScorerUnavailableError,
 )
-from .ngram import tokenize
-from .parallel import fork_map
-from .remote import post_texts
 
 SCORE_HEADER = ("doc_id", "n_tokens", "ppl_small", "ppl_large", "quality_factor")
 
@@ -77,6 +74,9 @@ class RemotePerplexityModel:
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0, retries: int = 3):
+        from . import remote  # the HTTP client: loaded by remote scoring alone, before any worker forks
+
+        self._remote = remote
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = retries
@@ -84,7 +84,8 @@ class RemotePerplexityModel:
 
     def perplexities(self, texts: list[str]) -> list[float]:
         url = f"{self.base_url}/v1/perplexity"
-        body, ppls = post_texts(url, texts, "perplexities", ScorerUnavailableError, self.timeout, self.retries)
+        body, ppls = self._remote.post_texts(url, texts, "perplexities", ScorerUnavailableError,
+                                             self.timeout, self.retries)
         if "log_base" in body and body["log_base"] != 2:
             raise InvalidPerplexityError(f"remote scorer {url} declares log_base={body['log_base']}, need 2")
         self._model_name = str(body.get("model", ""))
@@ -222,7 +223,7 @@ def _score_batch(
     except ScalingFilterError as exc:
         return [], [(doc_id, exc.code, str(exc)) for doc_id, _ in batch]
     rows = [
-        (doc_id, len(tokenize(text)), s, l)
+        (doc_id, len(text.encode("utf-8")), s, l)  # n_tokens: UTF-8 bytes, the n-gram models' tokens
         for (doc_id, text), s, l in zip(batch, ppl_small, ppl_large)
     ]
     return rows, []
@@ -246,6 +247,8 @@ def score_corpus(
     Per-document scorer errors go to an ``.errors.tsv`` sidecar; the run
     aborts only when the error fraction exceeds ``error_budget``.
     """
+    from .parallel import fork_map  # multiprocessing: loaded by the score command, not by the readers of scores.tsv
+
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     out_path = Path(out_path)

@@ -7,8 +7,10 @@ pipelines composed of several seeded stages stay reproducible end to end.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(root_seed: int, *labels) -> int:
@@ -27,4 +29,6 @@ def derive_seed(root_seed: int, *labels) -> int:
 
 def rng_for(root_seed: int, *labels) -> np.random.Generator:
     """A fresh PCG64 generator seeded from the derived child seed."""
+    import numpy as np  # loaded by the commands that draw, not by every one that derives a seed
+
     return np.random.Generator(np.random.PCG64(derive_seed(root_seed, *labels)))

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import corpus as corpus_io
 from .corpus import CorpusManifest, Document
 from .errors import (
@@ -116,9 +114,9 @@ def select_temperature(
     _check_keep_rate(keep_rate)
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau!r}")
-    gumbel = rng_for(seed, "temperature-selection").gumbel(size=len(scores))
-    keys = np.array([s.d for s in scores]) / tau + gumbel
-    kept_ids, _ = _top_k([s.doc_id for s in scores], keys.tolist(), keep_rate)
+    gumbel = rng_for(seed, "temperature-selection").gumbel(size=len(scores)).tolist()
+    keys = [s.d / tau + g for s, g in zip(scores, gumbel)]
+    kept_ids, _ = _top_k([s.doc_id for s in scores], keys, keep_rate)
     return SelectionResult(kept_ids, "temperature", {"keep_rate": keep_rate, "tau": tau},
                            seed=seed, input_count=len(scores))
 

@@ -11,6 +11,9 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import synth
+from scalingfilter.corpus import write_corpus
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # what bench/launcher.py wraps (install) and what bench/probe.py and
@@ -37,12 +40,16 @@ print("ok")
 """
 
 
-def test_benchmark_names_still_exist(tmp_path):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_benchmark_names_still_exist(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", PROGRAM, str(tmp_path / "cache.tsv")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
@@ -65,3 +72,17 @@ def test_benchmark_commands_still_parse(monkeypatch):
         assert chain
         for _, argv in chain:
             parser.parse_args(argv)  # exits 2 on a flag the CLI no longer has
+
+
+def test_setup_probe_runs(tmp_path):
+    """bench/probe.py's local set-up, the process whose time is setup_s, runs to exit 0."""
+    from scalingfilter.cli import main
+
+    corpus = tmp_path / "corpus"
+    write_corpus(synth.chain_corpus(seed=3, n_docs=30, chain_seed=1), corpus, corpus_id="corpus")
+    assert main(["train-meta", "--corpus", str(corpus), "--out", str(tmp_path / "pair")]) == 0
+    result = subprocess.run(
+        [sys.executable, "bench/probe.py", "setup", "local", str(tmp_path / "pair"), str(tmp_path / "cache.tsv")],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr

@@ -333,6 +333,35 @@ class TestScore:
         assert "format version 1" in caplog.text and "run train-meta again" in caplog.text
         assert not (out / "scores.tsv").exists()
 
+    @staticmethod
+    def edited_pair(tmp_path, pair_dir, name, edit):
+        """A copy of the pair whose file ``name`` has its JSON (the header line of a model) edited."""
+        out = tmp_path / "edited-pair"
+        out.mkdir()
+        for path in pair_dir.iterdir():
+            (out / path.name).write_bytes(path.read_bytes())
+        path = out / name
+        if name == "pair.json":
+            path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+        else:
+            magic, line, body = path.read_bytes().split(b"\n", 2)
+            path.write_bytes(b"\n".join([magic, json.dumps(edit(json.loads(line))).encode("utf-8"), body]))
+        return out, path
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("small.sfngram", lambda h: {k: v for k, v in h.items() if k != "n_keys"}, "has no 'n_keys'"),
+        ("large.sfngram", lambda h: [h], "expected a JSON object, got list"),
+        ("pair.json", lambda d: {k: v for k, v in d.items() if k != "small_path"}, "has no 'small_path'"),
+        ("pair.json", lambda d: {**d, "large_path": 3}, "'large_path' is int, not str"),
+    ])
+    def test_malformed_pair_exit_2_naming_the_file(self, tmp_path, corpus_dir, pair_dir, caplog,
+                                                    name, edit, message):
+        pair, path = self.edited_pair(tmp_path, pair_dir, name, edit)
+        out = tmp_path / "o"
+        assert main(["score", "--corpus", str(corpus_dir), "--pair", str(pair), "--out", str(out)]) == 2
+        assert f"{path}: " in caplog.text and message in caplog.text
+        assert not (out / "scores.tsv").exists()
+
     def test_inputs_not_mutated(self, corpus_dir, pair_dir, score_dir):
         # the score run above must leave corpus and pair untouched
         manifest = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
@@ -614,6 +643,32 @@ class TestVerifyScaling:
         assert report["checks"]["secant_tangent_convergence"]
 
 
+class TestMalformedManifest:
+    """Every command that reads a corpus exits 2 on a malformed manifest.json, naming it."""
+
+    @pytest.mark.parametrize("command", [
+        ["train-meta"],
+        ["diversity", "--n", "5", "--repeats", "1"],
+        ["score", "--pair", "{pair}"],
+        ["filter", "--scores", "{scores}", "--method", "topk"],
+    ])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: {k: v for k, v in m.items() if k != "shard_paths"}, "has no 'shard_paths'"),
+        (lambda m: [m], "expected a JSON object, got list"),
+    ])
+    def test_exit_2_naming_the_file(self, tmp_path, corpus_dir, pair_dir, score_dir, caplog,
+                                    command, edit, message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for path in corpus_dir.iterdir():
+            (corpus / path.name).write_bytes(path.read_bytes())
+        manifest = corpus / "manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text(encoding="utf-8")))), encoding="utf-8")
+        argv = [arg.format(pair=pair_dir, scores=score_dir / "scores.tsv") for arg in command]
+        assert main([*argv, "--corpus", str(corpus), "--out", str(tmp_path / "o")]) == 2
+        assert f"{manifest}: {message}" in caplog.text
+
+
 class TestReport:
     def test_merges_runs(self, tmp_path, score_dir):
         filter_out = tmp_path / "f"
@@ -643,6 +698,15 @@ class TestReport:
             assert rc == 0
         assert (o1 / "report.json").read_bytes() == (o2 / "report.json").read_bytes()
         assert (o1 / "report.txt").read_bytes() == (o2 / "report.txt").read_bytes()
+
+    @pytest.mark.parametrize("text, message", [("[1, 2]", "expected a JSON object, got list"),
+                                               ('{"kept": ', "not valid JSON")])
+    def test_malformed_artifact_exit_2_naming_it(self, tmp_path, caplog, text, message):
+        audit = tmp_path / "run" / "audit.json"
+        audit.parent.mkdir()
+        audit.write_text(text, encoding="utf-8")
+        assert main(["report", "--runs", str(audit.parent), "--out", str(tmp_path / "report")]) == 2
+        assert f"{audit}: {message}" in caplog.text
 
 
 def test_every_artifact_is_strict_json(tmp_path, corpus_dir, pair_dir, score_dir):
@@ -781,6 +845,11 @@ class TestRunConfig:
             "filter", "--scores", str(score_dir / "scores.tsv"), "--method", "topk",
             "--config", path, "--out", str(tmp_path / "o"),
         ]) == 2
+
+    def test_config_not_an_object_exit_2_naming_it(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", ["runs", "a"])
+        assert exit_code(["report", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert f"{path}: expected a JSON object, got list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag", [
         ("train-meta", "--seed"), ("train-meta", "--workers"),

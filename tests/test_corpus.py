@@ -173,6 +173,45 @@ class TestWriteCorpus:
         assert total == manifest.doc_count == 23
 
 
+class TestManifestChecks:
+    """A malformed manifest raises ValueError naming the file."""
+
+    @staticmethod
+    def manifest(tmp_path, edit):
+        write_corpus([Document("a", "text")], tmp_path / "c")
+        path = tmp_path / "c" / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("key", ["corpus_id", "shard_paths", "doc_count", "total_bytes"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        path = self.manifest(tmp_path, lambda m: {k: v for k, v in m.items() if k != key})
+        with pytest.raises(ValueError, match=f"{path}: has no '{key}'"):
+            CorpusManifest.load(path)
+
+    @pytest.mark.parametrize("key, value", [("shard_paths", "shard-00000.jsonl"), ("doc_count", "1"),
+                                            ("total_bytes", 4.0), ("doc_count", False), ("corpus_id", None)])
+    def test_value_of_wrong_type_rejected(self, tmp_path, key, value):
+        path = self.manifest(tmp_path, lambda m: {**m, key: value})
+        with pytest.raises(ValueError, match=f"{path}: '{key}' is {type(value).__name__}, not"):
+            CorpusManifest.load(path)
+
+    def test_not_an_object_rejected(self, tmp_path):
+        path = self.manifest(tmp_path, lambda m: [m])
+        with pytest.raises(ValueError, match=f"{path}: expected a JSON object, got list"):
+            CorpusManifest.load(path)
+
+    def test_not_json_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"corpus_id": ', encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path}: not valid JSON"):
+            CorpusManifest.load(path)
+
+    def test_without_timestamp_loads(self, tmp_path):
+        path = self.manifest(tmp_path, lambda m: {k: v for k, v in m.items() if k != "created_at"})
+        assert CorpusManifest.load(path).created_at == ""
+
+
 doc_strategy = st.builds(
     Document,
     id=st.uuids().map(str),

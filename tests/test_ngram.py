@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -394,6 +395,39 @@ class TestModelFileChecks:
         oracle.add_document("ab")
         with pytest.raises(ValueError, match="format version 1.*train-meta"):
             NGramModel.from_bytes(oracle.format_1_bytes())
+
+    @staticmethod
+    def with_header(model, edit):
+        """``model``'s file with its header line replaced by ``edit(header)`` as JSON."""
+        magic, line, body = model.to_bytes().split(b"\n", 2)
+        return magic + b"\n" + json.dumps(edit(json.loads(line))).encode("utf-8") + b"\n" + body
+
+    @pytest.mark.parametrize("key", ["format_version", "order", "smoothing_k", "total_tokens_trained", "n_keys"])
+    def test_header_without_a_key_rejected(self, key):
+        model = train_ngram([doc("ab")], order=2)
+        blob = self.with_header(model, lambda h: {k: v for k, v in h.items() if k != key})
+        with pytest.raises(ValueError, match=f"has no '{key}'"):
+            NGramModel.from_bytes(blob)
+
+    @pytest.mark.parametrize("key, value", [("n_keys", "2"), ("order", True), ("order", 2.0),
+                                            ("smoothing_k", None), ("total_tokens_trained", [2])])
+    def test_header_value_of_wrong_type_rejected(self, key, value):
+        model = train_ngram([doc("ab")], order=2)
+        with pytest.raises(ValueError, match=f"'{key}' is {type(value).__name__}, not"):
+            NGramModel.from_bytes(self.with_header(model, lambda h: {**h, key: value}))
+
+    @pytest.mark.parametrize("header", [[2, 2], "2", 2, None], ids=["list", "string", "number", "null"])
+    def test_header_not_an_object_rejected(self, header):
+        model = train_ngram([doc("ab")], order=2)
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            NGramModel.from_bytes(self.with_header(model, lambda h: header))
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.sfngram"
+        model = train_ngram([doc("ab")], order=2)
+        path.write_bytes(self.with_header(model, lambda h: {k: v for k, v in h.items() if k != "n_keys"}))
+        with pytest.raises(ValueError, match=f"{path}: n-gram model header: has no 'n_keys'"):
+            NGramModel.load(path)
 
     def test_loaded_model_keeps_training(self, small_docs):
         loaded = NGramModel.from_bytes(train_ngram(small_docs[:5], order=3).to_bytes())
