@@ -340,6 +340,11 @@ def cmd_verify_scaling(p: dict) -> int:
     return EXIT_OK
 
 
+# keys the table reads together, by file: a keep rate is kept / input and a diversity is mean +/- std
+_READ_TOGETHER = {"audit.json": ("input", {"input": int, "kept": int}),
+                  "diversity.json": ("mean", {"mean": (int, float), "std": (int, float)})}
+
+
 def cmd_report(p: dict) -> int:
     runs = []
     missing = []
@@ -354,7 +359,11 @@ def cmd_report(p: dict) -> int:
         ):
             path = run_dir / name
             if path.exists():
-                entry[key] = corpus_io.read_json(path, {})
+                data = path.read_bytes()
+                entry[key] = corpus_io.json_object(data, path, {})
+                trigger, required = _READ_TOGETHER.get(name, (None, {}))
+                if trigger in entry[key]:
+                    corpus_io.json_object(data, path, required)
         if len(entry) == 1:
             missing.append(str(run_dir))
         runs.append(entry)

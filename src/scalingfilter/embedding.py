@@ -124,8 +124,15 @@ class HashedProjectionEmbedder:
 
     def _sign_matrix(self) -> np.ndarray:
         if self._signs is None:
+            # the draw of rng.integers(0, 2, size=(HASH_BUCKETS, dim), dtype=np.int8): on a range
+            # of 2, Lemire's method returns the top bit of each next byte of the little-endian
+            # 64-bit raw stream, so those bits are taken from the stream directly, 8 per draw
+            # (HASH_BUCKETS is a multiple of 8), in the stream's own buffer
             rng = rng_for(self.seed, "hashed-projection-signs")
-            signs = rng.integers(0, 2, size=(HASH_BUCKETS, self.dim), dtype=np.int8)
+            raw = rng.bit_generator.random_raw(HASH_BUCKETS * self.dim // 8)
+            bits = raw.astype("<u8", copy=False).view(np.uint8)
+            bits >>= 7
+            signs = bits.view(np.int8).reshape(HASH_BUCKETS, self.dim)
             signs *= 2
             signs -= 1
             self._signs = signs
@@ -156,12 +163,14 @@ class HashedProjectionEmbedder:
         ``first_row`` numbers the documents in errors.
         """
         signs = self._sign_matrix()
-        # integer sums of sign rows: exact, so equal to any other order of adding the counts
+        # integer sums of sign rows: exact, so equal to any other order of adding the counts;
+        # the sum of n rows lies in [-n, n], so int16 holds it below 2^15 windows
         vecs = np.zeros((len(per_doc), self.dim), dtype=np.int64)
         ends = np.cumsum(per_doc)
         for row, (end, n) in enumerate(zip(ends.tolist(), per_doc.tolist())):
             if n:
-                vecs[row] = np.take(signs, buckets[end - n : end], axis=0).sum(axis=0, dtype=np.int64)
+                window_signs = np.take(signs, buckets[end - n : end], axis=0)
+                vecs[row] = window_signs.sum(axis=0, dtype=np.int16 if n < 1 << 15 else np.int64)
         vecs = vecs.astype(np.float64)
         norms = np.linalg.norm(vecs, axis=1)
         bad = np.flatnonzero(norms <= 0)

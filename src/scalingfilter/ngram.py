@@ -22,7 +22,8 @@ int64 array of keys ``context * 256 + byte`` and one array of their
 counts. A context is its (order - 1) previous symbols packed base 257,
 oldest symbol most significant, so each context's keys are contiguous.
 A model file holds the two arrays as they are. Training buffers document bytes
-and counts them a chunk at a time with ``np.unique``; scoring finds every
+and counts them a chunk at a time with ``np.unique``; a pair counts its
+stream once and sums the large counts into the small ones; scoring finds every
 token with one ``np.searchsorted``. Each term is ``math.log2`` of the
 add-k probability and a document's terms are summed left to right, so
 scores equal those of a per-byte loop to the last bit.
@@ -72,13 +73,16 @@ def _token_keys(docs: list[bytes], order: int) -> np.ndarray:
     at = np.arange(len(tokens)) + width * np.repeat(np.arange(1, len(docs) + 1), lengths)
     stream = np.full(len(tokens) + width * len(docs), BOUNDARY, dtype=np.int64)
     stream[at] = tokens
-    keys = np.zeros(len(tokens), dtype=np.int64)
+    # the key of every stream position from `width` on, from contiguous slices (a gather per
+    # symbol costs twice as much); those of boundary positions are built and dropped
+    span = len(stream) - width
+    keys = np.zeros(span, dtype=np.int64)
     for back in range(width, 0, -1):  # oldest symbol first, so it is the most significant
         keys *= _CTX_BASE
-        keys += stream[at - back]
+        keys += stream[width - back : width - back + span]
     keys *= VOCAB_SIZE
-    keys += tokens
-    return keys
+    keys += stream[width:]
+    return keys[at - width]
 
 
 def _contexts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,15 +310,26 @@ def train_ngram(corpus: Iterable[Document], order: int, smoothing_k: float = 0.0
 def train_pair(
     corpus: Iterable[Document], small_order: int, large_order: int, smoothing_k: float = 0.01
 ) -> MetaModelPair:
-    """Train both models of a pair in one pass over the same stream."""
+    """Train both models of a pair on one pass over the same stream.
+
+    Only the large model counts the stream. Both models pad a document with
+    boundary symbols, so the newest ``small_order - 1`` symbols of a large
+    context are the small context of the same token: a large key mod
+    ``257^(small_order-1) * 256`` is its small key, and the small model's
+    counts are the large counts summed over those keys (as KenLM derives
+    lower orders, Heafield et al. 2013).
+    """
+    # checks both orders and k before a document is read
     pair = MetaModelPair(NGramModel(small_order, smoothing_k), NGramModel(large_order, smoothing_k))
-    n_docs = 0
-    for doc in corpus:
-        pair.small.add_document(doc)
-        pair.large.add_document(doc)
-        n_docs += 1
-    if n_docs == 0:
-        raise NoTrainingDataError("training corpus is empty")
+    pair.large = train_ngram(corpus, large_order, smoothing_k)
+    keys, counts = pair.large._arrays()
+    small_keys = keys % (_CTX_BASE ** (small_order - 1) * VOCAB_SIZE)
+    by_key = np.argsort(small_keys)
+    small_keys = small_keys[by_key]
+    starts = np.flatnonzero(np.concatenate(([True], small_keys[1:] != small_keys[:-1])))
+    pair.small._keys = small_keys[starts]
+    pair.small._counts = np.add.reduceat(counts[by_key], starts)
+    pair.small.total_tokens_trained = pair.large.total_tokens_trained
     return pair
 
 

@@ -708,6 +708,19 @@ class TestReport:
         assert main(["report", "--runs", str(audit.parent), "--out", str(tmp_path / "report")]) == 2
         assert f"{audit}: {message}" in caplog.text
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("audit.json", '{"input": 3}', "has no 'kept'"),
+        ("audit.json", '{"input": 3, "kept": "2"}', "'kept' is str, not int"),
+        ("diversity.json", '{"mean": 3}', "has no 'std'"),
+        ("diversity.json", '{"mean": 3.5, "std": null}', "'std' is NoneType, not int or float"),
+    ])
+    def test_table_key_without_its_partner_exit_2_naming_the_file(self, tmp_path, caplog, name, text, message):
+        path = tmp_path / "run" / name
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+        assert main(["report", "--runs", str(path.parent), "--out", str(tmp_path / "report")]) == 2
+        assert f"{path}: {message}" in caplog.text
+
 
 def test_every_artifact_is_strict_json(tmp_path, corpus_dir, pair_dir, score_dir):
     """No JSON file a full chain writes holds NaN or Infinity."""

@@ -67,12 +67,13 @@ class TestHashedProjection:
             assert np.allclose(X[row], vec, atol=1e-9)
 
     def test_sign_matrix_matches_the_drawn_expression(self):
-        emb = HashedProjectionEmbedder(dim=16, seed=4)
-        rng = rng_for(4, "hashed-projection-signs")
-        expected = (rng.integers(0, 2, size=(HASH_BUCKETS, 16), dtype=np.int8) * 2 - 1).astype(np.int8)
-        signs = emb._sign_matrix()
-        assert signs.dtype == np.int8
-        assert np.array_equal(signs, expected)
+        # the matrix is taken from raw generator bits; rng.integers defines it
+        for seed, dim in itertools.product((0, 4, 2**40 + 3), (2, 3, 16, 64)):
+            rng = rng_for(seed, "hashed-projection-signs")
+            expected = (rng.integers(0, 2, size=(HASH_BUCKETS, dim), dtype=np.int8) * 2 - 1).astype(np.int8)
+            signs = HashedProjectionEmbedder(dim=dim, seed=seed)._sign_matrix()
+            assert signs.dtype == np.int8
+            assert np.array_equal(signs, expected), (seed, dim)
 
     def test_too_short_doc_is_degenerate(self):
         emb = HashedProjectionEmbedder(dim=8, seed=0)
@@ -115,6 +116,20 @@ class TestLoopOracle:
             monkeypatch.setattr(embedding, "_cpu_count", lambda: workers)
             assert np.array_equal(emb.embed(self.TEXTS), expected)
             assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("length", [10925, 10926])
+    def test_rows_at_the_int16_bound_equal_the_loop(self, length):
+        # a text of L equal bytes has 3L - 9 windows: 32766, the most a text can have below
+        # 2^15 (rows summed in int16), then 32769 (int64). Its windows fall in three buckets,
+        # so a dimension where their signs agree sums to the window count, the bound itself
+        text = "a" * length
+        emb = HashedProjectionEmbedder(dim=64, seed=0)
+        counts = loop_bucket_counts(text)
+        signs = emb._sign_matrix()
+        peak = np.abs(sum(signs[b].astype(np.int64) * n for b, n in counts.items())).max()
+        assert peak == sum(counts.values()) == 3 * length - 9
+        texts = [text, "a short text after it"]
+        assert np.array_equal(emb.embed(texts), loop_embed(signs, texts))
 
     def test_buckets_equal_the_loop_on_every_byte(self):
         data = [bytes(range(256)), bytes(range(255, -1, -1)), b"\xff" * 7]

@@ -342,6 +342,47 @@ class TestLoopOracle:
         assert len(list(stream)) == len(small_docs)
 
 
+class TestPairMarginal:
+    """A pair's small model, summed from the large model's counts, equals one trained alone."""
+
+    @pytest.mark.parametrize("small_order, large_order", [(1, 2), (2, 5), (1, 7), (6, 7)])
+    @pytest.mark.parametrize("fold_bytes", [37, 1 << 20])
+    def test_both_models_equal_single_models_and_the_loop(self, monkeypatch, small_order, large_order,
+                                                          fold_bytes):
+        # oracle_texts holds multi-byte UTF-8 and texts shorter than both orders;
+        # fold_bytes 37: training documents straddle count chunks
+        monkeypatch.setattr(ngram, "_FOLD_BYTES", fold_bytes)
+        texts = oracle_texts(10 * small_order + large_order)
+        docs = [doc(t, str(i)) for i, t in enumerate(texts)]
+        pair = train_pair(docs, small_order, large_order)
+        for model, order in ((pair.small, small_order), (pair.large, large_order)):
+            oracle = LoopNGramModel(order)
+            for text in texts:
+                oracle.add_document(text)
+            blob = model.to_bytes()
+            assert blob == train_ngram(docs, order).to_bytes()
+            assert blob == oracle.to_bytes()
+            assert model.perplexities(texts) == [oracle.perplexity(t) for t in texts]
+
+    # small > large and large > MAX_ORDER are tested in TestPair and TestLoopOracle
+    @pytest.mark.parametrize("small_order, large_order, smoothing_k, error", [
+        (5, 5, 0.01, InvalidPairSpecError),
+        (0, 2, 0.01, ValueError),
+        (2, 5, 0.0, ValueError),
+        (2, 5, -1.0, ValueError),
+        (2, 5, float("nan"), ValueError),
+    ])
+    def test_bad_pair_reads_no_document(self, small_docs, small_order, large_order, smoothing_k, error):
+        stream = iter(small_docs)
+        with pytest.raises(error):
+            train_pair(stream, small_order, large_order, smoothing_k)
+        assert len(list(stream)) == len(small_docs)
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(NoTrainingDataError):
+            train_pair([], 2, 5)
+
+
 class TestModelFileChecks:
     """Every malformed model file raises ValueError."""
 
