@@ -340,9 +340,12 @@ def cmd_verify_scaling(p: dict) -> int:
     return EXIT_OK
 
 
-# keys the table reads together, by file: a keep rate is kept / input and a diversity is mean +/- std
+# keys the table reads, by file, checked when the first is present: a keep rate is kept / input,
+# a diversity is mean +/- std, and a mean quality factor is a number or null
 _READ_TOGETHER = {"audit.json": ("input", {"input": int, "kept": int}),
-                  "diversity.json": ("mean", {"mean": (int, float), "std": (int, float)})}
+                  "diversity.json": ("mean", {"mean": (int, float), "std": (int, float)}),
+                  "score_summary.json": ("mean_quality_factor",
+                                         {"mean_quality_factor": (int, float, type(None))})}
 
 
 def cmd_report(p: dict) -> int:

@@ -6,9 +6,9 @@ S/n has nonnegative eigenvalues summing to 1; their Shannon entropy H
 the diversity: 1 when all documents are identical, n when all embeddings
 are mutually orthogonal.
 
-The embeddings are the only input. When n <= m the spectrum comes from S
-itself, built with an exact unit diagonal after a check that the rows are
-unit-normalized. When m < n the same nonzero spectrum comes from the m x m
+The embeddings are the only input, and their rows must be unit-normalized.
+When n <= m the spectrum comes from S itself, built with an exact unit
+diagonal. When m < n the same nonzero spectrum comes from the m x m
 dual Gram matrix (1/n) X^T X, which turns a 10,000-document
 eigendecomposition into an m^3 one. The two paths agree with
 eigvalsh(X X^T)/n to rounding.
@@ -61,12 +61,12 @@ def _spectrum(embeddings: np.ndarray) -> np.ndarray:
     # exactly permutation-invariant (eigenvalues do not depend on row order).
     if not _rows_ascend(X):
         X = X[np.lexsort(X.T[::-1])]
+    if np.any(np.abs(np.linalg.norm(X, axis=1) - 1.0) > 1e-6):
+        raise ValueError("embedding rows must be unit-normalized")
     n, m = X.shape
     if m < n:
         # dual Gram path: XtX/n shares the nonzero spectrum of (X Xt)/n
         return np.linalg.eigvalsh(X.T @ X) / n
-    if np.any(np.abs(np.linalg.norm(X, axis=1) - 1.0) > 1e-6):
-        raise ValueError("embedding rows must be unit-normalized")
     S = X @ X.T
     np.fill_diagonal(S, 1.0)
     return np.linalg.eigvalsh(S) / n

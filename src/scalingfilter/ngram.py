@@ -21,12 +21,14 @@ Storage is the sorted-array layout of KenLM (Heafield 2011): one sorted
 int64 array of keys ``context * 256 + byte`` and one array of their
 counts. A context is its (order - 1) previous symbols packed base 257,
 oldest symbol most significant, so each context's keys are contiguous.
-A model file holds the two arrays as they are. Training buffers document bytes
-and counts them a chunk at a time with ``np.unique``; a pair counts its
-stream once and sums the large counts into the small ones; scoring finds every
-token with one ``np.searchsorted``. Each term is ``math.log2`` of the
-add-k probability and a document's terms are summed left to right, so
-scores equal those of a per-byte loop to the last bit.
+A model file holds the two arrays as they are. A model is built once, by
+``train_ngram``, ``train_pair`` or ``from_bytes``, and never changes after.
+Training buffers document bytes and counts them a chunk at a time with
+``np.unique``; a pair counts its stream once and sums the large counts into
+the small ones; scoring finds every token with one ``np.searchsorted``.
+Each term is ``math.log2`` of the add-k probability and a document's terms
+are summed left to right, so scores equal those of a per-byte loop to the
+last bit.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ BOUNDARY = 256  # context-only symbol, outside the byte alphabet
 _CTX_BASE = 257  # byte alphabet plus the boundary symbol
 # the largest key, 257^(order-1) * 256, fits an int64 up to order 7 (~7.4e16); order 8 overflows
 MAX_ORDER = 7
-# training bytes buffered per model before they are counted into its arrays
+# training bytes buffered before they are counted into the arrays
 _FOLD_BYTES = 1 << 20
 
 _MAGIC = b"SFNGRAM1\n"
@@ -85,6 +87,30 @@ def _token_keys(docs: list[bytes], order: int) -> np.ndarray:
     return keys[at - width]
 
 
+def _fold(keys: np.ndarray, counts: np.ndarray, docs: list[bytes],
+          order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted arrays ``keys`` and ``counts`` with the counts of the documents' keys merged in.
+
+    Counts of keys already present are added to ``counts`` in place.
+    """
+    new_keys, new_counts = np.unique(_token_keys(docs, order), return_counts=True)
+    at = np.searchsorted(keys, new_keys)
+    seen = at < len(keys)
+    seen[seen] = keys[at[seen]] == new_keys[seen]
+    counts[at[seen]] += new_counts[seen]
+    fresh = ~seen
+    return np.insert(keys, at[fresh], new_keys[fresh]), np.insert(counts, at[fresh], new_counts[fresh])
+
+
+def _check_spec(order: int, smoothing_k: float) -> None:
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order > MAX_ORDER:
+        raise InvalidPairSpecError(f"order {order} is above the largest supported order {MAX_ORDER}")
+    if not smoothing_k > 0:
+        raise ValueError("smoothing_k must be > 0")
+
+
 def _contexts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of each context's first key in a sorted key array, and its number of keys."""
     ctx = keys >> 8
@@ -95,57 +121,20 @@ def _contexts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NGramModel:
     """Order-n byte model storing sparse (context, next byte) counts in sorted arrays.
 
-    ``_keys`` holds ``context * 256 + byte`` in ascending order and
-    ``_counts`` the count of each; zero-count entries are never stored.
+    ``keys`` holds ``context * 256 + byte`` in ascending order and
+    ``counts`` the count of each; zero-count entries are never stored.
     """
 
-    def __init__(self, order: int, smoothing_k: float = 0.01):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if order > MAX_ORDER:
-            raise InvalidPairSpecError(f"order {order} is above the largest supported order {MAX_ORDER}")
-        if not smoothing_k > 0:
-            raise ValueError("smoothing_k must be > 0")
+    def __init__(self, order: int, smoothing_k: float, keys: np.ndarray, counts: np.ndarray,
+                 total_tokens_trained: int):
+        _check_spec(order, smoothing_k)
         self.order = order
         self.smoothing_k = float(smoothing_k)
-        self.total_tokens_trained = 0
-        self._keys = np.zeros(0, dtype=np.int64)
-        self._counts = np.zeros(0, dtype=np.int64)
-        self._pending: list[bytes] = []  # documents added but not yet counted
-        self._pending_bytes = 0
+        self.keys = keys
+        self.counts = counts
+        self.total_tokens_trained = total_tokens_trained
         self._terms: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._fingerprint: Optional[str] = None
-
-    # -- training ---------------------------------------------------------
-
-    def add_document(self, doc: Document) -> None:
-        """Count every length-order window of the document's byte tokens."""
-        tokens = tokenize(doc.text)
-        self._pending.append(tokens)
-        self._pending_bytes += len(tokens)
-        self.total_tokens_trained += len(tokens)
-        self._fingerprint = None
-        if self._pending_bytes >= _FOLD_BYTES:
-            self._fold()
-
-    def _fold(self) -> None:
-        """Merge the counts of the buffered documents into the sorted arrays."""
-        if not self._pending:
-            return
-        new_keys, new_counts = np.unique(_token_keys(self._pending, self.order), return_counts=True)
-        self._pending, self._pending_bytes = [], 0
-        at = np.searchsorted(self._keys, new_keys)
-        seen = at < len(self._keys)
-        seen[seen] = self._keys[at[seen]] == new_keys[seen]
-        self._counts[at[seen]] += new_counts[seen]
-        fresh = ~seen
-        self._keys = np.insert(self._keys, at[fresh], new_keys[fresh])
-        self._counts = np.insert(self._counts, at[fresh], new_counts[fresh])
-        self._terms = None
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        self._fold()
-        return self._keys, self._counts
 
     # -- evaluation -------------------------------------------------------
 
@@ -158,7 +147,7 @@ class NGramModel:
         log2 differs from it in the last bit for some values.
         """
         if self._terms is None:
-            keys, counts = self._arrays()
+            keys, counts = self.keys, self.counts
             starts, sizes = _contexts(keys)
             totals = np.add.reduceat(counts, starts) if len(keys) else counts
             k, denom_k = self.smoothing_k, self.smoothing_k * VOCAB_SIZE
@@ -212,22 +201,21 @@ class NGramModel:
 
     @property
     def n_contexts(self) -> int:
-        return len(_contexts(self._arrays()[0])[0])
+        return len(_contexts(self.keys)[0])
 
     # -- persistence ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        keys, counts = self._arrays()
         header = {
             "format_version": _FORMAT_VERSION,
             "order": self.order,
             "smoothing_k": self.smoothing_k,
             "total_tokens_trained": self.total_tokens_trained,
-            "n_keys": len(keys),
+            "n_keys": len(self.keys),
         }
         return b"".join([_MAGIC, json.dumps(header, sort_keys=True).encode("utf-8"), b"\n",
-                         keys.astype("<i8", copy=False).tobytes(),
-                         counts.astype("<i8", copy=False).tobytes()])
+                         self.keys.astype("<i8", copy=False).tobytes(),
+                         self.counts.astype("<i8", copy=False).tobytes()])
 
     def save(self, path: str | Path) -> None:
         blob = self.to_bytes()
@@ -246,19 +234,16 @@ class NGramModel:
             raise ValueError(f"n-gram model file has format version {version}, and only version "
                              f"{_FORMAT_VERSION} is read: run train-meta again to rewrite the pair")
         header = json_object(line, "n-gram model header", _HEADER_KEYS)
-        model = cls(order=header["order"], smoothing_k=header["smoothing_k"])
-        model.total_tokens_trained = header["total_tokens_trained"]
         n = header["n_keys"]
         body = memoryview(blob)[header_end + 1:]
         if len(body) != 16 * n:
             raise ValueError(f"n-gram model file has {len(body)} bytes of arrays, not {16 * n} for {n} keys")
-        # a copy, so that a loaded model can still add documents
-        keys, counts = np.frombuffer(body, dtype="<i8").reshape(2, n).astype(np.int64)
+        keys, counts = np.frombuffer(body, dtype="<i8").reshape(2, n).astype(np.int64, copy=False)
+        model = cls(header["order"], header["smoothing_k"], keys, counts, header["total_tokens_trained"])
         if n and not (0 <= keys[0] and keys[-1] < _CTX_BASE ** (model.order - 1) * VOCAB_SIZE):
             raise ValueError("n-gram model file has a key out of range")
         if np.any(keys[1:] <= keys[:-1]) or np.any(counts <= 0):
             raise ValueError("n-gram model file has keys out of order or a zero count")
-        model._keys, model._counts = keys, counts
         # a saved model's bytes are its to_bytes(), so their digest is its fingerprint
         model._fingerprint = _digest(blob)
         return model
@@ -290,21 +275,34 @@ class MetaModelPair:
     train_corpus_id: str = ""
 
     def __post_init__(self):
-        if self.small.order >= self.large.order:
-            raise InvalidPairSpecError(
-                f"small order {self.small.order} must be < large order {self.large.order}"
-            )
+        _check_pair_orders(self.small.order, self.large.order)
+
+
+def _check_pair_orders(small_order: int, large_order: int) -> None:
+    if small_order >= large_order:
+        raise InvalidPairSpecError(f"small order {small_order} must be < large order {large_order}")
 
 
 def train_ngram(corpus: Iterable[Document], order: int, smoothing_k: float = 0.01) -> NGramModel:
-    model = NGramModel(order=order, smoothing_k=smoothing_k)
-    n_docs = 0
+    """The model of every length-order window of the documents' byte tokens, counted ``_FOLD_BYTES``
+    of documents at a time."""
+    _check_spec(order, smoothing_k)  # before a document is read
+    keys, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    docs: list[bytes] = []
+    pending = total = 0
     for doc in corpus:
-        model.add_document(doc)
-        n_docs += 1
-    if n_docs == 0:
+        docs.append(tokenize(doc.text))
+        pending += len(docs[-1])
+        if pending >= _FOLD_BYTES:
+            keys, counts = _fold(keys, counts, docs, order)
+            total += pending
+            docs, pending = [], 0
+    if docs:
+        keys, counts = _fold(keys, counts, docs, order)
+        total += pending
+    if total == 0:
         raise NoTrainingDataError("training corpus is empty")
-    return model
+    return NGramModel(order, smoothing_k, keys, counts, total)
 
 
 def train_pair(
@@ -319,18 +317,17 @@ def train_pair(
     counts are the large counts summed over those keys (as KenLM derives
     lower orders, Heafield et al. 2013).
     """
-    # checks both orders and k before a document is read
-    pair = MetaModelPair(NGramModel(small_order, smoothing_k), NGramModel(large_order, smoothing_k))
-    pair.large = train_ngram(corpus, large_order, smoothing_k)
-    keys, counts = pair.large._arrays()
-    small_keys = keys % (_CTX_BASE ** (small_order - 1) * VOCAB_SIZE)
+    # both orders and k are checked before a document is read; train_ngram checks the large order
+    _check_spec(small_order, smoothing_k)
+    _check_pair_orders(small_order, large_order)
+    large = train_ngram(corpus, large_order, smoothing_k)
+    small_keys = large.keys % (_CTX_BASE ** (small_order - 1) * VOCAB_SIZE)
     by_key = np.argsort(small_keys)
     small_keys = small_keys[by_key]
     starts = np.flatnonzero(np.concatenate(([True], small_keys[1:] != small_keys[:-1])))
-    pair.small._keys = small_keys[starts]
-    pair.small._counts = np.add.reduceat(counts[by_key], starts)
-    pair.small.total_tokens_trained = pair.large.total_tokens_trained
-    return pair
+    small = NGramModel(small_order, smoothing_k, small_keys[starts], np.add.reduceat(large.counts[by_key], starts),
+                       large.total_tokens_trained)
+    return MetaModelPair(small, large)
 
 
 PAIR_DESCRIPTOR_NAME = "pair.json"

@@ -6,8 +6,8 @@ optimal allocation follows N_opt ~ C^a, D_opt ~ C^b with a = beta/(alpha+beta)
 and b = alpha/(alpha+beta), a premise taken from Hoffmann et al. 2022
 (arXiv:2203.15556) and not re-derived here. Substituting
 alpha = (1-a)*eta, beta = a*eta (eta = alpha + beta) exposes the model
-scaling exponent a directly in the loss, and everything this module
-verifies follows from that form:
+scaling exponent a directly in the loss; ``reparam_loss`` is the surface
+in that form, and everything this module verifies follows from it:
 
 * dL/dN = A*(a-1)*eta*N^((a-1)*eta - 1) < 0,
 * d2L/(da dN) = A*eta*N^((a-1)*eta - 1) * (1 + (a-1)*eta*ln N), negative
@@ -16,47 +16,22 @@ verifies follows from that form:
   the perplexity-ratio quality factor d = 2^(L_small - L_large) is
   strictly increasing in a on that region.
 
+``verification_report`` runs these checks on grids of a and N and returns
+the dict that ``verify-scaling`` writes as verify_report.json.
 All losses are bits per token so that perplexity is 2^L.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import (
-    ConditionRegionViolatedError,
-    InvalidExponentError,
-    InvalidSecantError,
-    NumericRangeError,
-)
+from .errors import ConditionRegionViolatedError, InvalidExponentError, InvalidSecantError, NumericRangeError
 
 # verification_report's grids: the monotonicity check's A_POINTS values of a on [A_LO, A_HI],
 # and CHECK_GRID_SIZE values each of a and N for the derivative and secant checks
 A_LO, A_HI = 0.1, 0.9
 A_POINTS = 100
 CHECK_GRID_SIZE = 10
-
-
-@dataclass(frozen=True)
-class ScalingLawParams:
-    """Loss-surface parameters (E, A, B, alpha, beta)."""
-
-    E: float
-    A: float
-    B: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.E < 0:
-            raise ValueError("E must be >= 0")
-        # A or B of exactly 0 is allowed: the term vanishes (degenerate surface)
-        if self.A < 0 or self.B < 0:
-            raise ValueError("A and B must be >= 0")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InvalidExponentError("alpha and beta must be > 0")
 
 
 def _power_term(coeff: float, base: float, exponent: float) -> float:
@@ -67,25 +42,27 @@ def _power_term(coeff: float, base: float, exponent: float) -> float:
         raise NumericRangeError(f"{coeff}/{base}^{exponent} overflows") from exc
 
 
-def expected_loss(params: ScalingLawParams, N: float, D: float) -> float:
-    """E + A/N^alpha + B/D^beta."""
+def reparam_loss(E: float, A: float, B: float, a: float, eta: float, N: float, D: float) -> float:
+    """E + A/N^alpha + B/D^beta with alpha = (1-a)*eta and beta = a*eta.
+
+    Both exponents are positive exactly when 0 < a < 1 and eta > 0.
+    """
+    if E < 0:
+        raise ValueError("E must be >= 0")
+    # A or B of exactly 0 is allowed: the term vanishes (degenerate surface)
+    if A < 0 or B < 0:
+        raise ValueError("A and B must be >= 0")
+    alpha, beta = (1 - a) * eta, a * eta
+    if alpha <= 0 or beta <= 0:
+        raise InvalidExponentError(f"alpha = (1-a)*eta = {alpha} and beta = a*eta = {beta} must be > 0")
     if N <= 0 or D <= 0:
         raise ValueError("N and D must be > 0")
-    out = params.E
-    if params.A > 0:
-        out += _power_term(params.A, N, params.alpha)
-    if params.B > 0:
-        out += _power_term(params.B, D, params.beta)
+    out = E
+    if A > 0:
+        out += _power_term(A, N, alpha)
+    if B > 0:
+        out += _power_term(B, D, beta)
     return out
-
-
-def reparam_loss(E: float, A: float, B: float, a: float, eta: float, N: float, D: float) -> float:
-    """The loss surface written in terms of (a, eta): alpha = (1-a)*eta, beta = a*eta."""
-    if not (0.0 < a < 1.0):
-        raise InvalidExponentError("a must lie in (0, 1)")
-    if eta <= 0:
-        raise InvalidExponentError("eta must be > 0")
-    return expected_loss(ScalingLawParams(E=E, A=A, B=B, alpha=(1 - a) * eta, beta=a * eta), N, D)
 
 
 def dloss_dN(A: float, a: float, eta: float, N: float) -> float:
@@ -108,97 +85,30 @@ def d2loss_da_dN(A: float, a: float, eta: float, N: float) -> float:
     return prefactor * mixed_partial_bracket(a, eta, N)
 
 
-@dataclass(frozen=True)
-class SecantAnalysis:
-    """Secant of the loss-vs-size curve between two model sizes at fixed D."""
-
-    N_p: float
-    N_q: float
-    D: float
-    L_p: float
-    L_q: float
-    slope: float
-    d_model: float
-
-
 def _check_sizes(N_p: float, N_q: float) -> None:
     if not (0 < N_p < N_q):
         raise InvalidSecantError(f"need 0 < N_p < N_q, got ({N_p}, {N_q})")
 
 
-def secant_slope(
-    E: float, A: float, B: float, a: float, eta: float, N_p: float, N_q: float, D: float
-) -> SecantAnalysis:
-    """Secant slope (L_q - L_p) / (N_q - N_p) and the implied quality factor.
+def secant_slope(E: float, A: float, B: float, a: float, eta: float, N_p: float, N_q: float,
+                 D: float) -> tuple[float, float]:
+    """Secant slope (L_q - L_p) / (N_q - N_p) at fixed D, and the quality factor 2^(L_p - L_q).
 
-    The slope is always negative and d_model = 2^(L_p - L_q) always
-    exceeds 1, since loss strictly decreases with model size.
+    The slope is always negative and the quality factor always exceeds 1,
+    since loss strictly decreases with model size.
     """
     _check_sizes(N_p, N_q)
     L_p = reparam_loss(E, A, B, a, eta, N_p, D)
     L_q = reparam_loss(E, A, B, a, eta, N_q, D)
-    slope = (L_q - L_p) / (N_q - N_p)
-    return SecantAnalysis(N_p=N_p, N_q=N_q, D=D, L_p=L_p, L_q=L_q, slope=slope, d_model=2.0 ** (L_p - L_q))
+    try:
+        d_model = 2.0 ** (L_p - L_q)
+    except OverflowError as exc:
+        raise NumericRangeError(f"2^({L_p} - {L_q}) overflows at a={a}, N_p={N_p}, N_q={N_q}") from exc
+    return (L_q - L_p) / (N_q - N_p), d_model
 
 
-@dataclass
-class MonotonicityReport:
-    """Grid evaluation of d_model(a) plus a strict-monotonicity verdict."""
-
-    a_grid: list[float]
-    d_values: list[float]
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "a_grid": self.a_grid,
-            "d_model": self.d_values,
-            "strictly_increasing": self.passed,
-        }
-
-
-def verify_monotonic_d_in_a(
-    E: float,
-    A: float,
-    B: float,
-    eta: float,
-    N_p: float,
-    N_q: float,
-    D: float,
-    a_grid: Sequence[float],
-) -> MonotonicityReport:
-    """Check that the pair quality factor rises strictly with a over a grid.
-
-    Precondition: the mixed-partial bracket must be negative for every grid
-    a across the whole size interval [N_p, N_q]; the bracket is monotone in
-    ln N, so both endpoints are checked and the offending (a, N) reported.
-    """
-    _check_sizes(N_p, N_q)
-    grid = [float(a) for a in a_grid]
-    if any(not (0.0 < a < 1.0) for a in grid):
-        raise InvalidExponentError("a_grid values must lie in (0, 1)")
-    if sorted(grid) != grid:
-        raise ValueError("a_grid must be sorted ascending")
-    for a in grid:
-        for N in (N_p, N_q):
-            if mixed_partial_bracket(a, eta, N) >= 0:
-                raise ConditionRegionViolatedError(
-                    f"bracket 1 + (a-1)*eta*ln(N) >= 0 at a={a}, N={N}; increase N_p"
-                )
-    d_values = [secant_slope(E, A, B, a, eta, N_p, N_q, D).d_model for a in grid]
-    passed = all(d_values[i] < d_values[i + 1] for i in range(len(d_values) - 1))
-    return MonotonicityReport(a_grid=grid, d_values=d_values, passed=passed)
-
-
-def verification_report(
-    E: float = 1.69,
-    A: float = 406.4,
-    B: float = 410.7,
-    eta: float = 0.62,
-    N_p: float = 1e8,
-    N_q: float = 1e9,
-    D: float = 1e10,
-) -> dict:
+def verification_report(E: float = 1.69, A: float = 406.4, B: float = 410.7, eta: float = 0.62,
+                        N_p: float = 1e8, N_q: float = 1e9, D: float = 1e10) -> dict:
     """Run every derivation check on one parameter set and report pass/fail.
 
     Checks: negative dL/dN on an (a, N) grid; mixed-partial sign matching
@@ -212,13 +122,11 @@ def verification_report(
     checks: dict[str, bool] = {}
     details: dict[str, object] = {}
 
-    a_grid = list(np.linspace(A_LO, A_HI, A_POINTS))
+    a_grid = [float(a) for a in np.linspace(A_LO, A_HI, A_POINTS)]
     n_grid = list(np.logspace(math.log10(N_p), math.log10(N_q), CHECK_GRID_SIZE))
     a_small_grid = list(np.linspace(A_LO, A_HI, CHECK_GRID_SIZE))
 
-    checks["dloss_dN_negative"] = all(
-        dloss_dN(A, a, eta, N) < 0 for a in a_small_grid for N in n_grid
-    )
+    checks["dloss_dN_negative"] = all(dloss_dN(A, a, eta, N) < 0 for a in a_small_grid for N in n_grid)
 
     sign_ok = True
     for a in a_small_grid:
@@ -237,9 +145,7 @@ def verification_report(
     for a in a_small_grid:
         for N in n_grid:
             h = N * 1e-6
-            fd = (
-                reparam_loss(E, A, B, a, eta, N + h, D) - reparam_loss(E, A, B, a, eta, N - h, D)
-            ) / (2 * h)
+            fd = (reparam_loss(E, A, B, a, eta, N + h, D) - reparam_loss(E, A, B, a, eta, N - h, D)) / (2 * h)
             analytic = dloss_dN(A, a, eta, N)
             rel = abs(fd - analytic) / (abs(analytic) or 1.0)
             worst_fd = max(worst_fd, rel)
@@ -257,18 +163,30 @@ def verification_report(
     worst_sec = 0.0
     for a in a_small_grid:
         gap = N_p * 1e-6
-        analysis = secant_slope(E, A, B, a, eta, N_p, N_p + gap, D)
+        slope, _ = secant_slope(E, A, B, a, eta, N_p, N_p + gap, D)
         tangent = dloss_dN(A, a, eta, N_p)
-        rel = abs(analysis.slope - tangent) / (abs(tangent) or 1.0)
+        rel = abs(slope - tangent) / (abs(tangent) or 1.0)
         worst_sec = max(worst_sec, rel)
         if rel > 1e-4:
             sec_ok = False
     checks["secant_tangent_convergence"] = sec_ok
     details["worst_secant_relative_error"] = worst_sec
 
-    mono = verify_monotonic_d_in_a(E, A, B, eta, N_p, N_q, D, a_grid)
-    checks["d_model_monotone_in_a"] = mono.passed
-    details["monotonicity"] = mono.to_json()
+    # the quality factor rises with a only where the mixed-partial bracket is negative across
+    # [N_p, N_q]; the bracket is monotone in ln N, so both ends are checked for every a
+    for a in a_grid:
+        for N in (N_p, N_q):
+            if mixed_partial_bracket(a, eta, N) >= 0:
+                raise ConditionRegionViolatedError(
+                    f"bracket 1 + (a-1)*eta*ln(N) >= 0 at a={a}, N={N}; increase N_p"
+                )
+    d_values = [secant_slope(E, A, B, a, eta, N_p, N_q, D)[1] for a in a_grid]
+    checks["d_model_monotone_in_a"] = all(d_values[i] < d_values[i + 1] for i in range(len(d_values) - 1))
+    details["monotonicity"] = {
+        "a_grid": a_grid,
+        "d_model": d_values,
+        "strictly_increasing": checks["d_model_monotone_in_a"],
+    }
 
     return {
         "params": {"E": E, "A": A, "B": B, "eta": eta, "N_p": N_p, "N_q": N_q, "D": D},

@@ -31,7 +31,7 @@ from scalingfilter.scaling import (
     mixed_partial_bracket,
     reparam_loss,
     secant_slope,
-    verify_monotonic_d_in_a,
+    verification_report,
 )
 from scalingfilter.scoring import QualityScore, quality_factor, read_score_file, score_corpus
 from scalingfilter.selection import (
@@ -156,14 +156,16 @@ def test_criterion_04_derivation_checks():
         # secant converges to tangent at relative gap 1e-6 within 1e-4
         for a in a_grid10:
             N_p = 1e8
-            analysis = secant_slope(E, A, B, a, eta, N_p, N_p * (1 + 1e-6), D)
-            assert analysis.slope == pytest.approx(dloss_dN(A, a, eta, N_p), rel=1e-4)
+            slope, _ = secant_slope(E, A, B, a, eta, N_p, N_p * (1 + 1e-6), D)
+            assert slope == pytest.approx(dloss_dN(A, a, eta, N_p), rel=1e-4)
         # d_model strictly increasing over a 100-point grid
-        report = verify_monotonic_d_in_a(E, A, B, 0.6, 1e8, 1e9, D, list(np.linspace(0.1, 0.9, 100)))
-        assert report.passed
+        mono = verification_report(E, A, B, 0.6, 1e8, 1e9, D)["details"]["monotonicity"]
+        assert mono["a_grid"] == list(np.linspace(0.1, 0.9, 100))
+        assert mono["strictly_increasing"]
+        assert all(lo < hi for lo, hi in zip(mono["d_model"], mono["d_model"][1:]))
         # and the guard trips when the condition region is violated
         with pytest.raises(ConditionRegionViolatedError):
-            verify_monotonic_d_in_a(E, A, B, 0.6, 2.0, 1e9, D, [0.5])
+            verification_report(E, A, B, 0.6, 2.0, 1e9, D)
 
 
 def test_criterion_06_diversity_closed_forms():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -642,6 +643,23 @@ class TestVerifyScaling:
         assert report["checks"]["finite_difference_agreement"]
         assert report["checks"]["secant_tangent_convergence"]
 
+    @pytest.mark.parametrize("args, rc, digest", [
+        ([], 0, "bba2d6557066703d1d9bc78686f4a490366d5df75e5b6a185e47ea976a55281c"),
+        (["--loss-A", "0"], 4, "cb46f78b64612953228e566344b19f8c37ed1bb97e7043bae615a70cf79a030b"),
+    ], ids=["defaults", "zero-A"])
+    def test_report_bytes_are_frozen(self, tmp_path, args, rc, digest):
+        # sha256 of verify_report.json as the (alpha, beta) and (a, eta) forms of the loss both wrote it
+        out = tmp_path / "verify"
+        assert main(["verify-scaling", *args, "--out", str(out)]) == rc
+        assert hashlib.sha256((out / "verify_report.json").read_bytes()).hexdigest() == digest
+
+    def test_quality_factor_overflow_exit_1_numeric_range(self, tmp_path, caplog):
+        # with A = 1e5 the loss gap of the secant is over 1024 bits, so 2^gap is beyond a float
+        out = tmp_path / "huge"
+        assert main(["verify-scaling", "--loss-A", "1e5", "--out", str(out)]) == 1
+        assert "numeric-range" in caplog.text and "overflows" in caplog.text
+        assert not (out / "verify_report.json").exists()
+
 
 class TestMalformedManifest:
     """Every command that reads a corpus exits 2 on a malformed manifest.json, naming it."""
@@ -720,6 +738,23 @@ class TestReport:
         path.write_text(text, encoding="utf-8")
         assert main(["report", "--runs", str(path.parent), "--out", str(tmp_path / "report")]) == 2
         assert f"{path}: {message}" in caplog.text
+
+    def test_mean_quality_factor_of_wrong_type_exit_2_naming_the_file(self, tmp_path, caplog):
+        path = tmp_path / "run" / "score_summary.json"
+        path.parent.mkdir()
+        path.write_text('{"mean_quality_factor": "x"}', encoding="utf-8")
+        assert main(["report", "--runs", str(path.parent), "--out", str(tmp_path / "report")]) == 2
+        assert f"{path}: 'mean_quality_factor' is str, not int or float or NoneType" in caplog.text
+
+    @pytest.mark.parametrize("value, shown", [("null", ""), ("1.5", "1.5000"), ("2", "2.0000")])
+    def test_mean_quality_factor_number_or_null_accepted(self, tmp_path, value, shown):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "score_summary.json").write_text(f'{{"mean_quality_factor": {value}}}', encoding="utf-8")
+        out = tmp_path / "report"
+        assert main(["report", "--runs", str(run), "--out", str(out)]) == 0
+        row = (out / "report.txt").read_text(encoding="utf-8").splitlines()[1]
+        assert row.split()[1:] == ([shown] if shown else [])
 
 
 def test_every_artifact_is_strict_json(tmp_path, corpus_dir, pair_dir, score_dir):

@@ -52,6 +52,16 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError):
             semantic_diversity(embeddings=np.array([[2.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("X", [
+        # 200 x 16 unit rows scaled to norm 0.5: a diversity of 2.80 instead of 15.45 if unchecked
+        0.5 * random_unit_rows(np.random.Generator(np.random.PCG64(3)), 200, 16),
+        np.tile(np.array([[2.0, 0.0]]), (3, 1)),
+    ], ids=["half-norm", "norm-2"])
+    def test_dual_path_rejects_unnormalized_rows(self, X):
+        assert X.shape[1] < X.shape[0]  # the m < n path
+        with pytest.raises(ValueError, match="unit-normalized"):
+            semantic_diversity(embeddings=X)
+
 
 class TestEigenEntropy:
     def test_rank_one_similarity_is_zero(self):
@@ -73,11 +83,10 @@ class TestEigenEntropy:
             eigen_entropy(embeddings=np.eye(3))
         assert exc.value.code == "not-psd"
 
-    def test_eigenvalue_above_one_rejected(self):
-        # rows are not unit-normalized, which the dual path does not check: X^T X / 3 has eigenvalue 4
-        X = np.tile(np.array([[2.0, 0.0]]), (3, 1))
+    def test_eigenvalue_above_one_rejected(self, monkeypatch):
+        monkeypatch.setattr(diversity, "_spectrum", lambda embeddings: np.array([0.0, 0.0, 1.0 + 1e-7]))
         with pytest.raises(NotPsdError, match="above") as exc:
-            eigen_entropy(embeddings=X)
+            eigen_entropy(embeddings=np.eye(3))
         assert exc.value.code == "not-psd"
 
 

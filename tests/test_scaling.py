@@ -7,52 +7,77 @@ from scalingfilter.errors import (
     ConditionRegionViolatedError,
     InvalidExponentError,
     InvalidSecantError,
+    NumericRangeError,
 )
 from scalingfilter.scaling import (
-    ScalingLawParams,
     d2loss_da_dN,
     dloss_dN,
-    expected_loss,
     mixed_partial_bracket,
     reparam_loss,
     secant_slope,
     verification_report,
-    verify_monotonic_d_in_a,
 )
 
-PARAMS = ScalingLawParams(E=1.69, A=406.4, B=410.7, alpha=0.34, beta=0.28)
+# E, A, B and the exponents alpha = 0.34, beta = 0.28 of the loss fit
+E, A, B, ALPHA, BETA = 1.69, 406.4, 410.7, 0.34, 0.28
+
+
+def loss(E, A, B, alpha, beta, N, D):
+    """The (alpha, beta) form E + A/N^alpha + B/D^beta, written out."""
+    return E + A / N**alpha + B / D**beta
+
+
+def alpha_beta_loss(E, A, B, alpha, beta, N, D):
+    """``reparam_loss`` at the (a, eta) of (alpha, beta): a = beta/(alpha+beta), eta = alpha+beta."""
+    return reparam_loss(E, A, B, beta / (alpha + beta), alpha + beta, N, D)
 
 
 class TestExpectedLoss:
+    """The (alpha, beta) form of the loss, through ``reparam_loss``."""
+
     def test_degenerate_terms_leave_only_floor(self):
-        p = ScalingLawParams(E=2.5, A=0.0, B=0.0, alpha=0.3, beta=0.3)
         for N, D in [(1.0, 1.0), (1e6, 1e9), (1e12, 1e3)]:
-            assert expected_loss(p, N, D) == 2.5
+            assert alpha_beta_loss(2.5, 0.0, 0.0, 0.3, 0.3, N, D) == 2.5
 
     def test_single_power_law(self):
-        p = ScalingLawParams(E=0.0, A=1.0, B=0.0, alpha=1.0, beta=1.0)
-        assert expected_loss(p, 4.0, 1e9) == pytest.approx(0.25, rel=1e-15)
+        assert alpha_beta_loss(0.0, 1.0, 0.0, 1.0, 1.0, 4.0, 1e9) == pytest.approx(0.25, rel=1e-15)
 
     def test_frozen_high_precision_value(self):
         # evaluated independently with 50-digit arithmetic
-        assert expected_loss(PARAMS, 1e9, 1e10) == pytest.approx(
-            2.6948752371019305, rel=1e-14
-        )
+        assert alpha_beta_loss(E, A, B, ALPHA, BETA, 1e9, 1e10) == pytest.approx(2.6948752371019305, rel=1e-14)
+        assert loss(E, A, B, ALPHA, BETA, 1e9, 1e10) == pytest.approx(2.6948752371019305, rel=1e-14)
 
     def test_rejects_nonpositive_sizes(self):
-        with pytest.raises(ValueError):
-            expected_loss(PARAMS, 0.0, 1e9)
+        for N, D in [(0.0, 1e9), (1e9, 0.0), (-1.0, 1e9)]:
+            with pytest.raises(ValueError, match="N and D must be > 0"):
+                alpha_beta_loss(E, A, B, ALPHA, BETA, N, D)
 
     def test_invalid_exponents_rejected(self):
         with pytest.raises(InvalidExponentError):
-            ScalingLawParams(E=1.0, A=1.0, B=1.0, alpha=-0.1, beta=0.3)
+            alpha_beta_loss(1.0, 1.0, 1.0, -0.1, 0.3, 1e6, 1e9)
+
+    @pytest.mark.parametrize("E_, A_, B_, message", [(-1.0, 1.0, 1.0, "E must be >= 0"),
+                                                     (1.0, -1.0, 1.0, "A and B must be >= 0"),
+                                                     (1.0, 1.0, -1.0, "A and B must be >= 0")])
+    def test_negative_coefficients_rejected(self, E_, A_, B_, message):
+        with pytest.raises(ValueError, match=message):
+            reparam_loss(E_, A_, B_, 0.5, 0.6, 1e6, 1e9)
 
 
 class TestExponents:
     def test_nonpositive_rejected(self):
         with pytest.raises(InvalidExponentError) as exc:
-            ScalingLawParams(E=1.0, A=1.0, B=1.0, alpha=0.0, beta=0.5)
+            alpha_beta_loss(1.0, 1.0, 1.0, 0.0, 0.5, 1e6, 1e9)
         assert exc.value.code == "invalid-exponent"
+
+    def test_exponent_that_rounds_to_zero_rejected(self):
+        # a and eta are in range, but alpha = beta = 0.5 * 5e-324 round to 0
+        with pytest.raises(InvalidExponentError, match=r"eta = 0.0 and beta = a\*eta = 0.0 must be > 0"):
+            reparam_loss(1.0, 1.0, 1.0, 0.5, 5e-324, 1e6, 1e9)
+
+    def test_nonpositive_eta_rejected(self):
+        with pytest.raises(InvalidExponentError, match=r"alpha = \(1-a\)\*eta = -0.5 and beta"):
+            reparam_loss(1.0, 1.0, 1.0, 0.5, -1.0, 1e6, 1e9)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -65,17 +90,15 @@ class TestExponents:
         eta = alpha + beta
         a = beta / eta  # the compute-optimal model exponent of Hoffmann et al. 2022
         N, D = 10.0**n_exp, 10.0**d_exp
-        p = ScalingLawParams(E=1.2, A=100.0, B=150.0, alpha=alpha, beta=beta)
         assert reparam_loss(1.2, 100.0, 150.0, a, eta, N, D) == pytest.approx(
-            expected_loss(p, N, D), rel=1e-12
+            loss(1.2, 100.0, 150.0, alpha, beta, N, D), rel=1e-12
         )
 
 
 class TestReparamLoss:
     def test_substitution_case(self):
-        p = ScalingLawParams(E=1.0, A=2.0, B=3.0, alpha=1.0, beta=1.0)
         assert reparam_loss(1.0, 2.0, 3.0, 0.5, 2.0, 100.0, 200.0) == pytest.approx(
-            expected_loss(p, 100.0, 200.0), rel=1e-15
+            loss(1.0, 2.0, 3.0, 1.0, 1.0, 100.0, 200.0), rel=1e-15
         )
 
     def test_a_near_one_flattens_model_term(self):
@@ -134,26 +157,32 @@ class TestDerivatives:
 
 class TestSecant:
     def test_negative_slope_and_d_above_one(self):
-        analysis = secant_slope(1.69, 406.4, 410.7, 0.45, 0.62, 1e8, 1e9, 1e10)
-        assert analysis.slope < 0
-        assert analysis.d_model > 1
+        slope, d_model = secant_slope(1.69, 406.4, 410.7, 0.45, 0.62, 1e8, 1e9, 1e10)
+        assert slope < 0
+        assert d_model > 1
 
     def test_slope_invariant_fields(self):
-        analysis = secant_slope(1.69, 406.4, 410.7, 0.45, 0.62, 1e8, 1e9, 1e10)
-        assert analysis.slope == (analysis.L_q - analysis.L_p) / (analysis.N_q - analysis.N_p)
-        assert analysis.d_model == 2.0 ** (analysis.L_p - analysis.L_q)
+        slope, d_model = secant_slope(1.69, 406.4, 410.7, 0.45, 0.62, 1e8, 1e9, 1e10)
+        L_p = reparam_loss(1.69, 406.4, 410.7, 0.45, 0.62, 1e8, 1e10)
+        L_q = reparam_loss(1.69, 406.4, 410.7, 0.45, 0.62, 1e9, 1e10)
+        assert slope == (L_q - L_p) / (1e9 - 1e8)
+        assert d_model == 2.0 ** (L_p - L_q)
 
     def test_converges_to_tangent(self):
         N_p = 1e8
         gap = N_p * 1e-6
-        analysis = secant_slope(1.69, 406.4, 410.7, 0.45, 0.62, N_p, N_p + gap, 1e10)
-        assert analysis.slope == pytest.approx(dloss_dN(406.4, 0.45, 0.62, N_p), rel=1e-4)
+        slope, _ = secant_slope(1.69, 406.4, 410.7, 0.45, 0.62, N_p, N_p + gap, 1e10)
+        assert slope == pytest.approx(dloss_dN(406.4, 0.45, 0.62, N_p), rel=1e-4)
 
     def test_d_equals_two_to_minus_slope_times_gap(self):
-        analysis = secant_slope(1.69, 406.4, 410.7, 0.45, 0.62, 1e8, 1e9, 1e10)
-        assert analysis.d_model == pytest.approx(
-            2.0 ** (-analysis.slope * (analysis.N_q - analysis.N_p)), rel=1e-12
-        )
+        slope, d_model = secant_slope(1.69, 406.4, 410.7, 0.45, 0.62, 1e8, 1e9, 1e10)
+        assert d_model == pytest.approx(2.0 ** (-slope * (1e9 - 1e8)), rel=1e-12)
+
+    def test_quality_factor_overflow_raises_numeric_range(self):
+        # L_p - L_q is about 1036 bits here: 2^1036 is beyond a float
+        with pytest.raises(NumericRangeError) as exc:
+            secant_slope(1.69, 1e5, 410.7, 0.69, 0.62, 1e8, 1e9, 1e10)
+        assert exc.value.code == "numeric-range" and "overflows" in str(exc.value)
 
     def test_invalid_order_rejected(self):
         with pytest.raises(InvalidSecantError) as exc:
@@ -163,23 +192,19 @@ class TestSecant:
 
 class TestMonotonicity:
     def test_hundred_point_grid_passes(self):
-        grid = list(np.linspace(0.1, 0.9, 100))
-        report = verify_monotonic_d_in_a(1.69, 406.4, 410.7, 0.6, 1e8, 1e9, 1e10, grid)
-        assert report.passed
-        assert all(report.d_values[i] < report.d_values[i + 1] for i in range(99))
-
-    def test_single_point_vacuously_passes(self):
-        report = verify_monotonic_d_in_a(1.69, 406.4, 410.7, 0.6, 1e8, 1e9, 1e10, [0.5])
-        assert report.passed
+        report = verification_report(eta=0.6)
+        mono = report["details"]["monotonicity"]
+        assert mono["a_grid"] == list(np.linspace(0.1, 0.9, 100))
+        assert mono["strictly_increasing"] and report["checks"]["d_model_monotone_in_a"]
+        d = mono["d_model"]
+        assert all(d[i] < d[i + 1] for i in range(99))
+        # each value is the secant's quality factor at its a
+        assert d == [secant_slope(1.69, 406.4, 410.7, a, 0.6, 1e8, 1e9, 1e10)[1] for a in mono["a_grid"]]
 
     def test_condition_region_violation(self):
         with pytest.raises(ConditionRegionViolatedError) as exc:
-            verify_monotonic_d_in_a(1.69, 406.4, 410.7, 0.6, 2.0, 1e9, 1e10, [0.5])
+            verification_report(eta=0.6, N_p=2.0)
         assert exc.value.code == "condition-region-violated"
-
-    def test_unsorted_grid_rejected(self):
-        with pytest.raises(ValueError):
-            verify_monotonic_d_in_a(1.69, 406.4, 410.7, 0.6, 1e8, 1e9, 1e10, [0.5, 0.3])
 
 
 class TestVerificationReport:
