@@ -325,8 +325,8 @@ def cmd_diversity(p: dict) -> int:
         seed=derive_seed(seed, "diversity"),
         corpus_id=manifest.corpus_id,
     )
-    corpus_io.write_json(out_dir / "diversity.json", report.to_json())
-    log.info("diversity %.3f +/- %.3f over %d repeats", report.mean, report.std, report.repeats)
+    corpus_io.write_json(out_dir / "diversity.json", report)
+    log.info("diversity %.3f +/- %.3f over %d repeats", report["mean"], report["std"], report["repeats"])
     return EXIT_OK
 
 

@@ -16,7 +16,6 @@ eigvalsh(X X^T)/n to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -94,31 +93,6 @@ def semantic_diversity(embeddings: np.ndarray) -> float:
     return float(np.exp(eigen_entropy(embeddings)))
 
 
-@dataclass
-class DiversityReport:
-    corpus_id: str
-    sample_size: int
-    repeats: int
-    values: list[float] = field(default_factory=list)
-    mean: float = 0.0
-    std: float = 0.0
-    seed: int = 0
-    embedder: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "corpus_id": self.corpus_id,
-            "sample_size": self.sample_size,
-            "repeats": self.repeats,
-            "values": self.values,
-            "mean": self.mean,
-            "std": self.std,
-            "seed": self.seed,
-            "embedder": self.embedder,
-            "comparability": COMPARABILITY,
-        }
-
-
 Sample = list[tuple[int, np.ndarray]]  # (corpus index, drawn document indices) per member corpus
 
 
@@ -185,24 +159,25 @@ def subsample_diversity(
     repeats: int = 10,
     seed: int = 0,
     corpus_id: str = "",
-) -> DiversityReport:
-    """Mean/std of diversity over repeated uniform subsamples of one corpus.
+) -> dict:
+    """The diversity.json object: mean/std of diversity over repeated uniform subsamples of one corpus.
 
     Each repeat draws n documents without replacement (independently across
     repeats); a single repeat reports std 0.
     """
     rng = rng_for(seed, "diversity-subsample")
     values = _mixture_values([docs], provider, _mixture_samples([docs], [0], n, repeats, rng))
-    return DiversityReport(
-        corpus_id=corpus_id,
-        sample_size=n,
-        repeats=repeats,
-        values=values,
-        mean=float(np.mean(values)),
-        std=float(np.std(values)),
-        seed=seed,
-        embedder=provider.fingerprint(),
-    )
+    return {
+        "corpus_id": corpus_id,
+        "sample_size": n,
+        "repeats": repeats,
+        "values": values,
+        "mean": float(np.mean(values)),
+        "std": float(np.std(values)),
+        "seed": seed,
+        "embedder": provider.fingerprint(),
+        "comparability": COMPARABILITY,
+    }
 
 
 def mix_seed(seed: int, n_datasets: int, combo_index: int) -> int:

@@ -23,9 +23,9 @@ counts. A context is its (order - 1) previous symbols packed base 257,
 oldest symbol most significant, so each context's keys are contiguous.
 A model file holds the two arrays as they are. A model is built once, by
 ``train_ngram``, ``train_pair`` or ``from_bytes``, and never changes after.
-Training buffers document bytes and counts them a chunk at a time with
-``np.unique``; a pair counts its stream once and sums the large counts into
-the small ones; scoring finds every token with one ``np.searchsorted``.
+Training counts document bytes a chunk at a time with ``np.unique``;
+``_sum_by_key`` adds each chunk to the model and sums a pair's large counts
+into the small ones; scoring finds every token with one ``np.searchsorted``.
 Each term is ``math.log2`` of the add-k probability and a document's terms
 are summed left to right, so scores equal those of a per-byte loop to the
 last bit.
@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import log2
 from pathlib import Path
 from typing import Iterable, Optional
@@ -87,21 +88,6 @@ def _token_keys(docs: list[bytes], order: int) -> np.ndarray:
     return keys[at - width]
 
 
-def _fold(keys: np.ndarray, counts: np.ndarray, docs: list[bytes],
-          order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted arrays ``keys`` and ``counts`` with the counts of the documents' keys merged in.
-
-    Counts of keys already present are added to ``counts`` in place.
-    """
-    new_keys, new_counts = np.unique(_token_keys(docs, order), return_counts=True)
-    at = np.searchsorted(keys, new_keys)
-    seen = at < len(keys)
-    seen[seen] = keys[at[seen]] == new_keys[seen]
-    counts[at[seen]] += new_counts[seen]
-    fresh = ~seen
-    return np.insert(keys, at[fresh], new_keys[fresh]), np.insert(counts, at[fresh], new_counts[fresh])
-
-
 def _check_spec(order: int, smoothing_k: float) -> None:
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -111,11 +97,26 @@ def _check_spec(order: int, smoothing_k: float) -> None:
         raise ValueError("smoothing_k must be > 0")
 
 
-def _contexts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each context's first key in a sorted key array, and its number of keys."""
-    ctx = keys >> 8
-    starts = np.flatnonzero(np.concatenate(([True], ctx[1:] != ctx[:-1]))) if len(keys) else ctx
-    return starts, np.diff(np.append(starts, len(keys)))
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in a sorted array."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1]))) if len(values) else values
+
+
+def _sum_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key in ascending order, and the sum of its counts.
+
+    A stable sort merges already sorted runs (a model and a chunk) in one pass.
+    """
+    by_key = np.argsort(keys, kind="stable")
+    keys = keys[by_key]
+    starts = _run_starts(keys)
+    # empty input: not every supported numpy's np.add.reduceat takes empty starts
+    return keys[starts], (np.add.reduceat(counts[by_key], starts) if len(keys) else counts)
+
+
+def _context_sizes(keys: np.ndarray) -> np.ndarray:
+    """Number of keys of each context of a sorted key array, in key order."""
+    return np.diff(np.append(_run_starts(keys >> 8), len(keys)))
 
 
 class NGramModel:
@@ -148,8 +149,8 @@ class NGramModel:
         """
         if self._terms is None:
             keys, counts = self.keys, self.counts
-            starts, sizes = _contexts(keys)
-            totals = np.add.reduceat(counts, starts) if len(keys) else counts
+            sizes = _context_sizes(keys)
+            totals = _sum_by_key(keys >> 8, counts)[1]
             k, denom_k = self.smoothing_k, self.smoothing_k * VOCAB_SIZE
             seen = (counts + k) / (np.repeat(totals, sizes) + denom_k)
             # a context never seen: (0 + k) / (0 + 256 k)
@@ -186,22 +187,17 @@ class NGramModel:
             end += n
         return totals, lengths
 
-    def cross_entropy(self, doc: Document | str) -> float:
-        """Bits per token: -(1/T) * sum log2 P(byte_t | context_t)."""
-        text = doc.text if isinstance(doc, Document) else doc
-        totals, lengths = self._log2_probabilities([text])
-        return -totals[0] / lengths[0]
-
-    def perplexity(self, doc: Document | str) -> float:
-        return 2.0 ** self.cross_entropy(doc)
-
     def perplexities(self, texts: list[str]) -> list[float]:
+        """2^L per text, L = -(1/T) * sum log2 P(byte_t | context_t) in bits per token."""
         totals, lengths = self._log2_probabilities(texts)
         return [2.0 ** (-total / n) for total, n in zip(totals, lengths)]
 
+    def perplexity(self, text: str) -> float:
+        return self.perplexities([text])[0]
+
     @property
     def n_contexts(self) -> int:
-        return len(_contexts(self.keys)[0])
+        return len(_context_sizes(self.keys))
 
     # -- persistence ------------------------------------------------------
 
@@ -285,21 +281,20 @@ def _check_pair_orders(small_order: int, large_order: int) -> None:
 
 def train_ngram(corpus: Iterable[Document], order: int, smoothing_k: float = 0.01) -> NGramModel:
     """The model of every length-order window of the documents' byte tokens, counted ``_FOLD_BYTES``
-    of documents at a time."""
+    of documents at a time and each chunk's counts added to the model's."""
     _check_spec(order, smoothing_k)  # before a document is read
     keys, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     docs: list[bytes] = []
     pending = total = 0
-    for doc in corpus:
-        docs.append(tokenize(doc.text))
-        pending += len(docs[-1])
-        if pending >= _FOLD_BYTES:
-            keys, counts = _fold(keys, counts, docs, order)
+    for doc in chain(corpus, [None]):  # None ends the stream: the documents still buffered are counted
+        if doc is not None:
+            docs.append(tokenize(doc.text))
+            pending += len(docs[-1])
+        if pending >= _FOLD_BYTES or (doc is None and docs):
+            chunk_keys, chunk_counts = np.unique(_token_keys(docs, order), return_counts=True)
+            keys, counts = _sum_by_key(np.concatenate((keys, chunk_keys)), np.concatenate((counts, chunk_counts)))
             total += pending
             docs, pending = [], 0
-    if docs:
-        keys, counts = _fold(keys, counts, docs, order)
-        total += pending
     if total == 0:
         raise NoTrainingDataError("training corpus is empty")
     return NGramModel(order, smoothing_k, keys, counts, total)
@@ -321,12 +316,8 @@ def train_pair(
     _check_spec(small_order, smoothing_k)
     _check_pair_orders(small_order, large_order)
     large = train_ngram(corpus, large_order, smoothing_k)
-    small_keys = large.keys % (_CTX_BASE ** (small_order - 1) * VOCAB_SIZE)
-    by_key = np.argsort(small_keys)
-    small_keys = small_keys[by_key]
-    starts = np.flatnonzero(np.concatenate(([True], small_keys[1:] != small_keys[:-1])))
-    small = NGramModel(small_order, smoothing_k, small_keys[starts], np.add.reduceat(large.counts[by_key], starts),
-                       large.total_tokens_trained)
+    small_keys, small_counts = _sum_by_key(large.keys % (_CTX_BASE ** (small_order - 1) * VOCAB_SIZE), large.counts)
+    small = NGramModel(small_order, smoothing_k, small_keys, small_counts, large.total_tokens_trained)
     return MetaModelPair(small, large)
 
 

@@ -65,11 +65,19 @@ def reparam_loss(E: float, A: float, B: float, a: float, eta: float, N: float, D
     return out
 
 
+def _size_factor(a: float, eta: float, N: float) -> float:
+    """N^((a-1)*eta - 1), the factor dL/dN and d2L/(da dN) share."""
+    try:
+        return math.exp(((a - 1.0) * eta - 1.0) * math.log(N))
+    except OverflowError as exc:
+        raise NumericRangeError(f"N^((a-1)*eta - 1) overflows at a={a}, eta={eta}, N={N}") from exc
+
+
 def dloss_dN(A: float, a: float, eta: float, N: float) -> float:
     """Analytic dL/dN = A*(a-1)*eta*N^((a-1)*eta - 1); negative for valid params."""
     if A == 0:
         return 0.0
-    return A * (a - 1.0) * eta * math.exp(((a - 1.0) * eta - 1.0) * math.log(N))
+    return A * (a - 1.0) * eta * _size_factor(a, eta, N)
 
 
 def mixed_partial_bracket(a: float, eta: float, N: float) -> float:
@@ -81,8 +89,7 @@ def d2loss_da_dN(A: float, a: float, eta: float, N: float) -> float:
     """Analytic d2L/(da dN) = A*eta*N^((a-1)*eta - 1) * (1 + (a-1)*eta*ln N)."""
     if A == 0:
         return 0.0
-    prefactor = A * eta * math.exp(((a - 1.0) * eta - 1.0) * math.log(N))
-    return prefactor * mixed_partial_bracket(a, eta, N)
+    return A * eta * _size_factor(a, eta, N) * mixed_partial_bracket(a, eta, N)
 
 
 def _check_sizes(N_p: float, N_q: float) -> None:

@@ -251,6 +251,8 @@ def score_corpus(
 
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if not 0 <= error_budget <= 1:
+        raise ValueError(f"error_budget must be in [0, 1], got {error_budget}")
     out_path = Path(out_path)
     cache = None
     if cache_path is not None:

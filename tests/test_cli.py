@@ -13,7 +13,7 @@ import pytest
 
 import synth
 from oracles import LoopNGramModel
-from scalingfilter import cli, embedding
+from scalingfilter import cli, embedding, remote
 from scalingfilter.cli import build_parser, main
 from scalingfilter.corpus import CorpusFingerprint, Document, read_manifest_corpus, write_corpus
 from scalingfilter.scoring import read_score_file
@@ -266,7 +266,8 @@ class TestScore:
         scores = read_score_file(out / "scores.tsv")
         assert all(s.d == 3.0 for s in scores)
 
-    def test_scorer_down_exit_3(self, tmp_path, corpus_dir, make_service):
+    def test_scorer_down_exit_3(self, tmp_path, corpus_dir, make_service, monkeypatch):
+        monkeypatch.setattr(remote, "BACKOFF_S", 0.0)  # every batch fails: skip the retry pauses
         small = make_service(perplexity_fn=lambda t: 1.0)
         large = make_service(perplexity_fn=lambda t: 1.0)
         large.set_failing(True)
@@ -277,6 +278,15 @@ class TestScore:
             "--timeout", "2", "--out", str(out),
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("budget", ["-0.5", "1.5"])
+    def test_error_budget_outside_unit_interval_exit_2(self, tmp_path, corpus_dir, pair_dir, caplog, budget):
+        out = tmp_path / "budget"
+        rc = main(["score", "--corpus", str(corpus_dir), "--pair", str(pair_dir),
+                   "--error-budget", budget, "--out", str(out)])
+        assert rc == 2
+        assert "error_budget must be in [0, 1]" in caplog.text
+        assert not (out / "scores.tsv").exists()
 
     @pytest.mark.parametrize("bad_id", ["bad\tid", "bad\nid", "bad\rid"])
     def test_tsv_breaking_id_skipped_through_filter(self, tmp_path, pair_dir, bad_id):
@@ -658,6 +668,13 @@ class TestVerifyScaling:
         out = tmp_path / "huge"
         assert main(["verify-scaling", "--loss-A", "1e5", "--out", str(out)]) == 1
         assert "numeric-range" in caplog.text and "overflows" in caplog.text
+        assert not (out / "verify_report.json").exists()
+
+    def test_derivative_overflow_exit_1_numeric_range(self, tmp_path, caplog):
+        # N^((a-1)*eta - 1) at N = 1e-300 and eta = 5 is about e^3800, beyond a float
+        out = tmp_path / "tiny-n"
+        assert main(["verify-scaling", "--n-small", "1e-300", "--eta", "5", "--out", str(out)]) == 1
+        assert "numeric-range" in caplog.text and "N^((a-1)*eta - 1) overflows" in caplog.text
         assert not (out / "verify_report.json").exists()
 
 

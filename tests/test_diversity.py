@@ -172,15 +172,15 @@ class TestSubsampleDiversity:
     def test_single_repeat_reports_zero_std(self, two_cluster_corpus):
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         report = subsample_diversity(two_cluster_corpus, emb, n=40, repeats=1, seed=1)
-        assert report.std == 0.0
-        assert len(report.values) == 1
+        assert report["std"] == 0.0
+        assert len(report["values"]) == 1
 
     def test_identical_docs_mean_one_std_zero(self):
         docs = [Document(f"d{i}", "exactly the same text body") for i in range(50)]
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         report = subsample_diversity(docs, emb, n=20, repeats=10, seed=2)
-        assert report.mean == pytest.approx(1.0, abs=1e-9)
-        assert report.std == pytest.approx(0.0, abs=1e-9)
+        assert report["mean"] == pytest.approx(1.0, abs=1e-9)
+        assert report["std"] == pytest.approx(0.0, abs=1e-9)
 
     def test_corpus_too_small(self, two_cluster_corpus):
         emb = HashedProjectionEmbedder(dim=16, seed=0)
@@ -192,23 +192,23 @@ class TestSubsampleDiversity:
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         r1 = subsample_diversity(two_cluster_corpus, emb, n=50, repeats=3, seed=4)
         r2 = subsample_diversity(two_cluster_corpus, emb, n=50, repeats=3, seed=4)
-        assert r1.values == r2.values
+        assert r1["values"] == r2["values"]
 
     def test_mean_std_recomputable_from_values(self, two_cluster_corpus):
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         report = subsample_diversity(two_cluster_corpus, emb, n=50, repeats=5, seed=5)
-        assert report.mean == pytest.approx(float(np.mean(report.values)))
-        assert report.std == pytest.approx(float(np.std(report.values)))
+        assert report["mean"] == pytest.approx(float(np.mean(report["values"])))
+        assert report["std"] == pytest.approx(float(np.std(report["values"])))
 
     def test_report_json_round_trip(self, tmp_path, two_cluster_corpus):
         import json
 
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         report = subsample_diversity(two_cluster_corpus, emb, n=30, repeats=2, seed=6, corpus_id="tc")
-        write_json(tmp_path / "d.json", report.to_json())
+        write_json(tmp_path / "d.json", report)
         obj = json.loads((tmp_path / "d.json").read_text(encoding="utf-8"))
         assert obj["corpus_id"] == "tc"
-        assert obj["values"] == report.values
+        assert obj["values"] == report["values"]
         assert "embedder" in obj and "comparability" in obj
 
 
@@ -236,7 +236,7 @@ class TestDatasetMix:
         expected = []
         for idx, member in enumerate(corpora):
             rep = subsample_diversity(member, emb, n=40, repeats=3, seed=mix_seed(9, 1, idx))
-            expected.extend(rep.values)
+            expected.extend(rep["values"])
         assert curve[0]["mean"] == pytest.approx(float(np.mean(expected)))
 
     def test_needs_two_corpora(self, two_cluster_corpus):
@@ -304,13 +304,13 @@ class TestPooledSamplesMatchLoop:
         docs = with_duplicates(two_cluster_corpus[:300], "d", every=3)
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         report = subsample_diversity(docs, emb, n=250, repeats=4, seed=12)
-        assert report.values == loop_mixture_values([docs], emb, 250, 4, rng_for(12, "diversity-subsample"))
+        assert report["values"] == loop_mixture_values([docs], emb, 250, 4, rng_for(12, "diversity-subsample"))
 
     def test_subsample_tied_rows(self, table_corpora):
         table, (a, _, _) = table_corpora
         emb = TableEmbedder(table)
         report = subsample_diversity(a, emb, n=80, repeats=5, seed=13)
-        assert report.values == loop_mixture_values([a], emb, 80, 5, rng_for(13, "diversity-subsample"))
+        assert report["values"] == loop_mixture_values([a], emb, 80, 5, rng_for(13, "diversity-subsample"))
 
     def test_mix_tied_rows_embeds_each_document_once(self, table_corpora):
         table, corpora = table_corpora

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import synth
 from oracles import LoopNGramModel
@@ -81,6 +84,12 @@ def oracle_counts(texts, order):
     return counts
 
 
+def cross_entropy(model, text):
+    """Bits per token of a text under a model, from the log2 probability its scoring path sums."""
+    totals, lengths = model._log2_probabilities([text])
+    return -totals[0] / lengths[0]
+
+
 def oracle_log2prob(texts_trained, order, k, eval_text):
     counts = oracle_counts(texts_trained, order)
     tokens = [BOUNDARY] * (order - 1) + list(eval_text.encode("utf-8"))
@@ -129,21 +138,21 @@ class TestTraining:
 class TestCrossEntropy:
     def test_untrained_model_is_uniform(self):
         model = untrained(3)
-        assert model.cross_entropy("any text at all") == 8.0
+        assert cross_entropy(model, "any text at all") == 8.0
         assert model.perplexity("other") == 256.0
 
     def test_hand_computed_add_one_case(self):
         # P(a) = (4 + 1) / (4 + 256) = 5/260
         model = train_ngram([doc("aaaa")], order=1, smoothing_k=1.0)
         expected = -math.log2(5 / 260)
-        assert model.cross_entropy("a") == pytest.approx(5.700439718141092, abs=1e-12)
-        assert model.cross_entropy("a") == pytest.approx(expected, abs=1e-15)
+        assert cross_entropy(model, "a") == pytest.approx(5.700439718141092, abs=1e-12)
+        assert cross_entropy(model, "a") == pytest.approx(expected, abs=1e-15)
         assert model.perplexity("a") == pytest.approx(52.0, rel=1e-12)
 
     def test_perplexity_is_two_to_the_loss(self):
         model = train_ngram([doc("the quick brown fox")], order=2)
         text = "the town"
-        assert model.perplexity(text) == 2.0 ** model.cross_entropy(text)
+        assert model.perplexity(text) == 2.0 ** cross_entropy(model, text)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5])
     def test_matches_per_token_oracle(self, order):
@@ -152,7 +161,7 @@ class TestCrossEntropy:
         model = train_ngram([doc(t, str(i)) for i, t in enumerate(texts)], order=order, smoothing_k=0.01)
         for eval_text in texts[:10]:
             expected = -oracle_log2prob(texts, order, 0.01, eval_text) / len(eval_text.encode("utf-8"))
-            assert model.cross_entropy(eval_text) == pytest.approx(expected, rel=1e-9)
+            assert cross_entropy(model, eval_text) == pytest.approx(expected, rel=1e-9)
 
     def test_probabilities_sum_to_one(self):
         model = train_ngram([doc("abcabcabd")], order=2)
@@ -165,7 +174,7 @@ class TestCrossEntropy:
         m1 = train_ngram(docs, order=3)
         m2 = train_ngram(list(reversed(docs)), order=3)
         assert np.array_equal(m1.keys, m2.keys) and np.array_equal(m1.counts, m2.counts)
-        assert m1.cross_entropy("abcdef") == m2.cross_entropy("abcdef")
+        assert cross_entropy(m1, "abcdef") == cross_entropy(m2, "abcdef")
 
 
 class TestCapacity:
@@ -175,7 +184,7 @@ class TestCapacity:
         means = []
         for order in (1, 2, 3, 5):
             model = train_ngram(train, order=order)
-            means.append(np.mean([model.cross_entropy(d) for d in held_in]))
+            means.append(np.mean([cross_entropy(model, d.text) for d in held_in]))
         assert means[0] > means[1] > means[2] > means[3]
 
 
@@ -209,8 +218,8 @@ class TestPair:
         train = synth.chain_corpus(seed=11, n_docs=500, chain_seed=1)
         pair = train_pair(train, 2, 5)
         held = synth.chain_corpus(seed=12, n_docs=100, chain_seed=1)
-        mean_small = np.mean([pair.small.cross_entropy(d) for d in held])
-        mean_large = np.mean([pair.large.cross_entropy(d) for d in held])
+        mean_small = np.mean([cross_entropy(pair.small, d.text) for d in held])
+        mean_large = np.mean([cross_entropy(pair.large, d.text) for d in held])
         assert mean_large < mean_small
 
 
@@ -225,7 +234,7 @@ class TestSerialization:
         assert loaded.total_tokens_trained == model.total_tokens_trained
         assert np.array_equal(loaded.keys, model.keys) and np.array_equal(loaded.counts, model.counts)
         for d in small_docs:
-            assert loaded.perplexity(d) == model.perplexity(d)
+            assert loaded.perplexity(d.text) == model.perplexity(d.text)
 
     def test_save_is_deterministic(self, tmp_path, small_docs):
         model = train_ngram(small_docs, order=2)
@@ -340,6 +349,44 @@ class TestLoopOracle:
         with pytest.raises(InvalidPairSpecError):
             train_pair(stream, 2, MAX_ORDER + 1)
         assert len(list(stream)) == len(small_docs)
+
+
+class TestCountAlgebra:
+    """Counts add: the counts of two corpora, summed by key, are the counts of both together."""
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 7])
+    @pytest.mark.parametrize("fold_bytes", [1, 37, 1 << 20])
+    def test_two_corpora_sum_to_the_model_of_both(self, monkeypatch, order, fold_bytes):
+        monkeypatch.setattr(ngram, "_FOLD_BYTES", fold_bytes)
+        a = [doc(t, f"a{i}") for i, t in enumerate(oracle_texts(order))]
+        b = [doc(t, f"b{i}") for i, t in enumerate(oracle_texts(50 + order))]
+        model_a, model_b, both = train_ngram(a, order), train_ngram(b, order), train_ngram(a + b, order)
+        keys, counts = ngram._sum_by_key(np.concatenate((model_a.keys, model_b.keys)),
+                                         np.concatenate((model_a.counts, model_b.counts)))
+        assert np.array_equal(keys, both.keys) and np.array_equal(counts, both.counts)
+        summed = NGramModel(order, 0.01, keys, counts, model_a.total_tokens_trained + model_b.total_tokens_trained)
+        assert summed.to_bytes() == both.to_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # keys from a few values (many duplicates) or from the whole order-7 key range
+        st.lists(st.tuples(st.integers(0, 12) | st.integers(0, 257**6 * 256), st.integers(1, 10**9)),
+                 max_size=300),
+        st.sampled_from(["as drawn", "two sorted runs"]),
+    )
+    @example([], "as drawn")
+    def test_sum_by_key_equals_a_counter(self, pairs, layout):
+        if layout == "two sorted runs":  # a model's keys followed by a chunk's, as training merges them
+            half = len(pairs) // 2
+            pairs = sorted(pairs[:half]) + sorted(pairs[half:])
+        keys = np.array([key for key, _ in pairs], dtype=np.int64)
+        counts = np.array([count for _, count in pairs], dtype=np.int64)
+        want = Counter()
+        for key, count in pairs:
+            want[key] += count
+        got_keys, got_counts = ngram._sum_by_key(keys, counts)
+        assert got_keys.dtype == got_counts.dtype == np.int64
+        assert list(zip(got_keys.tolist(), got_counts.tolist())) == sorted(want.items())
 
 
 class TestPairMarginal:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import synth
+from test_ngram import cross_entropy
 from scalingfilter.corpus import Document
 from scalingfilter.errors import (
     ErrorBudgetExceededError,
@@ -109,8 +110,8 @@ class TestScoreDocument:
     def test_local_matches_model_oracle(self, tmp_path, toy_pair, models):
         doc = Document("x", "the quality of the data stream")
         score = score_one(tmp_path, *models, doc)
-        l_small = toy_pair.small.cross_entropy(doc)
-        l_large = toy_pair.large.cross_entropy(doc)
+        l_small = cross_entropy(toy_pair.small, doc.text)
+        l_large = cross_entropy(toy_pair.large, doc.text)
         assert score.d == pytest.approx(2.0 ** (l_small - l_large), rel=1e-9)
         assert score.n_tokens == len(doc.text.encode("utf-8"))
 
@@ -271,6 +272,19 @@ class TestScoreCorpus:
         with pytest.raises(ValueError):
             score_corpus(*models, self.make_docs(3), tmp_path / "s.tsv", batch_size=0)
 
+    @pytest.mark.parametrize("budget", [-0.5, 1.5])
+    def test_error_budget_outside_unit_interval_rejected_before_scoring(self, tmp_path, budget):
+        class Uncallable:
+            def fingerprint(self):
+                raise AssertionError("model called")
+
+            def perplexities(self, texts):
+                raise AssertionError("model called")
+
+        with pytest.raises(ValueError, match=r"error_budget must be in \[0, 1\]"):
+            score_corpus(Uncallable(), Uncallable(), self.make_docs(3), tmp_path / "s.tsv", error_budget=budget)
+        assert not (tmp_path / "s.tsv").exists()
+
     def test_duplicate_doc_id_rejected(self, tmp_path, models):
         docs = [Document("same", "a text"), Document("same", "b text")]
         with pytest.raises(ValueError):
@@ -281,7 +295,7 @@ class TestScoreCorpus:
         score_corpus(*models, docs, tmp_path / "s.tsv")
         for row in read_score_file(tmp_path / "s.tsv"):
             doc = next(d for d in docs if d.id == row.doc_id)
-            ppl_small, ppl_large = toy_pair.small.perplexity(doc), toy_pair.large.perplexity(doc)
+            ppl_small, ppl_large = toy_pair.small.perplexity(doc.text), toy_pair.large.perplexity(doc.text)
             assert row.ppl_small == ppl_small
             assert row.ppl_large == ppl_large
             assert row.d == quality_factor(ppl_small, ppl_large)
@@ -295,5 +309,5 @@ class TestEq6Identity:
         assert len(scores) == len(docs)
         for doc in docs:
             score = scores[doc.id]
-            gap = toy_pair.small.cross_entropy(doc) - toy_pair.large.cross_entropy(doc)
+            gap = cross_entropy(toy_pair.small, doc.text) - cross_entropy(toy_pair.large, doc.text)
             assert score.d == pytest.approx(2.0**gap, rel=1e-12)
