@@ -3,11 +3,11 @@
 Subcommands: train-meta, score, filter, diversity, verify-scaling, report.
 Each one's parameters are declared once, in ``_COMMANDS``: flag,
 run_config.json key (the argparse dest), type, default and choices.
-``_resolve`` gives every parameter its flag's value, else its value in the
-``--config`` JSON file, else its default; config values pass the same type
-and choice checks as flags, and a config key the command does not declare,
-or a config written by another command, exits 2. A command reads only the
-resolved parameters and run_config.json records exactly them, so
+``main`` reads a ``--config`` JSON file's values as flags placed before the
+command line's own, so one argparse pass checks both and the last value
+wins: flag, else config, else default. A config key the command does not
+declare, or a config written by another command, exits 2. A command reads
+only the parsed parameters and run_config.json records exactly them, so
 ``scalingfilter <command> --config <run>/run_config.json --out <new>``
 replays a run bit-identically (timestamps excluded).
 
@@ -134,31 +134,11 @@ class Param:
         text = self.help
         if self.default is not None:
             text = f"{text} (default {self.default})".lstrip()
-        # default None: a flag that was not given yields to the config
-        parser.add_argument(self.flag, dest=self.key, type=self.type, choices=self.choices,
-                            nargs=self.nargs, default=None, help=text)
-
-    def from_config(self, value):
-        """A config file's value, checked as the flag's text would be."""
-        if self.nargs and isinstance(value, list) and value:
-            return [self._scalar(v) for v in value]
-        if self.nargs:
-            raise ValueError(f"config {self.key!r}: {value!r} is not a list")
-        return self._scalar(value)
-
-    def _scalar(self, value):
-        try:
-            if isinstance(value, (bool, list, dict)):
-                raise ValueError("not a single value")
-            out = self.type(str(value))
-            if self.choices and out not in self.choices:
-                raise ValueError(f"not one of {', '.join(self.choices)}")
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"config {self.key!r}: invalid value {value!r} ({exc})") from None
-        return out
+        parser.add_argument(self.flag, dest=self.key, type=self.type, choices=self.choices, nargs=self.nargs,
+                            default=self.default, required=self.required, help=text)
 
 
-# resolved like the rest, but a setting of the process, not of the run: not in run_config.json
+# parsed like the rest, but a setting of the process, not of the run: not in run_config.json
 _LOG_LEVEL = Param("--log-level", default="INFO", help="logging level")
 
 
@@ -479,44 +459,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """Every parameter of ``command``: its flag, else its config value, else its default."""
-    config = corpus_io.read_json(args.config, {}) if args.config else {}
+def _config_flags(command: str, path: str) -> list[str]:
+    """The values of a ``--config`` file as flags of ``command``; a null value gives none."""
+    config = corpus_io.read_json(path, {})
     if config.get("command", command) != command:
         raise ValueError(f"the config was written by {config['command']!r}, not {command!r}")
-    params = _COMMANDS[command][2] + (_LOG_LEVEL,)
-    unknown = set(config) - {p.key for p in params} - {"command", "out"}
+    params = {p.key: p for p in _COMMANDS[command][2] + (_LOG_LEVEL,)}
+    unknown = set(config) - set(params) - {"command", "out"}
     if unknown:
         raise ValueError(f"{command} has no parameter {', '.join(map(repr, sorted(unknown)))}")
-    resolved = {}
-    for param in params:
-        flag, value = getattr(args, param.key, None), config.get(param.key)
-        if value is not None:
-            value = param.from_config(value)  # checked even where the flag overrides it
-        if flag is not None:
-            value = flag
-        if value is None and param.required:
-            raise ValueError(f"{param.flag} is required, as a flag or in the config")
-        resolved[param.key] = param.default if value is None else value
-    return resolved
+    flags = []
+    for key, value in config.items():
+        param = params.get(key)
+        if param is None or value is None:
+            continue
+        items = value if param.nargs else [value]
+        if not isinstance(items, list) or any(isinstance(v, (bool, list, dict)) for v in items):
+            raise ValueError(f"config {key!r} ({param.flag}): {value!r} is not "
+                             f"{'a list of single values' if param.nargs else 'a single value'}")
+        # a scalar is one token, so a value starting with '-' is not read as a flag
+        flags += [param.flag, *map(str, items)] if param.nargs else [f"{param.flag}={value}"]
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        params = _resolve(args.command, args)
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
+    if argv and argv[0] in _COMMANDS:
+        pre = argparse.ArgumentParser(prog=f"{parser.prog} {argv[0]}", add_help=False)
+        pre.add_argument("--config")
+        config = pre.parse_known_args(argv[1:])[0].config
+        if config:
+            try:
+                # before the command line's flags, so a flag given there wins
+                argv[1:1] = _config_flags(argv[0], config)
+            except (OSError, ValueError) as exc:
+                parser.error(str(exc))
+    params = vars(parser.parse_args(argv))
+    command = params.pop("command")
+    del params["config"]
     level = params.pop("log_level")
     logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO),
                         format="%(levelname)s %(name)s: %(message)s")
-    out_dir = Path(args.out)
+    out_dir = Path(params["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     params["out"] = str(out_dir)
-    corpus_io.write_json(out_dir / "run_config.json", {"command": args.command, **params})
+    corpus_io.write_json(out_dir / "run_config.json", {"command": command, **params})
     try:
-        return _COMMANDS[args.command][0](params)
+        return _COMMANDS[command][0](params)
     except (ErrorBudgetExceededError, ScorerUnavailableError, EmbedderUnavailableError) as exc:
         log.error("%s: %s", exc.code, exc)
         return EXIT_BUDGET
@@ -524,15 +514,11 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s: %s", exc.code, exc)
         return EXIT_VERIFY
     except (ValueError, FileNotFoundError) as exc:
-        log.error("invalid arguments: %s", exc)
+        code = getattr(exc, "code", None)
+        log.error("invalid arguments%s: %s", f" ({code})" if code else "", exc)
         return EXIT_USAGE
     except ScalingFilterError as exc:
-        code = getattr(exc, "code", "error")
-        if code in ("invalid-pair-spec", "invalid-exponent", "empty-selection-input",
-                    "invalid-classifier-score", "invalid-secant"):
-            log.error("invalid arguments (%s): %s", code, exc)
-            return EXIT_USAGE
-        log.error("%s: %s", code, exc)
+        log.error("%s: %s", exc.code, exc)
         return EXIT_FATAL
     except OSError as exc:
         log.error("I/O failure: %s", exc)

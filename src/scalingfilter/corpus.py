@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -75,14 +75,7 @@ class CorpusManifest:
     created_at: str = ""
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "corpus_id": self.corpus_id,
-            "shard_paths": list(self.shard_paths),
-            "doc_count": int(self.doc_count),
-            "total_bytes": int(self.total_bytes),
-            "created_at": self.created_at,
-        }
-        write_json(path, payload)
+        write_json(path, asdict(self))
 
     @staticmethod
     def load(path: str | Path) -> "CorpusManifest":

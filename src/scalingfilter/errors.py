@@ -1,4 +1,7 @@
-"""Exception hierarchy. Every error carries a stable machine-readable code."""
+"""Exception hierarchy. Every error carries a stable machine-readable code.
+
+An error that a bad argument causes is also a ``ValueError``, so the CLI
+treats it as a usage error (exit 2)."""
 
 from __future__ import annotations
 
@@ -8,9 +11,8 @@ class ScalingFilterError(Exception):
 
     code = "error"
 
-    def __init__(self, message: str = "", **context):
+    def __init__(self, message: str = ""):
         super().__init__(message or self.code)
-        self.context = context
 
 
 # corpus I/O
@@ -19,8 +21,8 @@ class RecordError(ScalingFilterError):
 
     code = "record-error"
 
-    def __init__(self, message: str, shard: str = "", line_no: int = 0, **context):
-        super().__init__(message, shard=shard, line_no=line_no, **context)
+    def __init__(self, message: str, shard: str = "", line_no: int = 0):
+        super().__init__(message)
         self.shard = shard
         self.line_no = line_no
 
@@ -46,7 +48,7 @@ class NoTrainingDataError(ScalingFilterError):
     code = "no-training-data"
 
 
-class InvalidPairSpecError(ScalingFilterError):
+class InvalidPairSpecError(ScalingFilterError, ValueError):
     code = "invalid-pair-spec"
 
 
@@ -64,11 +66,11 @@ class ErrorBudgetExceededError(ScalingFilterError):
 
 
 # selection
-class EmptySelectionInputError(ScalingFilterError):
+class EmptySelectionInputError(ScalingFilterError, ValueError):
     code = "empty-selection-input"
 
 
-class InvalidClassifierScoreError(ScalingFilterError):
+class InvalidClassifierScoreError(ScalingFilterError, ValueError):
     code = "invalid-classifier-score"
 
 
@@ -90,7 +92,7 @@ class CorpusTooSmallError(ScalingFilterError):
 
 
 # scaling laws
-class InvalidExponentError(ScalingFilterError):
+class InvalidExponentError(ScalingFilterError, ValueError):
     code = "invalid-exponent"
 
 
@@ -98,7 +100,7 @@ class NumericRangeError(ScalingFilterError):
     code = "numeric-range"
 
 
-class InvalidSecantError(ScalingFilterError):
+class InvalidSecantError(ScalingFilterError, ValueError):
     code = "invalid-secant"
 
 

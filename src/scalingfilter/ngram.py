@@ -347,8 +347,15 @@ def save_pair(pair: MetaModelPair, out_dir: str | Path) -> Path:
 
 
 def load_pair(pair_dir: str | Path) -> MetaModelPair:
+    """The pair ``save_pair`` wrote, refused unless each model file has the fingerprint pair.json records."""
     pair_dir = Path(pair_dir)
-    descriptor = read_json(pair_dir / PAIR_DESCRIPTOR_NAME, {"small_path": str, "large_path": str})
-    small = NGramModel.load(pair_dir / descriptor["small_path"])
-    large = NGramModel.load(pair_dir / descriptor["large_path"])
-    return MetaModelPair(small=small, large=large, train_corpus_id=descriptor.get("train_corpus_id", ""))
+    path = pair_dir / PAIR_DESCRIPTOR_NAME
+    sizes = ("small", "large")
+    descriptor = read_json(path, {f"{size}_{key}": str for size in sizes for key in ("path", "fingerprint")})
+    models = {size: NGramModel.load(pair_dir / descriptor[f"{size}_path"]) for size in sizes}
+    for size, model in models.items():  # after both load, so a file that cannot be read is named first
+        recorded = descriptor[f"{size}_fingerprint"]
+        if model.fingerprint() != recorded:
+            raise ValueError(f"{path} records {size}_fingerprint {recorded}, but "
+                             f"{pair_dir / descriptor[f'{size}_path']} has fingerprint {model.fingerprint()}")
+    return MetaModelPair(**models, train_corpus_id=descriptor.get("train_corpus_id", ""))

@@ -344,6 +344,25 @@ class TestScore:
         assert "format version 1" in caplog.text and "run train-meta again" in caplog.text
         assert not (out / "scores.tsv").exists()
 
+    def test_model_file_of_another_pair_exit_2_naming_both_fingerprints(self, tmp_path, corpus_dir, pair_dir,
+                                                                          caplog):
+        other = tmp_path / "other-pair"
+        assert main(["train-meta", "--corpus", str(corpus_dir), "--small-order", "2", "--large-order", "4",
+                     "--smoothing-k", "0.05", "--out", str(other)]) == 0
+        mixed = tmp_path / "mixed-pair"
+        mixed.mkdir()
+        for path in pair_dir.iterdir():
+            (mixed / path.name).write_bytes(path.read_bytes())
+        (mixed / "large.sfngram").write_bytes((other / "large.sfngram").read_bytes())
+        recorded, found = (json.loads((d / "pair.json").read_text(encoding="utf-8"))["large_fingerprint"]
+                           for d in (pair_dir, other))
+        assert recorded != found
+        out = tmp_path / "o"
+        assert main(["score", "--corpus", str(corpus_dir), "--pair", str(mixed), "--out", str(out)]) == 2
+        assert f"{mixed / 'pair.json'} records large_fingerprint {recorded}" in caplog.text
+        assert f"{mixed / 'large.sfngram'} has fingerprint {found}" in caplog.text
+        assert not (out / "scores.tsv").exists()
+
     @staticmethod
     def edited_pair(tmp_path, pair_dir, name, edit):
         """A copy of the pair whose file ``name`` has its JSON (the header line of a model) edited."""
@@ -364,6 +383,7 @@ class TestScore:
         ("large.sfngram", lambda h: [h], "expected a JSON object, got list"),
         ("pair.json", lambda d: {k: v for k, v in d.items() if k != "small_path"}, "has no 'small_path'"),
         ("pair.json", lambda d: {**d, "large_path": 3}, "'large_path' is int, not str"),
+        ("pair.json", lambda d: {k: v for k, v in d.items() if k != "small_fingerprint"}, "has no 'small_fingerprint'"),
     ])
     def test_malformed_pair_exit_2_naming_the_file(self, tmp_path, corpus_dir, pair_dir, caplog,
                                                     name, edit, message):
@@ -889,6 +909,8 @@ class TestRunConfig:
         ("verify-scaling", {"beta": 0.28}),
         ("verify-scaling", {"csv": True}),
         ("score", {"batch_size": 0}),
+        ("filter", {"keep_rate": True}),
+        ("train-meta", {"corpus": ["a"]}),
     ])
     def test_config_value_checked_like_flag(self, tmp_path, command, config, corpus_dir, pair_dir, score_dir):
         path = write_config(tmp_path / "c.json", config)
@@ -896,6 +918,36 @@ class TestRunConfig:
         out = tmp_path / "o"
         assert exit_code([command, *argv, "--config", path, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,config,flag", [
+        ("diversity", {"n": "ten"}, "--n"),
+        ("diversity", {"embedder": "remot"}, "--embedder"),
+        ("filter", {"keep_rate": True}, "--keep-rate"),
+        ("filter", {"tau": "nan"}, "--tau"),
+        ("train-meta", {"corpus": ["a"]}, "--corpus"),
+        ("report", {"runs": "a"}, "--runs"),
+    ])
+    def test_bad_config_value_names_its_flag(self, tmp_path, capsys, command, config, flag,
+                                            corpus_dir, pair_dir, score_dir):
+        path = write_config(tmp_path / "c.json", config)
+        argv = _flagged_run(command, corpus_dir, pair_dir, score_dir)
+        assert exit_code([command, *argv, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        # the last line is the error; the usage line above it lists every flag
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert re.search(rf"error: .*{re.escape(flag)}\b(?!-)", error), error
+
+    @pytest.mark.parametrize("config", [{"seed": -3}, {"scores": "-scores.tsv"}])
+    def test_config_value_starting_with_dash_replays(self, tmp_path, monkeypatch, score_dir, config):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-scores.tsv").write_bytes((score_dir / "scores.tsv").read_bytes())
+        values = {"scores": str(score_dir / "scores.tsv"), "method": "temperature", "tau": 0.5, "seed": 0, **config}
+        first, again, flagged = tmp_path / "first", tmp_path / "again", tmp_path / "flagged"
+        assert main(["filter", "--config", write_config(tmp_path / "c.json", values), "--out", str(first)]) == 0
+        assert {key: run_config(first)[key] for key in values} == values
+        assert main(["filter", "--config", str(first / "run_config.json"), "--out", str(again)]) == 0
+        assert _outputs(again) == _outputs(first)
+        assert main(["filter", *(f"--{k}={v}" for k, v in values.items()), "--out", str(flagged)]) == 0
+        assert _outputs(flagged) == _outputs(first)
 
     def test_unknown_config_key_exit_2(self, tmp_path, score_dir):
         path = write_config(tmp_path / "c.json", {"lo": 40})
