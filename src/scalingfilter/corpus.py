@@ -97,8 +97,10 @@ class CorpusManifest:
 def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
     """Turn one parsed JSONL record into a Document or raise a RecordError.
 
-    A missing id is synthesized as ``<shard-basename>:<line-number>``. Ids
-    containing a tab, CR or LF are rejected.
+    A missing id is synthesized as ``<shard-basename>:<line-number>``. An
+    integer id becomes its decimal string; an id that is neither a string
+    nor an integer (a bool, float, list or object), or that contains a
+    tab, CR or LF, is rejected.
     """
     text = raw.get("text")
     if not isinstance(text, str) or not text.strip():
@@ -108,7 +110,10 @@ def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
         stem = Path(shard).name
         stem = stem[: -len(".jsonl")] if stem.endswith(".jsonl") else stem
         doc_id = f"{stem}:{line_no}"
-    doc_id = str(doc_id)
+    if isinstance(doc_id, int) and not isinstance(doc_id, bool):
+        doc_id = str(doc_id)
+    elif not isinstance(doc_id, str):
+        raise InvalidIdError(f"id {doc_id!r} is not a string or an integer", shard=shard, line_no=line_no)
     if any(c in doc_id for c in "\t\n\r"):
         # every TSV artifact (scores, errors, cache, kept ids) is keyed by id
         raise InvalidIdError(f"id {doc_id!r} contains a tab or line break", shard=shard, line_no=line_no)

@@ -47,14 +47,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _parts(data: list[bytes], count: int) -> list[tuple[int, int]]:
-    """(start, end) of at most ``count`` runs of consecutive documents with about equal shares of the bytes."""
-    ends = np.cumsum(np.fromiter(map(len, data), dtype=np.int64, count=len(data)))
-    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, count) / count) + 1
-    bounds = np.unique(np.concatenate(([0], cuts, [len(data)])))
-    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-
-
 def _windows(data: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """Every n-gram window of the documents, packed with its size, and each document's count.
 
@@ -106,11 +98,10 @@ class HashedProjectionEmbedder:
     the splitmix64 finalizer of ``v`` mod 2^64 (feature hashing, Weinberger
     et al. 2009); ``fingerprint`` names the hash as ``hash=splitmix64``.
     Documents are embedded in chunks of about ``_CHUNK_BYTES``, and every
-    window of a chunk is hashed in numpy at once. An ``embed`` call cuts
-    its documents into parts of equal shares of the text bytes, one per
-    CPU this process may use (at most one per chunk), and embeds them on
-    forked processes. Rows are exact integer sums normalized one at a
-    time, so they do not depend on the number of parts.
+    window of a chunk is hashed in numpy at once. An ``embed`` call embeds
+    its chunks on forked processes, one per CPU this process may use. Rows
+    are exact integer sums normalized one at a time, so they do not depend
+    on the number of processes.
     """
 
     kind = "hashed-projection"
@@ -144,24 +135,13 @@ class HashedProjectionEmbedder:
             raise ValueError("no documents to embed")
         data = [text.encode("utf-8") for text in _texts(docs)]
         self._sign_matrix()  # built before the fork, so every worker shares one copy
-        workers = min(_cpu_count(), sum(1 for _ in _chunks(data)))
-        parts = _parts(data, workers)
-        return np.concatenate(fork_map(functools.partial(self._embed_part, data), parts, workers))
+        return np.concatenate(fork_map(functools.partial(self._rows, data), list(_chunks(data)), _cpu_count()))
 
-    def _embed_part(self, data: list[bytes], part: tuple[int, int]) -> np.ndarray:
-        """Rows of the documents ``data[start:end]`` of ``part``, chunk by chunk."""
-        start, end = part
-        out = np.empty((end - start, self.dim), dtype=np.float64)
-        for first, last in _chunks(data[start:end]):
-            windows, per_doc = _windows(data[start + first : start + last])
-            out[first:last] = self._rows(_buckets(windows), per_doc, start + first)
-        return out
-
-    def _rows(self, buckets: np.ndarray, per_doc: np.ndarray, first_row: int) -> np.ndarray:
-        """Rows of consecutive documents from their windows' buckets, grouped by document.
-
-        ``first_row`` numbers the documents in errors.
-        """
+    def _rows(self, data: list[bytes], chunk: tuple[int, int]) -> np.ndarray:
+        """Rows of the documents ``data[first:last]`` of one chunk; errors number them as in ``data``."""
+        first, last = chunk
+        windows, per_doc = _windows(data[first:last])
+        buckets = _buckets(windows)
         signs = self._sign_matrix()
         # integer sums of sign rows: exact, so equal to any other order of adding the counts;
         # the sum of n rows lies in [-n, n], so int16 holds it below 2^15 windows
@@ -177,8 +157,8 @@ class HashedProjectionEmbedder:
         if len(bad):
             row = int(bad[0])
             if not per_doc[row]:
-                raise DegenerateEmbeddingError(f"document row {first_row + row} yields no character n-grams")
-            raise DegenerateEmbeddingError(f"document row {first_row + row} projects to the zero vector")
+                raise DegenerateEmbeddingError(f"document row {first + row} yields no character n-grams")
+            raise DegenerateEmbeddingError(f"document row {first + row} projects to the zero vector")
         return vecs / norms[:, None]
 
     def fingerprint(self) -> str:

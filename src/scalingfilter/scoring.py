@@ -19,7 +19,7 @@ import functools
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence
 
@@ -32,6 +32,7 @@ from .errors import (
 )
 
 SCORE_HEADER = ("doc_id", "n_tokens", "ppl_small", "ppl_large", "quality_factor")
+_Row = tuple[int, float, float]  # n_tokens, ppl_small, ppl_large: a document's row in the cache and in scores.tsv
 
 
 def _fmt(x: float) -> str:
@@ -125,7 +126,7 @@ class ScoreCache:
         self.path = Path(path)
         self.fp_small = fp_small
         self.fp_large = fp_large
-        self._rows: dict[tuple[str, str], tuple[int, float, float]] = {}
+        self._rows: dict[tuple[str, str], _Row] = {}
         self.skipped = 0
         self._torn_bytes = 0
         if self.path.exists():
@@ -149,15 +150,14 @@ class ScoreCache:
                         self._rows[(doc_id, chash)] = row
         self._appended: list[str] = []
 
-    def get(self, doc_id: str, chash: str) -> Optional[tuple[int, float, float]]:
+    def get(self, doc_id: str, chash: str) -> Optional[_Row]:
         return self._rows.get((doc_id, chash))
 
-    def put(self, doc_id: str, chash: str, n_tokens: int, ppl_small: float, ppl_large: float) -> None:
-        self._rows[(doc_id, chash)] = (n_tokens, ppl_small, ppl_large)
+    def put(self, doc_id: str, chash: str, row: _Row) -> None:
+        self._rows[(doc_id, chash)] = row
+        n_tokens, ppl_small, ppl_large = row
         self._appended.append(
-            "\t".join(
-                (doc_id, chash, self.fp_small, self.fp_large, str(n_tokens), _fmt(ppl_small), _fmt(ppl_large))
-            )
+            "\t".join((doc_id, chash, self.fp_small, self.fp_large, str(n_tokens), _fmt(ppl_small), _fmt(ppl_large)))
         )
 
     def flush(self) -> None:
@@ -174,24 +174,18 @@ class ScoreCache:
 
 @dataclass
 class ScoreSummary:
+    """What ``score_summary.json`` records of one ``score_corpus`` run, under its keys."""
+
     count: int
     error_count: int
     endpoint_evaluations: int
     cache_hits: int
-    mean_d: Optional[float]  # None (JSON null) when no document was scored
-    quantiles: dict[str, float] = field(default_factory=dict)
-    cache_rows_skipped: int = 0  # cache rows that could not be used: torn or malformed
+    cache_rows_skipped: int  # cache rows that could not be used: torn or malformed
+    mean_quality_factor: Optional[float]  # None (JSON null) when no document was scored
+    quality_factor_quantiles: dict[str, float]  # empty when no document was scored
 
     def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "error_count": self.error_count,
-            "endpoint_evaluations": self.endpoint_evaluations,
-            "cache_hits": self.cache_hits,
-            "cache_rows_skipped": self.cache_rows_skipped,
-            "mean_quality_factor": self.mean_d,
-            "quality_factor_quantiles": self.quantiles,
-        }
+        return asdict(self)
 
 
 def _nearest_rank_quantiles(values: Sequence[float], pcts=(5, 25, 50, 75, 95)) -> dict[str, float]:
@@ -204,16 +198,16 @@ def _nearest_rank_quantiles(values: Sequence[float], pcts=(5, 25, 50, 75, 95)) -
     return out
 
 
-_Row = tuple[str, int, float, float]  # doc_id, n_tokens, ppl_small, ppl_large
 _Failure = tuple[str, str, str]  # doc_id, code, message
 
 
 def _score_batch(
     small: PerplexityModel, large: PerplexityModel, batch: list[tuple[str, str]]
-) -> tuple[list[_Row], list[_Failure]]:
-    """Score one batch of (doc_id, text) pairs with both models.
+) -> tuple[list[tuple[str, _Row]], list[_Failure]]:
+    """Score one batch of (doc_id, text) pairs with both models: each document's row, or its failure.
 
-    A scorer error fails only this batch's documents, and comes back as
+    A scorer error fails this batch's documents, and a perplexity that is
+    not finite and positive fails its own document. Both come back as
     failure rows rather than as an exception pickled across the pool.
     """
     texts = [text for _, text in batch]
@@ -222,11 +216,15 @@ def _score_batch(
         ppl_large = large.perplexities(texts)
     except ScalingFilterError as exc:
         return [], [(doc_id, exc.code, str(exc)) for doc_id, _ in batch]
-    rows = [
-        (doc_id, len(text.encode("utf-8")), s, l)  # n_tokens: UTF-8 bytes, the n-gram models' tokens
-        for (doc_id, text), s, l in zip(batch, ppl_small, ppl_large)
-    ]
-    return rows, []
+    rows, failed = [], []
+    for (doc_id, text), s, l in zip(batch, ppl_small, ppl_large):
+        try:
+            quality_factor(s, l)
+        except InvalidPerplexityError as exc:
+            failed.append((doc_id, exc.code, str(exc)))
+            continue
+        rows.append((doc_id, (len(text.encode("utf-8")), s, l)))  # n_tokens: UTF-8 bytes, the n-gram tokens
+    return rows, failed
 
 
 def score_corpus(
@@ -258,39 +256,29 @@ def score_corpus(
     if cache_path is not None:
         cache = ScoreCache(cache_path, small.fingerprint(), large.fingerprint())
 
-    rows: dict[str, tuple[int, float, float, float]] = {}  # doc_id -> (n_tok, ppl_s, ppl_l, d)
+    rows: dict[str, _Row] = {}
     pending: list[tuple[str, str]] = []
     hashes: dict[str, str] = {}
-    total = 0
     errors: list[_Failure] = []
-    cache_hits = 0
 
     for doc in docs:
-        total += 1
         if doc.id in hashes:
             raise ValueError(f"duplicate doc_id {doc.id!r} in scoring input")
-        chash = content_hash(doc.text)
-        hashes[doc.id] = chash
+        chash = hashes[doc.id] = content_hash(doc.text)
         cached = cache.get(doc.id, chash) if cache is not None else None
         if cached is not None:
-            n_tok, ppl_s, ppl_l = cached
-            rows[doc.id] = (n_tok, ppl_s, ppl_l, quality_factor(ppl_s, ppl_l))
-            cache_hits += 1
+            rows[doc.id] = cached
         else:
             pending.append((doc.id, doc.text))
+    cache_hits = len(rows)
 
-    evaluations = len(pending)
     batches = [pending[i : i + batch_size] for i in range(0, len(pending), batch_size)]
     for scored, failed in fork_map(functools.partial(_score_batch, small, large), batches, workers):
         errors.extend(failed)
-        for doc_id, n_tok, ppl_s, ppl_l in scored:
-            try:
-                rows[doc_id] = (n_tok, ppl_s, ppl_l, quality_factor(ppl_s, ppl_l))
-            except InvalidPerplexityError as exc:
-                errors.append((doc_id, exc.code, str(exc)))
-                continue
-            if cache is not None:
-                cache.put(doc_id, hashes[doc_id], n_tok, ppl_s, ppl_l)
+        rows.update(scored)
+        if cache is not None:
+            for doc_id, row in scored:
+                cache.put(doc_id, hashes[doc_id], row)
 
     if cache is not None:
         cache.flush()
@@ -304,9 +292,9 @@ def score_corpus(
     elif error_path.exists():
         error_path.unlink()
 
-    if total > 0 and len(errors) / total > error_budget:
+    if hashes and len(errors) / len(hashes) > error_budget:
         raise ErrorBudgetExceededError(
-            f"{len(errors)}/{total} documents failed scoring (budget {error_budget:.2%})"
+            f"{len(errors)}/{len(hashes)} documents failed scoring (budget {error_budget:.2%})"
         )
 
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -314,25 +302,27 @@ def score_corpus(
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(SCORE_HEADER) + "\n")
         for doc_id in sorted(rows):
-            n_tok, ppl_s, ppl_l, d = rows[doc_id]
+            n_tok, ppl_s, ppl_l = rows[doc_id]
+            d = ppl_s / ppl_l  # quality_factor judged the row when the cache read it or its batch scored it
             d_values.append(d)
             fh.write(f"{doc_id}\t{n_tok}\t{_fmt(ppl_s)}\t{_fmt(ppl_l)}\t{_fmt(d)}\n")
 
     return ScoreSummary(
         count=len(rows),
         error_count=len(errors),
-        endpoint_evaluations=evaluations,
+        endpoint_evaluations=len(pending),
         cache_hits=cache_hits,
-        mean_d=sum(d_values) / len(d_values) if d_values else None,
-        quantiles=_nearest_rank_quantiles(d_values) if d_values else {},
         cache_rows_skipped=cache.skipped if cache is not None else 0,
+        mean_quality_factor=sum(d_values) / len(d_values) if d_values else None,
+        quality_factor_quantiles=_nearest_rank_quantiles(d_values) if d_values else {},
     )
 
 
 def read_score_file(path: str | Path) -> list[QualityScore]:
-    """Read a scores.tsv; a row without its five fields or with a non-finite number raises
-    ValueError naming the file and line."""
+    """Read a scores.tsv; a row without its five fields, with a non-finite number or with a
+    doc_id already read raises ValueError naming the file and line."""
     scores = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if tuple(header) != SCORE_HEADER:
@@ -348,5 +338,8 @@ def read_score_file(path: str | Path) -> list[QualityScore]:
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: expected {'<TAB>'.join(SCORE_HEADER)} with finite "
                                  f"numbers, got {text!r}") from None
+            if doc_id in seen:
+                raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
+            seen.add(doc_id)
             scores.append(score)
     return scores

@@ -34,7 +34,9 @@ for name in ("load_pair", "HashedProjectionEmbedder", "RemoteEmbedder", "derive_
 cache = ScoreCache(sys.argv[1], "fp-small", "fp-large")
 assert cache._appended == []
 cache.flush()
-assert "endpoint_evaluations" in ScoreSummary(0, 0, 0, 0, float("nan")).to_json()
+summary = ScoreSummary(count=0, error_count=0, endpoint_evaluations=0, cache_hits=0, cache_rows_skipped=0,
+                       mean_quality_factor=None, quality_factor_quantiles={})
+assert "endpoint_evaluations" in summary.to_json()
 assert callable(NGramModel.perplexity) and callable(RemotePerplexityModel.fingerprint)
 print("ok")
 """

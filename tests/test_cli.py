@@ -547,6 +547,15 @@ class TestFilter:
         assert f"{scores}:3:" in caplog.text
         assert not (out / "kept_ids.txt").exists()
 
+    def test_repeated_score_row_exit_2(self, tmp_path, caplog):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("doc_id\tn_tokens\tppl_small\tppl_large\tquality_factor\n"
+                          "a\t3\t8\t4\t2\na\t3\t8\t4\t2\nb\t5\t1.5\t3\t0.5\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["filter", "--scores", str(scores), "--method", "topk", "--out", str(out)]) == 2
+        assert f"{scores}:3: duplicate doc_id 'a'" in caplog.text
+        assert not (out / "kept_ids.txt").exists()
+
     def test_topk_without_scores_exit_2(self, tmp_path):
         rc = main(["filter", "--method", "topk", "--out", str(tmp_path / "no-scores")])
         assert rc == 2

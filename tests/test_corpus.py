@@ -41,6 +41,15 @@ class TestValidateRecord:
         with pytest.raises(EmptyTextError):
             validate_record({"id": "b"})
 
+    def test_integer_id_becomes_its_decimal_string(self):
+        assert validate_record({"id": 7, "text": "hi"}).id == "7"
+
+    @pytest.mark.parametrize("bad_id", [True, False, 1e20, 7.0, [1, 2], {"a": 1}])
+    def test_id_neither_string_nor_integer_rejected(self, bad_id):
+        with pytest.raises(InvalidIdError) as exc:
+            validate_record({"id": bad_id, "text": "hi"}, shard="s0.jsonl", line_no=3)
+        assert (exc.value.code, exc.value.line_no) == ("invalid-id", 3)
+
     def test_multibyte_utf8_byte_count(self, tmp_path):
         doc = validate_record({"id": "c", "text": "héllo"})
         assert write_corpus([doc], tmp_path).total_bytes == 6
@@ -73,6 +82,15 @@ class TestReadCorpus:
         docs = list(read_corpus([shard], on_error=errors.append))
         assert [d.id for d in docs] == ["a", "d"]
         assert [(type(e), e.code, e.line_no) for e in errors] == [(InvalidIdError, "invalid-id", 2)]
+
+    def test_non_string_id_reported_and_rest_yielded(self, tmp_path):
+        shard = tmp_path / "s0.jsonl"
+        write_shard(shard, [{"id": 1, "text": "ok"}, {"id": True, "text": "ok"}, {"id": [2], "text": "ok"},
+                            {"id": "d", "text": "ok"}])
+        errors = []
+        docs = list(read_corpus([shard], on_error=errors.append))
+        assert [d.id for d in docs] == ["1", "d"]
+        assert [(e.code, e.line_no) for e in errors] == [("invalid-id", 2), ("invalid-id", 3)]
 
     def test_error_without_handler_raises(self, tmp_path):
         shard = tmp_path / "s0.jsonl"

@@ -189,7 +189,7 @@ class TestHashUniformity:
 
 
 class TestParallelEmbed:
-    """Parts of one ``embed`` call run on forked processes; nothing about the result shows how many."""
+    """Chunks of one ``embed`` call run on forked processes; nothing about the result shows how many."""
 
     TEXTS = TestLoopOracle.TEXTS
 
@@ -202,13 +202,6 @@ class TestParallelEmbed:
 
         return force
 
-    def test_parts_split_bytes_evenly(self):
-        data = [b"x" * n for n in (5, 5, 5, 5, 40, 5, 5, 5, 5, 5, 5)]
-        assert embedding._parts(data, 1) == [(0, len(data))]
-        assert embedding._parts(data, 2) == [(0, 5), (5, 11)]
-        # one document larger than a share: fewer parts, none empty
-        assert embedding._parts([b"x", b"x" * 100, b"x"], 3) == [(0, 2), (2, 3)]
-
     @pytest.mark.parametrize("zero_rows", [(5, 25, 45), (45,)])
     def test_zero_row_named_as_in_a_serial_run(self, chunked, zero_rows):
         emb = HashedProjectionEmbedder(dim=2, seed=0)
@@ -216,10 +209,10 @@ class TestParallelEmbed:
         texts = list(self.TEXTS)
         for row in zero_rows:
             texts.insert(row, zero)
-        parts = embedding._parts([t.encode("utf-8") for t in texts], 3)
-        assert len(parts) == 3
-        assert [sum(a <= row < b for row in zero_rows) for a, b in parts] == (
-            [1, 1, 1] if len(zero_rows) == 3 else [0, 0, 1])
+        chunks = list(embedding._chunks([t.encode("utf-8") for t in texts]))
+        holding = [i for i, (a, b) in enumerate(chunks) for row in zero_rows if a <= row < b]
+        # each zero row in its own chunk, and the last one in a chunk after the first
+        assert len(set(holding)) == len(zero_rows) and holding[-1] > 0
         for workers in (1, 3):
             chunked(workers)
             with pytest.raises(DegenerateEmbeddingError) as exc:

@@ -110,5 +110,6 @@ print(json.dumps({"rows": [rows for (rows, _), _ in results],
 def test_forked_score_workers_import_nothing(make_service):
     svc = make_service(perplexity_fn=lambda text: 2.0)
     out = _run(FORKED, svc.url)
-    assert out["rows"] == [[["a", 8, 2.0, 2.0]], [["b", 12, 2.0, 2.0]]]
+    # each batch's (doc_id, (n_tokens, ppl_small, ppl_large)) rows, through JSON
+    assert out["rows"] == [[["a", [8, 2.0, 2.0]]], [["b", [12, 2.0, 2.0]]]]
     assert out["imported"] == []

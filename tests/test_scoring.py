@@ -81,6 +81,13 @@ class TestReadScoreFile:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
             read_score_file(path)
 
+    def test_repeated_doc_id_names_file_and_line(self, tmp_path):
+        # a repeated row would be selected, and written to kept_ids.txt, twice
+        path = tmp_path / "s.tsv"
+        path.write_text(self.HEADER + "a\t3\t8\t4\t2\nb\t5\t1.5\t3\t0.5\na\t3\t8\t4\t2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: duplicate doc_id 'a'$"):
+            read_score_file(path)
+
 
 @pytest.fixture(scope="module")
 def toy_pair():
@@ -215,9 +222,9 @@ class TestScoreCorpus:
         docs = self.make_docs(50)
         summary = score_corpus(*models, docs, tmp_path / "s.tsv")
         scores = read_score_file(tmp_path / "s.tsv")
-        assert summary.mean_d == pytest.approx(np.mean([s.d for s in scores]))
-        assert set(summary.quantiles) == {"p05", "p25", "p50", "p75", "p95"}
-        assert summary.quantiles["p50"] == sorted(s.d for s in scores)[24]
+        assert summary.mean_quality_factor == pytest.approx(np.mean([s.d for s in scores]))
+        assert set(summary.quality_factor_quantiles) == {"p05", "p25", "p50", "p75", "p95"}
+        assert summary.quality_factor_quantiles["p50"] == sorted(s.d for s in scores)[24]
 
     def test_error_sidecar_within_budget(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan") if t.startswith("bad") else 4.0)
@@ -258,6 +265,22 @@ class TestScoreCorpus:
         assert failed == [(f"d{i:03d}", "scorer-unavailable") for i in range(40, 50)]
         assert summary.error_count == 10
         assert len(read_score_file(tmp_path / "s.tsv")) == 90
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_perplexity_costs_only_its_document(self, tmp_path, make_service, workers):
+        small = make_service(perplexity_fn=lambda t: float("nan") if t == "doc 42" else 4.0)
+        large = make_service(perplexity_fn=lambda t: 2.0)
+        docs = [Document(f"d{i:03d}", f"doc {i}") for i in range(100)]
+        summary = score_corpus(
+            *remote_pair(small, large), docs, tmp_path / "s.tsv", cache_path=tmp_path / "c.tsv",
+            workers=workers, error_budget=0.05, batch_size=10,
+        )
+        sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [tuple(line.split("\t")[:2]) for line in sidecar] == [("d042", "invalid-perplexity")]
+        assert (summary.count, summary.error_count, summary.endpoint_evaluations) == (99, 1, 100)
+        assert [s.doc_id for s in read_score_file(tmp_path / "s.tsv")] == [d.id for d in docs if d.id != "d042"]
+        # the failed document is not cached, so a rerun scores it alone
+        assert len((tmp_path / "c.tsv").read_text(encoding="utf-8").splitlines()) == 99
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cacheless_remote_run_sends_only_batches(self, tmp_path, make_service, workers):
