@@ -9,6 +9,7 @@ so downstream score caches stay joinable without a global registry.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -58,12 +59,13 @@ class Document:
     """One text record; the unit that gets scored and selected.
 
     Invariants: ``id`` unique within a corpus, ``text`` has at least one
-    non-whitespace character.
+    non-whitespace character. ``source`` is the JSON value the record
+    held, if any, and is written back as that value.
     """
 
     id: str
     text: str
-    source: Optional[str] = None
+    source: object = None
 
 
 @dataclass
@@ -80,12 +82,18 @@ class CorpusManifest:
     @staticmethod
     def load(path: str | Path) -> "CorpusManifest":
         obj = read_json(path, {"corpus_id": str, "shard_paths": list, "doc_count": int, "total_bytes": int})
+        for shard in obj["shard_paths"]:
+            if not isinstance(shard, str):
+                raise ValueError(f"{path}: 'shard_paths' holds {type(shard).__name__}, not str")
+        created_at = obj.get("created_at", "")
+        if not isinstance(created_at, str):
+            raise ValueError(f"{path}: 'created_at' is {type(created_at).__name__}, not str")
         return CorpusManifest(
             corpus_id=obj["corpus_id"],
-            shard_paths=[str(p) for p in obj["shard_paths"]],
+            shard_paths=obj["shard_paths"],
             doc_count=obj["doc_count"],
             total_bytes=obj["total_bytes"],
-            created_at=str(obj.get("created_at", "")),
+            created_at=created_at,
         )
 
     def resolved_shard_paths(self, manifest_path: str | Path) -> list[Path]:
@@ -100,7 +108,9 @@ def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
     A missing id is synthesized as ``<shard-basename>:<line-number>``. An
     integer id becomes its decimal string; an id that is neither a string
     nor an integer (a bool, float, list or object), or that contains a
-    tab, CR or LF, is rejected.
+    tab, CR or LF, is rejected. ``source`` is kept as the JSON value it
+    was read as. A text, id or source that has no UTF-8 encoding (a lone
+    surrogate, read from a ``"\\ud800"`` escape) raises EncodingError.
     """
     text = raw.get("text")
     if not isinstance(text, str) or not text.strip():
@@ -118,7 +128,15 @@ def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
         # every TSV artifact (scores, errors, cache, kept ids) is keyed by id
         raise InvalidIdError(f"id {doc_id!r} contains a tab or line break", shard=shard, line_no=line_no)
     source = raw.get("source")
-    return Document(id=doc_id, text=text, source=str(source) if source is not None else None)
+    fields = [text, doc_id]
+    if source is not None:
+        fields.append(source if isinstance(source, str) else json.dumps(source, ensure_ascii=False))
+    for value in fields:
+        try:
+            value.encode("utf-8")  # each field is written back as UTF-8
+        except UnicodeEncodeError as exc:
+            raise EncodingError(str(exc), shard=shard, line_no=line_no) from None
+    return Document(id=doc_id, text=text, source=source)
 
 
 def iter_shard(path: str | Path, on_error: Optional[Callable[[RecordError], None]] = None) -> Iterator[Document]:
@@ -192,36 +210,21 @@ def write_corpus(
 
     shard_paths: list[str] = []
     seen_ids: set[str] = set()
-    doc_count = 0
     total_bytes = 0
-    shard_idx = 0
-    fh = None
-    in_shard = 0
-    try:
-        for doc in docs:
-            if doc.id in seen_ids:
-                raise ValueError(f"duplicate document id {doc.id!r}")
-            seen_ids.add(doc.id)
-            if fh is None or in_shard >= shard_size:
-                if fh is not None:
-                    fh.close()
-                name = f"shard-{shard_idx:05d}.jsonl"
-                shard_paths.append(name)
-                fh = open(out_dir / name, "w", encoding="utf-8", newline="\n")
-                shard_idx += 1
-                in_shard = 0
-            fh.write(_doc_json(doc) + "\n")
-            in_shard += 1
-            doc_count += 1
-            total_bytes += len(doc.text.encode("utf-8"))
-    finally:
-        if fh is not None:
-            fh.close()
+    for shard_idx, shard in itertools.groupby(enumerate(docs), key=lambda item: item[0] // shard_size):
+        shard_paths.append(f"shard-{shard_idx:05d}.jsonl")
+        with open(out_dir / shard_paths[-1], "w", encoding="utf-8", newline="\n") as fh:
+            for _, doc in shard:
+                if doc.id in seen_ids:
+                    raise ValueError(f"duplicate document id {doc.id!r}")
+                seen_ids.add(doc.id)
+                fh.write(_doc_json(doc) + "\n")
+                total_bytes += len(doc.text.encode("utf-8"))
 
     manifest = CorpusManifest(
         corpus_id=corpus_id or out_dir.name,
-        shard_paths=sorted(shard_paths),
-        doc_count=doc_count,
+        shard_paths=shard_paths,
+        doc_count=len(seen_ids),
         total_bytes=total_bytes,
         created_at=datetime.now(timezone.utc).isoformat(),
     )

@@ -285,7 +285,7 @@ def train_ngram(corpus: Iterable[Document], order: int, smoothing_k: float = 0.0
     _check_spec(order, smoothing_k)  # before a document is read
     keys, counts = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     docs: list[bytes] = []
-    pending = total = 0
+    pending = 0
     for doc in chain(corpus, [None]):  # None ends the stream: the documents still buffered are counted
         if doc is not None:
             docs.append(tokenize(doc.text))
@@ -293,11 +293,11 @@ def train_ngram(corpus: Iterable[Document], order: int, smoothing_k: float = 0.0
         if pending >= _FOLD_BYTES or (doc is None and docs):
             chunk_keys, chunk_counts = np.unique(_token_keys(docs, order), return_counts=True)
             keys, counts = _sum_by_key(np.concatenate((keys, chunk_keys)), np.concatenate((counts, chunk_counts)))
-            total += pending
             docs, pending = [], 0
-    if total == 0:
+    if not len(keys):
         raise NoTrainingDataError("training corpus is empty")
-    return NGramModel(order, smoothing_k, keys, counts, total)
+    # each token adds one count
+    return NGramModel(order, smoothing_k, keys, counts, int(counts.sum()))
 
 
 def train_pair(

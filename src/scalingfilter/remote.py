@@ -26,7 +26,6 @@ def post_json(url: str, payload: dict, timeout: float = 30.0, retries: int = 3) 
     """
     data = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"})
-    last_exc: Exception | None = None
     for attempt in range(retries):
         try:
             with urllib.request.urlopen(request, timeout=timeout) as resp:
@@ -37,11 +36,9 @@ def post_json(url: str, payload: dict, timeout: float = 30.0, retries: int = 3) 
         except Exception as exc:  # noqa: BLE001 - uniform retry over network errors
             if isinstance(exc, urllib.error.HTTPError):
                 exc.close()  # a non-2xx status: the error holds the open response
-            last_exc = exc
-            if attempt + 1 < retries:
-                time.sleep(BACKOFF_S * (2**attempt))
-    assert last_exc is not None
-    raise last_exc
+            if attempt + 1 == retries:
+                raise
+            time.sleep(BACKOFF_S * (2**attempt))
 
 
 def post_texts(url: str, texts: list[str], key: str, error: type[Exception], timeout: float, retries: int):

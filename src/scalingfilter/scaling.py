@@ -114,6 +114,11 @@ def secant_slope(E: float, A: float, B: float, a: float, eta: float, N_p: float,
     return (L_q - L_p) / (N_q - N_p), d_model
 
 
+def _relative_error(x: float, y: float) -> float:
+    """|x - y| / |y|, or the absolute error where y is exactly 0 (A = 0)."""
+    return abs(x - y) / (abs(y) or 1.0)
+
+
 def verification_report(E: float = 1.69, A: float = 406.4, B: float = 410.7, eta: float = 0.62,
                         N_p: float = 1e8, N_q: float = 1e9, D: float = 1e10) -> dict:
     """Run every derivation check on one parameter set and report pass/fail.
@@ -126,58 +131,35 @@ def verification_report(E: float = 1.69, A: float = 406.4, B: float = 410.7, eta
     import numpy as np  # for the grids alone: loaded by verify-scaling, not by every command
 
     _check_sizes(N_p, N_q)  # before log10 takes them
-    checks: dict[str, bool] = {}
-    details: dict[str, object] = {}
-
     a_grid = [float(a) for a in np.linspace(A_LO, A_HI, A_POINTS)]
-    n_grid = list(np.logspace(math.log10(N_p), math.log10(N_q), CHECK_GRID_SIZE))
     a_small_grid = list(np.linspace(A_LO, A_HI, CHECK_GRID_SIZE))
+    n_grid = np.logspace(math.log10(N_p), math.log10(N_q), CHECK_GRID_SIZE)
+    grid = [(a, N) for a in a_small_grid for N in n_grid]
+    # the checks run in this order, each but the first over every grid point: the error raised is
+    # that of the first overflow on this walk
+    checks = {"dloss_dN_negative": all(dloss_dN(A, a, eta, N) < 0 for a, N in grid)}
 
-    checks["dloss_dN_negative"] = all(dloss_dN(A, a, eta, N) < 0 for a in a_small_grid for N in n_grid)
+    # d2L/(da dN) has the sign of the bracket wherever the bracket is not 0
+    signs = [(mixed_partial_bracket(a, eta, N), d2loss_da_dN(A, a, eta, N)) for a, N in grid]
+    checks["mixed_partial_sign_matches_bracket"] = all(
+        not (bracket < 0 and not value < 0) and not (bracket > 0 and not value > 0) for bracket, value in signs
+    )
 
-    sign_ok = True
-    for a in a_small_grid:
-        for N in n_grid:
-            bracket = mixed_partial_bracket(a, eta, N)
-            value = d2loss_da_dN(A, a, eta, N)
-            if bracket < 0 and not value < 0:
-                sign_ok = False
-            if bracket > 0 and not value > 0:
-                sign_ok = False
-    checks["mixed_partial_sign_matches_bracket"] = sign_ok
-
-    # relative errors, or absolute ones where the analytic value is exactly 0 (A = 0)
-    fd_ok = True
-    worst_fd = 0.0
-    for a in a_small_grid:
-        for N in n_grid:
-            h = N * 1e-6
-            fd = (reparam_loss(E, A, B, a, eta, N + h, D) - reparam_loss(E, A, B, a, eta, N - h, D)) / (2 * h)
-            analytic = dloss_dN(A, a, eta, N)
-            rel = abs(fd - analytic) / (abs(analytic) or 1.0)
-            worst_fd = max(worst_fd, rel)
-            ha = 1e-6
-            fd2 = (dloss_dN(A, a + ha, eta, N) - dloss_dN(A, a - ha, eta, N)) / (2 * ha)
-            analytic2 = d2loss_da_dN(A, a, eta, N)
-            rel2 = abs(fd2 - analytic2) / (abs(analytic2) or 1.0)
-            worst_fd = max(worst_fd, rel2)
-            if rel > 1e-5 or rel2 > 1e-5:
-                fd_ok = False
-    checks["finite_difference_agreement"] = fd_ok
-    details["worst_fd_relative_error"] = worst_fd
-
-    sec_ok = True
-    worst_sec = 0.0
-    for a in a_small_grid:
-        gap = N_p * 1e-6
-        slope, _ = secant_slope(E, A, B, a, eta, N_p, N_p + gap, D)
-        tangent = dloss_dN(A, a, eta, N_p)
-        rel = abs(slope - tangent) / (abs(tangent) or 1.0)
-        worst_sec = max(worst_sec, rel)
-        if rel > 1e-4:
-            sec_ok = False
-    checks["secant_tangent_convergence"] = sec_ok
-    details["worst_secant_relative_error"] = worst_sec
+    fd_errors = []
+    for a, N in grid:
+        h, ha = N * 1e-6, 1e-6
+        fd = (reparam_loss(E, A, B, a, eta, N + h, D) - reparam_loss(E, A, B, a, eta, N - h, D)) / (2 * h)
+        fd_errors.append(_relative_error(fd, dloss_dN(A, a, eta, N)))
+        fd2 = (dloss_dN(A, a + ha, eta, N) - dloss_dN(A, a - ha, eta, N)) / (2 * ha)
+        fd_errors.append(_relative_error(fd2, d2loss_da_dN(A, a, eta, N)))
+    sec_errors = [
+        _relative_error(secant_slope(E, A, B, a, eta, N_p, N_p + N_p * 1e-6, D)[0], dloss_dN(A, a, eta, N_p))
+        for a in a_small_grid
+    ]
+    # max from 0.0 skips a NaN error, which fails no check: NaN > tol is false
+    worst_fd, worst_sec = max([0.0, *fd_errors]), max([0.0, *sec_errors])
+    checks["finite_difference_agreement"] = not worst_fd > 1e-5
+    checks["secant_tangent_convergence"] = not worst_sec > 1e-4
 
     # the quality factor rises with a only where the mixed-partial bracket is negative across
     # [N_p, N_q]; the bracket is monotone in ln N, so both ends are checked for every a
@@ -188,16 +170,16 @@ def verification_report(E: float = 1.69, A: float = 406.4, B: float = 410.7, eta
                     f"bracket 1 + (a-1)*eta*ln(N) >= 0 at a={a}, N={N}; increase N_p"
                 )
     d_values = [secant_slope(E, A, B, a, eta, N_p, N_q, D)[1] for a in a_grid]
-    checks["d_model_monotone_in_a"] = all(d_values[i] < d_values[i + 1] for i in range(len(d_values) - 1))
-    details["monotonicity"] = {
-        "a_grid": a_grid,
-        "d_model": d_values,
-        "strictly_increasing": checks["d_model_monotone_in_a"],
-    }
+    checks["d_model_monotone_in_a"] = all(x < y for x, y in zip(d_values, d_values[1:]))
 
     return {
         "params": {"E": E, "A": A, "B": B, "eta": eta, "N_p": N_p, "N_q": N_q, "D": D},
         "checks": checks,
-        "details": details,
+        "details": {
+            "worst_fd_relative_error": worst_fd,
+            "worst_secant_relative_error": worst_sec,
+            "monotonicity": {"a_grid": a_grid, "d_model": d_values,
+                             "strictly_increasing": checks["d_model_monotone_in_a"]},
+        },
         "passed": all(checks.values()),
     }

@@ -102,7 +102,8 @@ def select_topk(scores: Sequence[QualityScore], keep_rate: float = KEEP_RATE) ->
 def select_temperature(
     scores: Sequence[QualityScore],
     keep_rate: float = KEEP_RATE,
-    tau: float = 1.0,
+    *,
+    tau: float,
     seed: int = 0,
 ) -> SelectionResult:
     """Sample k documents without replacement with weights softmax(d / tau).

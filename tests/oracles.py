@@ -16,6 +16,9 @@ package must give the same floats from its one sorted pool.
 ``direct_diversity`` takes the spectrum of the n x n Gram matrix
 ``eigvalsh(X @ X.T) / n`` whatever the shape of X: the dual path must agree
 with it to rounding.
+``loop_verification_report`` is the scaling checks with a flag per check:
+the package must return the same report, or raise the same error, for any
+parameters.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import struct
 from math import log2
 
@@ -30,7 +34,20 @@ import numpy as np
 
 from scalingfilter.diversity import semantic_diversity
 from scalingfilter.embedding import HASH_BUCKETS, NGRAM_SIZES
+from scalingfilter.errors import ConditionRegionViolatedError
 from scalingfilter.ngram import BOUNDARY, VOCAB_SIZE
+from scalingfilter.scaling import (
+    A_HI,
+    A_LO,
+    A_POINTS,
+    CHECK_GRID_SIZE,
+    _check_sizes,
+    d2loss_da_dN,
+    dloss_dN,
+    mixed_partial_bracket,
+    reparam_loss,
+    secant_slope,
+)
 
 _CTX_BASE = 257
 _MAGIC = b"SFNGRAM1\n"
@@ -195,3 +212,85 @@ def direct_diversity(X: np.ndarray) -> float:
     lam = np.clip(np.linalg.eigvalsh(X @ X.T) / len(X), 0.0, 1.0)
     positive = lam[lam > 0.0]
     return float(np.exp(-(positive * np.log(positive)).sum()))
+
+
+def loop_verification_report(E: float = 1.69, A: float = 406.4, B: float = 410.7, eta: float = 0.62,
+                             N_p: float = 1e8, N_q: float = 1e9, D: float = 1e10) -> dict:
+    """``verification_report`` as a loop with a pass flag per check, a relative error written out
+    per check and the grids walked again by each check."""
+    _check_sizes(N_p, N_q)  # before log10 takes them
+    checks: dict[str, bool] = {}
+    details: dict[str, object] = {}
+
+    a_grid = [float(a) for a in np.linspace(A_LO, A_HI, A_POINTS)]
+    n_grid = list(np.logspace(math.log10(N_p), math.log10(N_q), CHECK_GRID_SIZE))
+    a_small_grid = list(np.linspace(A_LO, A_HI, CHECK_GRID_SIZE))
+
+    checks["dloss_dN_negative"] = all(dloss_dN(A, a, eta, N) < 0 for a in a_small_grid for N in n_grid)
+
+    sign_ok = True
+    for a in a_small_grid:
+        for N in n_grid:
+            bracket = mixed_partial_bracket(a, eta, N)
+            value = d2loss_da_dN(A, a, eta, N)
+            if bracket < 0 and not value < 0:
+                sign_ok = False
+            if bracket > 0 and not value > 0:
+                sign_ok = False
+    checks["mixed_partial_sign_matches_bracket"] = sign_ok
+
+    # relative errors, or absolute ones where the analytic value is exactly 0 (A = 0)
+    fd_ok = True
+    worst_fd = 0.0
+    for a in a_small_grid:
+        for N in n_grid:
+            h = N * 1e-6
+            fd = (reparam_loss(E, A, B, a, eta, N + h, D) - reparam_loss(E, A, B, a, eta, N - h, D)) / (2 * h)
+            analytic = dloss_dN(A, a, eta, N)
+            rel = abs(fd - analytic) / (abs(analytic) or 1.0)
+            worst_fd = max(worst_fd, rel)
+            ha = 1e-6
+            fd2 = (dloss_dN(A, a + ha, eta, N) - dloss_dN(A, a - ha, eta, N)) / (2 * ha)
+            analytic2 = d2loss_da_dN(A, a, eta, N)
+            rel2 = abs(fd2 - analytic2) / (abs(analytic2) or 1.0)
+            worst_fd = max(worst_fd, rel2)
+            if rel > 1e-5 or rel2 > 1e-5:
+                fd_ok = False
+    checks["finite_difference_agreement"] = fd_ok
+    details["worst_fd_relative_error"] = worst_fd
+
+    sec_ok = True
+    worst_sec = 0.0
+    for a in a_small_grid:
+        gap = N_p * 1e-6
+        slope, _ = secant_slope(E, A, B, a, eta, N_p, N_p + gap, D)
+        tangent = dloss_dN(A, a, eta, N_p)
+        rel = abs(slope - tangent) / (abs(tangent) or 1.0)
+        worst_sec = max(worst_sec, rel)
+        if rel > 1e-4:
+            sec_ok = False
+    checks["secant_tangent_convergence"] = sec_ok
+    details["worst_secant_relative_error"] = worst_sec
+
+    # the quality factor rises with a only where the mixed-partial bracket is negative across
+    # [N_p, N_q]; the bracket is monotone in ln N, so both ends are checked for every a
+    for a in a_grid:
+        for N in (N_p, N_q):
+            if mixed_partial_bracket(a, eta, N) >= 0:
+                raise ConditionRegionViolatedError(
+                    f"bracket 1 + (a-1)*eta*ln(N) >= 0 at a={a}, N={N}; increase N_p"
+                )
+    d_values = [secant_slope(E, A, B, a, eta, N_p, N_q, D)[1] for a in a_grid]
+    checks["d_model_monotone_in_a"] = all(d_values[i] < d_values[i + 1] for i in range(len(d_values) - 1))
+    details["monotonicity"] = {
+        "a_grid": a_grid,
+        "d_model": d_values,
+        "strictly_increasing": checks["d_model_monotone_in_a"],
+    }
+
+    return {
+        "params": {"E": E, "A": A, "B": B, "eta": eta, "N_p": N_p, "N_q": N_q, "D": D},
+        "checks": checks,
+        "details": details,
+        "passed": all(checks.values()),
+    }

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -13,10 +14,11 @@ import pytest
 
 import synth
 from oracles import LoopNGramModel
-from scalingfilter import cli, embedding, remote
+from scalingfilter import cli, diversity, embedding, remote, selection
 from scalingfilter.cli import build_parser, main
 from scalingfilter.corpus import CorpusFingerprint, Document, read_manifest_corpus, write_corpus
-from scalingfilter.scoring import read_score_file
+from scalingfilter.ngram import train_pair
+from scalingfilter.scoring import RemotePerplexityModel, read_score_file, score_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -152,6 +154,26 @@ class TestTrainMeta:
         ]) == 0
         summary = json.loads((score_out / "score_summary.json").read_text(encoding="utf-8"))
         assert summary["count"] == 20
+
+    def test_lone_surrogate_record_skipped_by_train_meta_and_score(self, tmp_path, caplog):
+        corpus = tmp_path / "surrogate"
+        corpus.mkdir()
+        texts = [f"usable text {i}" for i in range(5)]
+        texts[2] = "a lone \ud800 surrogate"  # written as the JSON escape "\ud800"
+        lines = [json.dumps({"id": f"d{i}", "text": text}) for i, text in enumerate(texts)]
+        (corpus / "shard-00000.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (corpus / "manifest.json").write_text(json.dumps({
+            "corpus_id": "surrogate", "shard_paths": ["shard-00000.jsonl"],
+            "doc_count": 5, "total_bytes": 1, "created_at": "",
+        }), encoding="utf-8")
+        pair_out, score_out = tmp_path / "pair", tmp_path / "score"
+        for argv in (["train-meta", "--small-order", "2", "--large-order", "3", "--out", str(pair_out)],
+                     ["score", "--pair", str(pair_out), "--out", str(score_out)]):
+            caplog.clear()
+            assert main([*argv, "--corpus", str(corpus)]) == 0
+            assert caplog.text.count("skipping record") == 1
+            assert f"skipping record {corpus / 'shard-00000.jsonl'}:3 (encoding)" in caplog.text
+        assert [s.doc_id for s in read_score_file(score_out / "scores.tsv")] == ["d0", "d1", "d3", "d4"]
 
 
 class TestScore:
@@ -303,6 +325,21 @@ class TestScore:
         good_ids = [f"d{i:02d}" for i in range(20)]
         assert [s.doc_id for s in read_score_file(score_out / "scores.tsv")] == good_ids
         assert sorted((filter_out / "kept_ids.txt").read_text(encoding="utf-8").splitlines()) == good_ids
+
+    def test_source_written_back_as_its_json_value(self, tmp_path, pair_dir):
+        sources = [{"a": 1}, True, "web", None, [1, "x"], 2.5]
+        corpus = tmp_path / "sources"
+        write_corpus([Document(f"d{i}", f"usable text number {i}", source)
+                      for i, source in enumerate(sources)], corpus)
+        score_out, filter_out = tmp_path / "score", tmp_path / "filter"
+        assert main(["score", "--corpus", str(corpus), "--pair", str(pair_dir), "--out", str(score_out)]) == 0
+        assert main([
+            "filter", "--scores", str(score_out / "scores.tsv"), "--method", "topk",
+            "--keep-rate", "1.0", "--corpus", str(corpus), "--out", str(filter_out),
+        ]) == 0
+        records = [json.loads(line) for line in
+                   (filter_out / "filtered" / "shard-00000.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [repr(r.get("source")) for r in records] == [repr(source) for source in sources]
 
     @pytest.mark.parametrize("workers", ["0", "-3", "two"])
     def test_workers_below_one_exit_2(self, tmp_path, corpus_dir, pair_dir, workers):
@@ -719,6 +756,8 @@ class TestMalformedManifest:
     @pytest.mark.parametrize("edit, message", [
         (lambda m: {k: v for k, v in m.items() if k != "shard_paths"}, "has no 'shard_paths'"),
         (lambda m: [m], "expected a JSON object, got list"),
+        (lambda m: {**m, "shard_paths": [1, None]}, "'shard_paths' holds int, not str"),
+        (lambda m: {**m, "created_at": 5}, "'created_at' is int, not str"),
     ])
     def test_exit_2_naming_the_file(self, tmp_path, corpus_dir, pair_dir, score_dir, caplog,
                                     command, edit, message):
@@ -1005,6 +1044,36 @@ class TestRunConfig:
         assert {name for name, f in flags.items() if "--seed" in f} == {"filter", "diversity"}
         assert {name for name, f in flags.items() if "--workers" in f} == {"score"}
         assert sum(len(f - {"-h", "--help"}) for f in flags.values()) == 58
+
+
+# each CLI default, and the library parameters the command passes its value to
+_LIBRARY_DEFAULTS = [
+    ("train-meta", "--smoothing-k", [(train_pair, "smoothing_k")]),
+    ("score", "--batch-size", [(score_corpus, "batch_size")]),
+    ("score", "--error-budget", [(score_corpus, "error_budget")]),
+    ("score", "--workers", [(score_corpus, "workers")]),
+    ("score", "--timeout", [(RemotePerplexityModel, "timeout")]),
+    ("filter", "--keep-rate", [(selection.select_topk, "keep_rate"), (selection.select_temperature, "keep_rate")]),
+    ("filter", "--tau", [(selection.select_temperature, "tau")]),
+    ("filter", "--lo", [(selection.percentile_gate, "lo_pct")]),
+    ("filter", "--hi", [(selection.percentile_gate, "hi_pct")]),
+    ("filter", "--pareto-alpha", [(selection.pareto_noisy_threshold, "alpha")]),
+    ("filter", "--shard-size", [(selection.apply_selection, "shard_size"), (write_corpus, "shard_size")]),
+    ("diversity", "--n", [(diversity.subsample_diversity, "n"), (diversity.dataset_mix_experiment, "n")]),
+    ("diversity", "--repeats", [(diversity.subsample_diversity, "repeats"),
+                                (diversity.dataset_mix_experiment, "repeats")]),
+    ("diversity", "--dim", [(embedding.HashedProjectionEmbedder, "dim")]),
+]
+
+
+@pytest.mark.parametrize("command, flag, users", _LIBRARY_DEFAULTS, ids=[f for _, f, _ in _LIBRARY_DEFAULTS])
+def test_cli_default_is_the_library_default(command, flag, users):
+    (param,) = [p for p in cli._COMMANDS[command][2] if p.flag == flag]
+    for function, name in users:
+        default = inspect.signature(function).parameters[name].default
+        # a parameter without a default matches a flag without one
+        expected = None if default is inspect.Parameter.empty else default
+        assert (param.default, type(param.default)) == (expected, type(expected)), f"{function.__name__}({name})"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -54,6 +54,24 @@ class TestValidateRecord:
         doc = validate_record({"id": "c", "text": "héllo"})
         assert write_corpus([doc], tmp_path).total_bytes == 6
 
+    @pytest.mark.parametrize("source", ["web", {"a": 1}, True, 1.5, [1, "x"], None])
+    def test_source_kept_as_its_json_value(self, source):
+        doc = validate_record({"id": "a", "text": "hi", "source": source})
+        assert repr(doc.source) == repr(source)
+
+    # "\ud800" is a valid JSON escape, but a lone surrogate has no UTF-8 encoding
+    @pytest.mark.parametrize("record", [
+        {"id": "a", "text": "lone \ud800 surrogate"},
+        {"id": "a\udfff", "text": "hi"},
+        {"id": "a", "text": "hi", "source": "web\ud800"},
+        {"id": "a", "text": "hi", "source": {"k\udc00": 1}},
+        {"id": "a", "text": "hi", "source": ["\udc00"]},
+    ])
+    def test_field_without_utf8_encoding_rejected(self, record):
+        with pytest.raises(EncodingError) as exc:
+            validate_record(record, shard="s0.jsonl", line_no=4)
+        assert (exc.value.code, exc.value.shard, exc.value.line_no) == ("encoding", "s0.jsonl", 4)
+
 
 class TestReadCorpus:
     def test_two_shards_stream_in_file_then_line_order(self, tmp_path):
@@ -124,6 +142,15 @@ class TestReadCorpus:
         assert isinstance(errors[0], EncodingError)
         assert errors[0].code == "encoding"
 
+    def test_lone_surrogate_escape_reports_encoding_error_and_rest_yielded(self, tmp_path):
+        shard = tmp_path / "s0.jsonl"
+        write_shard(shard, [{"id": "a", "text": "ok"}, {"id": "b", "text": "\ud800"}, {"id": "c", "text": "ok"}])
+        assert '"\\ud800"' in shard.read_text(encoding="utf-8")
+        errors = []
+        docs = list(read_corpus([shard], on_error=errors.append))
+        assert [d.id for d in docs] == ["a", "c"]
+        assert [(type(e), e.line_no) for e in errors] == [(EncodingError, 2)]
+
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
             list(read_corpus([tmp_path / "missing.jsonl"]))
@@ -148,6 +175,15 @@ class TestWriteCorpus:
             for p in manifest.shard_paths
         ]
         assert per_shard == [2, 2, 1]
+
+    def test_exact_multiple_writes_no_empty_shard(self, tmp_path):
+        docs = [Document(f"d{i}", f"text {i}") for i in range(4)]
+        manifest = write_corpus(docs, tmp_path / "out", shard_size=2)
+        assert manifest.shard_paths == ["shard-00000.jsonl", "shard-00001.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.jsonl")) == manifest.shard_paths
+        per_shard = [len((tmp_path / "out" / p).read_text(encoding="utf-8").splitlines()) for p in manifest.shard_paths]
+        assert per_shard == [2, 2]
+        assert manifest.doc_count == 4
 
     def test_empty_input(self, tmp_path):
         manifest = write_corpus([], tmp_path / "out", shard_size=2)
@@ -225,6 +261,17 @@ class TestManifestChecks:
         with pytest.raises(ValueError, match=f"{path}: not valid JSON"):
             CorpusManifest.load(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("shard_paths", [1, None], "'shard_paths' holds int, not str"),
+        ("shard_paths", ["shard-00000.jsonl", None], "'shard_paths' holds NoneType, not str"),
+        ("created_at", 5, "'created_at' is int, not str"),
+        ("created_at", None, "'created_at' is NoneType, not str"),
+    ])
+    def test_value_that_is_not_a_string_rejected(self, tmp_path, key, value, message):
+        path = self.manifest(tmp_path, lambda m: {**m, key: value})
+        with pytest.raises(ValueError, match=f"{path}: {message}"):
+            CorpusManifest.load(path)
+
     def test_without_timestamp_loads(self, tmp_path):
         path = self.manifest(tmp_path, lambda m: {k: v for k, v in m.items() if k != "created_at"})
         assert CorpusManifest.load(path).created_at == ""
@@ -234,7 +281,7 @@ doc_strategy = st.builds(
     Document,
     id=st.uuids().map(str),
     text=st.text(min_size=1).filter(lambda t: t.strip()),
-    source=st.one_of(st.none(), st.sampled_from(["web", "books"])),
+    source=st.one_of(st.none(), st.sampled_from(["web", "books", {"a": [1, None]}, True, 2.5, ["x"]])),
 )
 
 
@@ -245,7 +292,7 @@ class TestRoundTrip:
         out = tmp_path_factory.mktemp("rt")
         write_corpus(docs, out, shard_size=3)
         back = list(read_manifest_corpus(out / "manifest.json"))
-        assert [(d.id, d.text, d.source) for d in back] == [(d.id, d.text, d.source) for d in docs]
+        assert [(d.id, d.text, repr(d.source)) for d in back] == [(d.id, d.text, repr(d.source)) for d in docs]
 
     def test_fingerprint_sensitive_to_content_and_order(self):
         def fingerprint(docs):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import loop_verification_report
 
 from scalingfilter.errors import (
     ConditionRegionViolatedError,
@@ -227,3 +228,25 @@ class TestVerificationReport:
     def test_tiny_N_p_violates_condition(self):
         with pytest.raises(ConditionRegionViolatedError):
             verification_report(N_p=2.0, N_q=1e9)
+
+
+# the verify-scaling parameter sets whose report or error must not change, then three more: an
+# overflow that only the sign check's walk of its whole grid reaches (eta -40), an invalid exponent,
+# and losses that overflow to inf, so that some relative errors are NaN
+ORACLE_PARAMS = [{}, {"A": 0.0}, {"B": 0.0}, {"A": 1e-3}, {"eta": 0.6}, {"eta": 50.0}, {"D": 1e3},
+                 {"A": 1e5}, {"eta": 5.0, "N_p": 1e-300}, {"N_p": 2.0}, {"N_q": 1e7},
+                 {"eta": -40.0}, {"eta": -1.0}, {"E": 1.7e308, "A": 1.7e308, "B": 1.79e308, "D": 1.0}]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda params: ",".join(f"{k}={v}" for k, v in params.items()))
+def test_report_or_error_matches_loop_oracle(params):
+    try:
+        want = loop_verification_report(**params)
+    except Exception as exc:  # noqa: BLE001 - the package must raise whatever the oracle raises
+        with pytest.raises(type(exc)) as got:
+            verification_report(**params)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    # repr: NaN matches NaN, and each value keeps its type
+    assert repr(verification_report(**params)) == repr(want)
