@@ -258,55 +258,28 @@ def cmd_diversity(p: dict) -> int:
 
     if p["mix"] and p["corpus"]:
         raise ValueError("provide --corpus or --mix, not both")
-    n, repeats, seed = p["n"], p["repeats"], p["seed"]
+    if not (p["mix"] or p["corpus"]):
+        raise ValueError("provide --corpus or --mix")
     if p["embedder"] == "remote":
         if not p["remote_url"]:
             raise ValueError("remote embedder needs --remote-url")
         provider = RemoteEmbedder(p["remote_url"])
     else:
-        provider = HashedProjectionEmbedder(dim=p["dim"], seed=derive_seed(seed, "embedder"))
+        provider = HashedProjectionEmbedder(dim=p["dim"], seed=derive_seed(p["seed"], "embedder"))
 
-    out_dir = Path(p["out"])
+    manifests = [corpus_io.find_manifest(path) for path in p["mix"] or [p["corpus"]]]
     record_errors = _RecordErrorLog()
-    if p["mix"]:
-        corpora = []
-        for path in p["mix"]:
-            manifest_path = corpus_io.find_manifest(path)
-            corpora.append(list(corpus_io.read_manifest_corpus(manifest_path, on_error=record_errors)))
-        record_errors.summarize()
-        curve = diversity_mod.dataset_mix_experiment(
-            corpora, provider, n=n, repeats=repeats, seed=derive_seed(seed, "diversity")
-        )
-        payload = {
-            "kind": "dataset-mix",
-            "corpora": list(p["mix"]),
-            "sample_size": n,
-            "repeats": repeats,
-            "seed": seed,
-            "embedder": provider.fingerprint(),
-            "curve": curve,
-            "comparability": diversity_mod.COMPARABILITY,
-        }
-        corpus_io.write_json(out_dir / "diversity.json", payload)
-        log.info("dataset-mix curve over %d corpora written", len(corpora))
-        return EXIT_OK
-
-    if not p["corpus"]:
-        raise ValueError("provide --corpus or --mix")
-    manifest_path = corpus_io.find_manifest(p["corpus"])
-    docs = list(corpus_io.read_manifest_corpus(manifest_path, on_error=record_errors))
+    corpora = [list(corpus_io.read_manifest_corpus(path, on_error=record_errors)) for path in manifests]
     record_errors.summarize()
-    manifest = corpus_io.CorpusManifest.load(manifest_path)
-    report = diversity_mod.subsample_diversity(
-        docs,
-        provider,
-        n=n,
-        repeats=repeats,
-        seed=derive_seed(seed, "diversity"),
-        corpus_id=manifest.corpus_id,
-    )
-    corpus_io.write_json(out_dir / "diversity.json", report)
-    log.info("diversity %.3f +/- %.3f over %d repeats", report["mean"], report["std"], report["repeats"])
+    n, repeats, seed = p["n"], p["repeats"], derive_seed(p["seed"], "diversity")
+    if p["mix"]:
+        report = diversity_mod.dataset_mix_experiment(corpora, provider, n, repeats, seed, names=p["mix"])
+        log.info("diversity curve over %d mixed corpora", len(corpora))
+    else:
+        corpus_id = corpus_io.CorpusManifest.load(manifests[0]).corpus_id
+        report = diversity_mod.subsample_diversity(corpora[0], provider, n, repeats, seed, corpus_id=corpus_id)
+        log.info("diversity %.3f +/- %.3f over %d repeats", report["mean"], report["std"], report["repeats"])
+    corpus_io.write_json(Path(p["out"]) / "diversity.json", report)
     return EXIT_OK
 
 

@@ -152,6 +152,16 @@ def _mixture_values(
     return values
 
 
+def _artifact(provider, n: int, repeats: int, seed: int, **form) -> dict:
+    """A diversity.json object: ``form``'s own keys and those every form records.
+
+    Called after embedding, since a remote embedder learns its model name
+    from its first reply.
+    """
+    return {**form, "sample_size": n, "repeats": repeats, "seed": seed,
+            "embedder": provider.fingerprint(), "comparability": COMPARABILITY}
+
+
 def subsample_diversity(
     docs: Sequence[Document],
     provider,
@@ -167,17 +177,8 @@ def subsample_diversity(
     """
     rng = rng_for(seed, "diversity-subsample")
     values = _mixture_values([docs], provider, _mixture_samples([docs], [0], n, repeats, rng))
-    return {
-        "corpus_id": corpus_id,
-        "sample_size": n,
-        "repeats": repeats,
-        "values": values,
-        "mean": float(np.mean(values)),
-        "std": float(np.std(values)),
-        "seed": seed,
-        "embedder": provider.fingerprint(),
-        "comparability": COMPARABILITY,
-    }
+    return _artifact(provider, n, repeats, seed, corpus_id=corpus_id, values=values,
+                     mean=float(np.mean(values)), std=float(np.std(values)))
 
 
 def mix_seed(seed: int, n_datasets: int, combo_index: int) -> int:
@@ -191,13 +192,15 @@ def dataset_mix_experiment(
     n: int = 1000,
     repeats: int = 10,
     seed: int = 0,
-) -> list[dict]:
-    """Mean diversity as a function of how many distinct corpora are mixed.
+    names: Sequence[str] = (),
+) -> dict:
+    """The diversity.json object of a dataset-mix run: mean diversity by how many corpora are mixed.
 
     For each N in 1..k, draws n // N documents from every member of each
     size-N combination of corpora (all combinations, or a seeded sample of
     ``MAX_MIX_COMBINATIONS`` when there are more) and averages the
-    per-repeat diversities.
+    per-repeat diversities into one ``curve`` row. ``names`` are the
+    corpora as the object records them.
     """
     k = len(corpora)
     if k < 2:
@@ -227,4 +230,4 @@ def dataset_mix_experiment(
                 "std": float(np.std(all_values)),
             }
         )
-    return curve
+    return _artifact(provider, n, repeats, seed, kind="dataset-mix", corpora=list(names), curve=curve)

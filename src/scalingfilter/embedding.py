@@ -175,14 +175,13 @@ class RemoteEmbedder:
 
     kind = "remote"
 
-    def __init__(self, base_url: str, batch_size: int = 64, timeout: float = 30.0, retries: int = 3):
+    def __init__(self, base_url: str, batch_size: int = 64, timeout: float = 30.0):
         from . import remote  # the HTTP client: loaded by the remote embedder alone
 
         self._remote = remote
         self.base_url = base_url.rstrip("/")
         self.batch_size = batch_size
         self.timeout = timeout
-        self.retries = retries
         self._model_name = ""
 
     def embed(self, docs: Sequence[Document | str]) -> np.ndarray:
@@ -193,9 +192,7 @@ class RemoteEmbedder:
         rows: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             batch = texts[start : start + self.batch_size]
-            body, vecs = self._remote.post_texts(
-                url, batch, "embeddings", EmbedderUnavailableError, self.timeout, self.retries
-            )
+            body, vecs = self._remote.post_texts(url, batch, "embeddings", EmbedderUnavailableError, self.timeout)
             self._model_name = str(body.get("model", ""))
             try:
                 block = np.asarray(vecs)

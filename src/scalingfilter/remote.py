@@ -14,19 +14,20 @@ import urllib.error
 import urllib.request
 from typing import Any
 
+RETRIES = 3  # attempts per request
 BACKOFF_S = 0.2  # pause after the first failed attempt; doubles after each later one
 
 
-def post_json(url: str, payload: dict, timeout: float = 30.0, retries: int = 3) -> dict[str, Any]:
+def post_json(url: str, payload: dict, timeout: float = 30.0) -> dict[str, Any]:
     """POST a JSON payload, retrying failures with exponential backoff.
 
     A connection error, a non-2xx status or a reply that is not a JSON
-    object fails an attempt. Raises the last failure once retries are
-    exhausted; callers translate that into their own error code.
+    object fails an attempt. Raises the last failure once ``RETRIES``
+    attempts have failed; callers translate that into their own error code.
     """
     data = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(url, data=data, headers={"Content-Type": "application/json"})
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         try:
             with urllib.request.urlopen(request, timeout=timeout) as resp:
                 body = json.loads(resp.read())
@@ -36,18 +37,18 @@ def post_json(url: str, payload: dict, timeout: float = 30.0, retries: int = 3) 
         except Exception as exc:  # noqa: BLE001 - uniform retry over network errors
             if isinstance(exc, urllib.error.HTTPError):
                 exc.close()  # a non-2xx status: the error holds the open response
-            if attempt + 1 == retries:
+            if attempt + 1 == RETRIES:
                 raise
             time.sleep(BACKOFF_S * (2**attempt))
 
 
-def post_texts(url: str, texts: list[str], key: str, error: type[Exception], timeout: float, retries: int):
+def post_texts(url: str, texts: list[str], key: str, error: type[Exception], timeout: float):
     """POST ``{"texts": texts}``; return the reply and its list under ``key``.
 
     Raises ``error`` if the request fails or that list does not hold one entry per text.
     """
     try:
-        body = post_json(url, {"texts": texts}, timeout=timeout, retries=retries)
+        body = post_json(url, {"texts": texts}, timeout=timeout)
     except Exception as exc:
         raise error(f"{url} failed: {exc}") from exc
     values = body.get(key)

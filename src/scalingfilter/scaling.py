@@ -42,6 +42,14 @@ def _power_term(coeff: float, base: float, exponent: float) -> float:
         raise NumericRangeError(f"{coeff}/{base}^{exponent} overflows") from exc
 
 
+def _finite(value: float, name: str, **at: float) -> float:
+    """``value``, or NumericRangeError if it overflowed to inf or became NaN."""
+    if not math.isfinite(value):
+        where = ", ".join(f"{key}={x}" for key, x in at.items())
+        raise NumericRangeError(f"{name} = {value} is not finite at {where}")
+    return value
+
+
 def reparam_loss(E: float, A: float, B: float, a: float, eta: float, N: float, D: float) -> float:
     """E + A/N^alpha + B/D^beta with alpha = (1-a)*eta and beta = a*eta.
 
@@ -62,7 +70,7 @@ def reparam_loss(E: float, A: float, B: float, a: float, eta: float, N: float, D
         out += _power_term(A, N, alpha)
     if B > 0:
         out += _power_term(B, D, beta)
-    return out
+    return _finite(out, "L", a=a, eta=eta, N=N, D=D)
 
 
 def _size_factor(a: float, eta: float, N: float) -> float:
@@ -77,7 +85,7 @@ def dloss_dN(A: float, a: float, eta: float, N: float) -> float:
     """Analytic dL/dN = A*(a-1)*eta*N^((a-1)*eta - 1); negative for valid params."""
     if A == 0:
         return 0.0
-    return A * (a - 1.0) * eta * _size_factor(a, eta, N)
+    return _finite(A * (a - 1.0) * eta * _size_factor(a, eta, N), "dL/dN", a=a, eta=eta, N=N)
 
 
 def mixed_partial_bracket(a: float, eta: float, N: float) -> float:
@@ -89,7 +97,8 @@ def d2loss_da_dN(A: float, a: float, eta: float, N: float) -> float:
     """Analytic d2L/(da dN) = A*eta*N^((a-1)*eta - 1) * (1 + (a-1)*eta*ln N)."""
     if A == 0:
         return 0.0
-    return A * eta * _size_factor(a, eta, N) * mixed_partial_bracket(a, eta, N)
+    return _finite(A * eta * _size_factor(a, eta, N) * mixed_partial_bracket(a, eta, N), "d2L/(da dN)",
+                   a=a, eta=eta, N=N)
 
 
 def _check_sizes(N_p: float, N_q: float) -> None:
@@ -131,6 +140,8 @@ def verification_report(E: float = 1.69, A: float = 406.4, B: float = 410.7, eta
     import numpy as np  # for the grids alone: loaded by verify-scaling, not by every command
 
     _check_sizes(N_p, N_q)  # before log10 takes them
+    if eta <= 0:  # every a of the grids lies in (0, 1), so alpha and beta are > 0 exactly when eta is
+        raise InvalidExponentError(f"eta = {eta} must be > 0")
     a_grid = [float(a) for a in np.linspace(A_LO, A_HI, A_POINTS)]
     a_small_grid = list(np.linspace(A_LO, A_HI, CHECK_GRID_SIZE))
     n_grid = np.logspace(math.log10(N_p), math.log10(N_q), CHECK_GRID_SIZE)
@@ -156,10 +167,10 @@ def verification_report(E: float = 1.69, A: float = 406.4, B: float = 410.7, eta
         _relative_error(secant_slope(E, A, B, a, eta, N_p, N_p + N_p * 1e-6, D)[0], dloss_dN(A, a, eta, N_p))
         for a in a_small_grid
     ]
-    # max from 0.0 skips a NaN error, which fails no check: NaN > tol is false
-    worst_fd, worst_sec = max([0.0, *fd_errors]), max([0.0, *sec_errors])
-    checks["finite_difference_agreement"] = not worst_fd > 1e-5
-    checks["secant_tangent_convergence"] = not worst_sec > 1e-4
+    # errors are >= 0: the floor only keeps an all-zero maximum (A = 0) the float 0.0
+    worst_fd, worst_sec = max(0.0, *fd_errors), max(0.0, *sec_errors)
+    checks["finite_difference_agreement"] = bool(worst_fd <= 1e-5)
+    checks["secant_tangent_convergence"] = bool(worst_sec <= 1e-4)
 
     # the quality factor rises with a only where the mixed-partial bracket is negative across
     # [N_p, N_q]; the bracket is monotone in ln N, so both ends are checked for every a

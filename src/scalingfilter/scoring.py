@@ -74,19 +74,17 @@ class RemotePerplexityModel:
     {"perplexities": [...], "model": "<name>", "log_base": 2}.
     """
 
-    def __init__(self, base_url: str, timeout: float = 30.0, retries: int = 3):
+    def __init__(self, base_url: str, timeout: float = 30.0):
         from . import remote  # the HTTP client: loaded by remote scoring alone, before any worker forks
 
         self._remote = remote
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.retries = retries
         self._model_name: Optional[str] = None
 
     def perplexities(self, texts: list[str]) -> list[float]:
         url = f"{self.base_url}/v1/perplexity"
-        body, ppls = self._remote.post_texts(url, texts, "perplexities", ScorerUnavailableError,
-                                             self.timeout, self.retries)
+        body, ppls = self._remote.post_texts(url, texts, "perplexities", ScorerUnavailableError, self.timeout)
         if "log_base" in body and body["log_base"] != 2:
             raise InvalidPerplexityError(f"remote scorer {url} declares log_base={body['log_base']}, need 2")
         self._model_name = str(body.get("model", ""))

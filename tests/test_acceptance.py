@@ -358,7 +358,7 @@ def test_criterion_11_diversity_trends(fidelity_corpus):
         a = synth.cluster_corpus(seed=711, alphabet="abcdefghi", tag="ma", n_docs=500)
         b = synth.cluster_corpus(seed=712, alphabet="jklmnopqr", tag="mb", n_docs=500)
         c = synth.cluster_corpus(seed=713, alphabet="stuvwxyz0", tag="mc", n_docs=500)
-        curve = dataset_mix_experiment([a, b, c], emb, n=300, repeats=5, seed=7)
+        curve = dataset_mix_experiment([a, b, c], emb, n=300, repeats=5, seed=7)["curve"]
         means = [row["mean"] for row in curve]
         assert means[0] < means[1] < means[2]
 

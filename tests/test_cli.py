@@ -16,9 +16,17 @@ import synth
 from oracles import LoopNGramModel
 from scalingfilter import cli, diversity, embedding, remote, selection
 from scalingfilter.cli import build_parser, main
-from scalingfilter.corpus import CorpusFingerprint, Document, read_manifest_corpus, write_corpus
+from scalingfilter.corpus import (
+    CorpusFingerprint,
+    Document,
+    find_manifest,
+    read_manifest_corpus,
+    write_corpus,
+    write_json,
+)
 from scalingfilter.ngram import train_pair
 from scalingfilter.scoring import RemotePerplexityModel, read_score_file, score_corpus
+from scalingfilter.seeding import derive_seed
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -625,6 +633,28 @@ class TestDiversity:
         assert report["kind"] == "dataset-mix"
         assert [row["n_datasets"] for row in report["curve"]] == [1, 2, 3]
 
+    @pytest.mark.parametrize("form", ["--corpus", "--mix"])
+    def test_file_is_the_builders_object(self, tmp_path, form):
+        # the command reads the corpora and draws with the diversity seed; the builder makes the whole object
+        paths = []
+        for i, alphabet in enumerate(["abcdefgh", "ijklmnop", "qrstuvwx"]):
+            docs = synth.cluster_corpus(seed=90 + i, alphabet=alphabet, tag=f"c{i}", n_docs=80)
+            write_corpus(docs, tmp_path / f"c{i}", shard_size=40, corpus_id=f"c{i}")
+            paths.append(str(tmp_path / f"c{i}"))
+        args = ["--corpus", paths[0]] if form == "--corpus" else ["--mix", *paths]
+        assert main(["diversity", *args, "--n", "30", "--repeats", "3", "--dim", "16", "--seed", "5",
+                     "--out", str(tmp_path / "cli")]) == 0
+
+        provider = embedding.HashedProjectionEmbedder(dim=16, seed=derive_seed(5, "embedder"))
+        corpora = [list(read_manifest_corpus(find_manifest(path))) for path in paths]
+        seed = derive_seed(5, "diversity")
+        if form == "--corpus":
+            want = diversity.subsample_diversity(corpora[0], provider, n=30, repeats=3, seed=seed, corpus_id="c0")
+        else:
+            want = diversity.dataset_mix_experiment(corpora, provider, n=30, repeats=3, seed=seed, names=paths)
+        write_json(tmp_path / "want.json", want)
+        assert (tmp_path / "cli" / "diversity.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
     def test_command_on_forked_workers_matches_one_worker(self, tmp_path, monkeypatch):
         # ~600 KB of text: at least two embedding chunks, so the command may fork one worker per CPU
         corpus = tmp_path / "big"
@@ -734,6 +764,21 @@ class TestVerifyScaling:
         out = tmp_path / "huge"
         assert main(["verify-scaling", "--loss-A", "1e5", "--out", str(out)]) == 1
         assert "numeric-range" in caplog.text and "overflows" in caplog.text
+        assert not (out / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("eta", ["-40", "-1", "0"])
+    def test_nonpositive_eta_exit_2_invalid_exponent(self, tmp_path, caplog, eta):
+        out = tmp_path / "eta"
+        assert main(["verify-scaling", "--eta", eta, "--out", str(out)]) == 2
+        assert "invalid-exponent" in caplog.text and f"eta = {float(eta)} must be > 0" in caplog.text
+        assert not (out / "verify_report.json").exists()
+
+    def test_loss_overflow_to_inf_exit_1_numeric_range(self, tmp_path, caplog):
+        # E + B/D^beta at D = 1 is 1.7e308 + 1.79e308, beyond a float
+        out = tmp_path / "inf"
+        argv = ["--loss-E", "1.7e308", "--loss-A", "1.7e308", "--loss-B", "1.79e308", "--tokens", "1"]
+        assert main(["verify-scaling", *argv, "--out", str(out)]) == 1
+        assert "numeric-range" in caplog.text and "L = inf is not finite" in caplog.text
         assert not (out / "verify_report.json").exists()
 
     def test_derivative_overflow_exit_1_numeric_range(self, tmp_path, caplog):

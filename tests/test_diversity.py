@@ -216,7 +216,7 @@ class TestDatasetMix:
     def test_identical_copies_flat_curve(self, two_cluster_corpus):
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         one = two_cluster_corpus[:300]
-        curve = dataset_mix_experiment([one, one, one], emb, n=60, repeats=3, seed=7)
+        curve = dataset_mix_experiment([one, one, one], emb, n=60, repeats=3, seed=7)["curve"]
         means = [row["mean"] for row in curve]
         assert max(means) - min(means) < 0.05 * means[0]
 
@@ -225,19 +225,27 @@ class TestDatasetMix:
         b = synth.cluster_corpus(seed=72, alphabet="klmnopqrst", tag="b", n_docs=300)
         c = synth.cluster_corpus(seed=73, alphabet="uvwxyz0123", tag="c", n_docs=300)
         emb = HashedProjectionEmbedder(dim=32, seed=0)
-        curve = dataset_mix_experiment([a, b, c], emb, n=90, repeats=3, seed=8)
+        curve = dataset_mix_experiment([a, b, c], emb, n=90, repeats=3, seed=8)["curve"]
         means = [row["mean"] for row in curve]
         assert means[0] < means[1] < means[2]
 
     def test_single_corpus_entries_match_subsample(self, two_cluster_corpus):
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         corpora = [two_cluster_corpus[:200], two_cluster_corpus[200:400]]
-        curve = dataset_mix_experiment(corpora, emb, n=40, repeats=3, seed=9)
+        curve = dataset_mix_experiment(corpora, emb, n=40, repeats=3, seed=9)["curve"]
         expected = []
         for idx, member in enumerate(corpora):
             rep = subsample_diversity(member, emb, n=40, repeats=3, seed=mix_seed(9, 1, idx))
             expected.extend(rep["values"])
         assert curve[0]["mean"] == pytest.approx(float(np.mean(expected)))
+
+    def test_report_records_the_protocol(self, two_cluster_corpus):
+        emb = HashedProjectionEmbedder(dim=16, seed=0)
+        corpora = [two_cluster_corpus[:200], two_cluster_corpus[200:400]]
+        report = dataset_mix_experiment(corpora, emb, n=40, repeats=3, seed=9, names=["x", "y"])
+        assert report == {"kind": "dataset-mix", "corpora": ["x", "y"], "sample_size": 40, "repeats": 3, "seed": 9,
+                          "embedder": emb.fingerprint(), "comparability": diversity.COMPARABILITY,
+                          "curve": report["curve"]}
 
     def test_needs_two_corpora(self, two_cluster_corpus):
         emb = HashedProjectionEmbedder(dim=16, seed=0)
@@ -315,14 +323,14 @@ class TestPooledSamplesMatchLoop:
     def test_mix_tied_rows_embeds_each_document_once(self, table_corpora):
         table, corpora = table_corpora
         emb = TableEmbedder(table)
-        curve = dataset_mix_experiment(corpora, emb, n=90, repeats=3, seed=14)
+        curve = dataset_mix_experiment(corpora, emb, n=90, repeats=3, seed=14)["curve"]
         assert len(emb.seen) == len(set(emb.seen))
         assert curve == loop_curve(corpora, TableEmbedder(table), 90, 3, 14)
 
     def test_mix_hashed(self, two_cluster_corpus):
         corpora = [with_duplicates(two_cluster_corpus[i * 200 : (i + 1) * 200], f"m{i}") for i in range(3)]
         emb = HashedProjectionEmbedder(dim=16, seed=1)
-        curve = dataset_mix_experiment(corpora, emb, n=120, repeats=2, seed=15)
+        curve = dataset_mix_experiment(corpora, emb, n=120, repeats=2, seed=15)["curve"]
         assert curve == loop_curve(corpora, emb, 120, 2, 15)
 
     def test_semantic_diversity_called_once_per_repeat(self, monkeypatch, table_corpora):
@@ -341,6 +349,24 @@ class TestPooledSamplesMatchLoop:
         calls.clear()
         dataset_mix_experiment(corpora, TableEmbedder(table), n=60, repeats=2, seed=17)
         assert calls == [(60, 6)] * (3 + 3 + 1) * 2
+
+    def test_mix_samples_combinations_beyond_the_cap(self, monkeypatch, table_corpora):
+        monkeypatch.setattr(diversity, "MAX_MIX_COMBINATIONS", 2)
+        table, corpora = table_corpora
+        corpora = [*corpora, with_duplicates([Document("", t) for t in list(table)[45:135]], "d")]
+        report = dataset_mix_experiment(corpora, TableEmbedder(table), n=60, repeats=2, seed=18)
+        assert [row["combinations"] for row in report["curve"]] == [2, 2, 2, 1]  # of 4, 6, 4 and 1
+        for row in report["curve"]:
+            n_datasets = row["n_datasets"]
+            combos = list(combinations(range(4), n_datasets))
+            if len(combos) > 2:
+                picked = rng_for(18, "diversity-mix-combos", n_datasets).choice(len(combos), size=2, replace=False)
+                combos = [combos[int(i)] for i in sorted(picked)]
+            values = []
+            for combo_index, combo in enumerate(combos):
+                rng = rng_for(mix_seed(18, n_datasets, combo_index), "diversity-subsample")
+                values.extend(loop_mixture_values([corpora[i] for i in combo], TableEmbedder(table), 60, 2, rng))
+            assert (row["mean"], row["std"]) == (float(np.mean(values)), float(np.std(values)))
 
     def test_zero_repeats_rejected_on_both_paths(self, table_corpora):
         table, corpora = table_corpora

@@ -7,7 +7,7 @@ import pytest
 
 import synth
 from oracles import loop_bucket, loop_bucket_counts, loop_embed
-from scalingfilter import embedding
+from scalingfilter import embedding, remote
 from scalingfilter.corpus import Document
 from scalingfilter.embedding import (
     HASH_BUCKETS,
@@ -242,12 +242,16 @@ class TestParallelEmbed:
 
 
 class TestRemoteEmbedder:
+    @pytest.fixture(autouse=True)
+    def two_attempts(self, monkeypatch):
+        monkeypatch.setattr(remote, "RETRIES", 2)
+
     def test_normalized_response(self, make_service):
         def embed_fn(texts):
             return [[1.0, 0.0, 0.0] for _ in texts], True
 
         svc = make_service(embed_fn=embed_fn)
-        emb = RemoteEmbedder(svc.url, timeout=5, retries=2)
+        emb = RemoteEmbedder(svc.url, timeout=5)
         X = emb.embed(["a text", "b text"])
         assert X.shape == (2, 3)
         assert np.allclose(np.linalg.norm(X, axis=1), 1.0)
@@ -257,7 +261,7 @@ class TestRemoteEmbedder:
             return [[3.0, 4.0] for _ in texts], False
 
         svc = make_service(embed_fn=embed_fn)
-        X = RemoteEmbedder(svc.url, timeout=5, retries=2).embed(["a"])
+        X = RemoteEmbedder(svc.url, timeout=5).embed(["a"])
         assert np.allclose(X[0], [0.6, 0.8])
 
     def test_batching(self, make_service):
@@ -268,7 +272,7 @@ class TestRemoteEmbedder:
             return [[1.0, 0.0] for _ in texts], True
 
         svc = make_service(embed_fn=embed_fn)
-        emb = RemoteEmbedder(svc.url, batch_size=4, timeout=5, retries=2)
+        emb = RemoteEmbedder(svc.url, batch_size=4, timeout=5)
         emb.embed([f"t{i}" for i in range(10)])
         assert calls == [4, 4, 2]
 
@@ -276,13 +280,13 @@ class TestRemoteEmbedder:
         svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]] * len(texts), True))
         svc.set_failing(True)
         with pytest.raises(EmbedderUnavailableError) as exc:
-            RemoteEmbedder(svc.url, timeout=2, retries=2).embed(["x"])
+            RemoteEmbedder(svc.url, timeout=2).embed(["x"])
         assert exc.value.code == "embedder-unavailable"
 
     def test_zero_vector_is_degenerate(self, make_service):
         svc = make_service(embed_fn=lambda texts: ([[0.0, 0.0]] * len(texts), False))
         with pytest.raises(DegenerateEmbeddingError):
-            RemoteEmbedder(svc.url, timeout=5, retries=2).embed(["x"])
+            RemoteEmbedder(svc.url, timeout=5).embed(["x"])
 
     @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("rows", [
@@ -300,15 +304,15 @@ class TestRemoteEmbedder:
     def test_bad_block_is_unavailable(self, make_service, normalized, rows):
         svc = make_service(reply={"embeddings": rows, "model": "m", "normalized": normalized})
         with pytest.raises(EmbedderUnavailableError, match="not a finite numeric block of one width"):
-            RemoteEmbedder(svc.url, timeout=5, retries=2).embed(["x"] * len(rows))
+            RemoteEmbedder(svc.url, timeout=5).embed(["x"] * len(rows))
 
     def test_width_change_between_batches_is_unavailable(self, make_service):
         widths = iter([2, 3])
         svc = make_service(embed_fn=lambda texts: ([[1.0] + [0.0] * (next(widths) - 1)] * len(texts), True))
         with pytest.raises(EmbedderUnavailableError, match="one width"):
-            RemoteEmbedder(svc.url, batch_size=2, timeout=5, retries=2).embed(["a", "b", "c"])
+            RemoteEmbedder(svc.url, batch_size=2, timeout=5).embed(["a", "b", "c"])
 
     def test_count_mismatch_is_unavailable(self, make_service):
         svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]], True))
         with pytest.raises(EmbedderUnavailableError):
-            RemoteEmbedder(svc.url, timeout=5, retries=2).embed(["x", "y"])
+            RemoteEmbedder(svc.url, timeout=5).embed(["x", "y"])

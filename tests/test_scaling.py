@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import loop_verification_report
 
+from scalingfilter import scaling
 from scalingfilter.errors import (
     ConditionRegionViolatedError,
     InvalidExponentError,
@@ -229,16 +232,39 @@ class TestVerificationReport:
         with pytest.raises(ConditionRegionViolatedError):
             verification_report(N_p=2.0, N_q=1e9)
 
+    @pytest.mark.parametrize("eta", [-40.0, -1.0, 0.0])
+    def test_nonpositive_eta_rejected_before_any_grid_walk(self, monkeypatch, eta):
+        # eta -40 used to fail on the first derivative overflow of the walk, eta -1 on reparam_loss's exponents
+        def walked(*args):
+            raise AssertionError("a grid was walked")
 
-# the verify-scaling parameter sets whose report or error must not change, then three more: an
-# overflow that only the sign check's walk of its whole grid reaches (eta -40), an invalid exponent,
-# and losses that overflow to inf, so that some relative errors are NaN
+        for name in ("reparam_loss", "dloss_dN", "d2loss_da_dN", "mixed_partial_bracket"):
+            monkeypatch.setattr(scaling, name, walked)
+        with pytest.raises(InvalidExponentError, match=rf"^eta = {eta} must be > 0$"):
+            verification_report(eta=eta)
+
+
+class TestNonFiniteResults:
+    """A loss or derivative beyond a float raises NumericRangeError instead of returning inf or NaN."""
+
+    def test_loss(self):
+        with pytest.raises(NumericRangeError, match=r"^L = inf is not finite at a=0.5, eta=0.6, N=1000000.0, D=1.0$"):
+            reparam_loss(1.7e308, 1.0, 1.79e308, 0.5, 0.6, 1e6, 1.0)
+
+    @pytest.mark.parametrize("function, name", [(dloss_dN, "dL/dN = -inf"), (d2loss_da_dN, "d2L/(da dN) = -inf")])
+    def test_derivatives(self, function, name):
+        # A * eta alone is beyond a float at A = 1.7e308 and eta = 50
+        with pytest.raises(NumericRangeError, match=rf"^{re.escape(name)} is not finite at a=0.1, eta=50.0, N=2.0$"):
+            function(1.7e308, 0.1, 50.0, 2.0)
+
+
+# the verify-scaling parameter sets whose report or error must not change, then losses that
+# overflow to inf
 ORACLE_PARAMS = [{}, {"A": 0.0}, {"B": 0.0}, {"A": 1e-3}, {"eta": 0.6}, {"eta": 50.0}, {"D": 1e3},
                  {"A": 1e5}, {"eta": 5.0, "N_p": 1e-300}, {"N_p": 2.0}, {"N_q": 1e7},
-                 {"eta": -40.0}, {"eta": -1.0}, {"E": 1.7e308, "A": 1.7e308, "B": 1.79e308, "D": 1.0}]
+                 {"E": 1.7e308, "A": 1.7e308, "B": 1.79e308, "D": 1.0}]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda params: ",".join(f"{k}={v}" for k, v in params.items()))
 def test_report_or_error_matches_loop_oracle(params):
     try:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import synth
 from test_ngram import cross_entropy
+from scalingfilter import remote
 from scalingfilter.corpus import Document
 from scalingfilter.errors import (
     ErrorBudgetExceededError,
@@ -99,11 +100,13 @@ def models(toy_pair):
     return toy_pair.small, toy_pair.large
 
 
-def remote_pair(small, large, timeout=5, retries=2):
-    return (
-        RemotePerplexityModel(small.url, timeout=timeout, retries=retries),
-        RemotePerplexityModel(large.url, timeout=timeout, retries=retries),
-    )
+@pytest.fixture(autouse=True)
+def two_attempts(monkeypatch):
+    monkeypatch.setattr(remote, "RETRIES", 2)
+
+
+def remote_pair(small, large, timeout=5):
+    return RemotePerplexityModel(small.url, timeout=timeout), RemotePerplexityModel(large.url, timeout=timeout)
 
 
 def score_one(tmp_path, small, large, doc, **kwargs):
