@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import os
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -182,7 +182,7 @@ class RemoteEmbedder:
         self.base_url = base_url.rstrip("/")
         self.batch_size = batch_size
         self.timeout = timeout
-        self._model_name = ""
+        self._model_name: Optional[str] = None
 
     def embed(self, docs: Sequence[Document | str]) -> np.ndarray:
         if not docs:
@@ -193,7 +193,7 @@ class RemoteEmbedder:
         for start in range(0, len(texts), self.batch_size):
             batch = texts[start : start + self.batch_size]
             body, vecs = self._remote.post_texts(url, batch, "embeddings", EmbedderUnavailableError, self.timeout)
-            self._model_name = str(body.get("model", ""))
+            self._model_name = self._remote.model_name(body, self._model_name, url, EmbedderUnavailableError)
             try:
                 block = np.asarray(vecs)
             except ValueError:  # ragged rows
@@ -218,4 +218,4 @@ class RemoteEmbedder:
         return X
 
     def fingerprint(self) -> str:
-        return f"remote:{self.base_url}:{self._model_name}"
+        return f"remote:{self.base_url}:{self._model_name or ''}"

@@ -102,12 +102,16 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1]))) if len(values) else values
 
 
-def _sum_by_key(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sum_by_key(keys: np.ndarray, counts: np.ndarray, kind: str = "stable") -> tuple[np.ndarray, np.ndarray]:
     """Each distinct key in ascending order, and the sum of its counts.
 
-    A stable sort merges already sorted runs (a model and a chunk) in one pass.
+    ``kind`` is the ``np.argsort`` kind; integer sums need no stable order,
+    so it only sets the speed. The stable sort merges already sorted runs (a
+    model and a chunk, or keys that arrive sorted) in one pass; on keys
+    scattered in many short runs (a pair's marginal) the default
+    ``"quicksort"`` took about a third of its time.
     """
-    by_key = np.argsort(keys, kind="stable")
+    by_key = np.argsort(keys, kind=kind)
     keys = keys[by_key]
     starts = _run_starts(keys)
     # empty input: not every supported numpy's np.add.reduceat takes empty starts
@@ -316,7 +320,8 @@ def train_pair(
     _check_spec(small_order, smoothing_k)
     _check_pair_orders(small_order, large_order)
     large = train_ngram(corpus, large_order, smoothing_k)
-    small_keys, small_counts = _sum_by_key(large.keys % (_CTX_BASE ** (small_order - 1) * VOCAB_SIZE), large.counts)
+    small_keys, small_counts = _sum_by_key(large.keys % (_CTX_BASE ** (small_order - 1) * VOCAB_SIZE), large.counts,
+                                            kind="quicksort")
     small = NGramModel(small_order, smoothing_k, small_keys, small_counts, large.total_tokens_trained)
     return MetaModelPair(small, large)
 

@@ -87,7 +87,7 @@ class RemotePerplexityModel:
         body, ppls = self._remote.post_texts(url, texts, "perplexities", ScorerUnavailableError, self.timeout)
         if "log_base" in body and body["log_base"] != 2:
             raise InvalidPerplexityError(f"remote scorer {url} declares log_base={body['log_base']}, need 2")
-        self._model_name = str(body.get("model", ""))
+        self._model_name = self._remote.model_name(body, self._model_name, url, ScorerUnavailableError)
         try:
             return [float(p) for p in ppls]
         except (TypeError, ValueError) as exc:

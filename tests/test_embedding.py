@@ -312,6 +312,14 @@ class TestRemoteEmbedder:
         with pytest.raises(EmbedderUnavailableError, match="one width"):
             RemoteEmbedder(svc.url, batch_size=2, timeout=5).embed(["a", "b", "c"])
 
+    def test_renamed_model_is_unavailable(self, make_service):
+        svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]] * len(texts), True),
+                           model=lambda n: "m" if n == 1 else "m2")
+        emb = RemoteEmbedder(svc.url, batch_size=2, timeout=5)
+        with pytest.raises(EmbedderUnavailableError, match="answered as model 'm2'"):
+            emb.embed(["a", "b", "c"])
+        assert emb.fingerprint() == f"remote:{svc.url}:m"
+
     def test_count_mismatch_is_unavailable(self, make_service):
         svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]], True))
         with pytest.raises(EmbedderUnavailableError):

@@ -1,9 +1,10 @@
 """Each command imports only what its own code path runs.
 
-numpy, ``urllib.request`` and ``multiprocessing`` each cost tens of
-milliseconds of start-up, paid by every process of a filter chain. Every
-command here runs in a fresh interpreter on a tiny corpus, and the modules
-it ends with are checked.
+numpy, the HTTP client (``http.client``, and ``urllib.request`` that wraps
+it) and ``multiprocessing`` each cost tens of milliseconds of start-up,
+paid by every process of a filter chain. Every command here runs in a
+fresh interpreter on a tiny corpus, and the modules it ends with are
+checked.
 """
 
 import json
@@ -30,7 +31,7 @@ except SystemExit as exc:  # --version
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
-HEAVY = ("numpy", "urllib.request", "multiprocessing")
+HEAVY = ("numpy", "urllib.request", "http.client", "multiprocessing")
 
 
 def _env():
@@ -83,6 +84,7 @@ def test_light_commands_load_no_numpy_http_client_or_fork(runs, command):
 @pytest.mark.parametrize("command", ["train-meta", "score", "diversity"])
 def test_local_model_commands_load_no_http_client(runs, command):
     assert "urllib.request" not in runs[command]
+    assert "http.client" not in runs[command]
     assert "numpy" in runs[command]
 
 

@@ -286,6 +286,27 @@ class TestScoreCorpus:
         assert len((tmp_path / "c.tsv").read_text(encoding="utf-8").splitlines()) == 99
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_renamed_model_fails_its_batches_and_caches_none(self, tmp_path, make_service, workers):
+        # request 1 is the handshake that names the model; requests 2 and 3 score two batches
+        small = make_service(perplexity_fn=lambda t: 4.0, model=lambda n: "small-a" if n <= 3 else "small-b")
+        large = make_service(perplexity_fn=lambda t: 2.0)
+        docs = [Document(f"d{i:03d}", f"doc {i}") for i in range(100)]
+        summary = score_corpus(
+            *remote_pair(small, large), docs, tmp_path / "s.tsv", cache_path=tmp_path / "c.tsv",
+            workers=workers, error_budget=1.0, batch_size=10,
+        )
+        sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        failed = {line.split("\t")[0] for line in sidecar}
+        assert {line.split("\t")[1] for line in sidecar} == {"scorer-unavailable"}
+        assert "answered as model 'small-b'" in sidecar[0]
+        scored = [s.doc_id for s in read_score_file(tmp_path / "s.tsv")]
+        cached = [line.split("\t")[0] for line in (tmp_path / "c.tsv").read_text(encoding="utf-8").splitlines()]
+        assert (summary.count, summary.error_count) == (20, 80)
+        assert sorted(cached) == scored and failed.isdisjoint(scored)
+        if workers == 1:
+            assert scored == [f"d{i:03d}" for i in range(20)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_cacheless_remote_run_sends_only_batches(self, tmp_path, make_service, workers):
         small = make_service(perplexity_fn=lambda t: 4.0)
         large = make_service(perplexity_fn=lambda t: 2.0)
