@@ -104,8 +104,6 @@ class HashedProjectionEmbedder:
     on the number of processes.
     """
 
-    kind = "hashed-projection"
-
     def __init__(self, dim: int = 64, seed: int = 0):
         if dim < 2:
             raise ValueError("embedding dim must be >= 2")
@@ -172,8 +170,6 @@ class RemoteEmbedder:
     Protocol: POST <url>/v1/embed with {"texts": [...]} returning
     {"embeddings": [[float x m], ...], "model": "<name>", "normalized": true}.
     """
-
-    kind = "remote"
 
     def __init__(self, base_url: str, batch_size: int = 64, timeout: float = 30.0):
         from . import remote  # the HTTP client: loaded by the remote embedder alone

@@ -65,6 +65,10 @@ class ErrorBudgetExceededError(ScalingFilterError):
     code = "error-budget-exceeded"
 
 
+class WorkerDiedError(ScalingFilterError):  # a forked worker of score or embed
+    code = "worker-died"
+
+
 # selection
 class EmptySelectionInputError(ScalingFilterError, ValueError):
     code = "empty-selection-input"

@@ -276,6 +276,8 @@ class MetaModelPair:
 
     def __post_init__(self):
         _check_pair_orders(self.small.order, self.large.order)
+        if self.small.smoothing_k != self.large.smoothing_k:
+            raise InvalidPairSpecError(f"small smoothing_k {self.small.smoothing_k} != large {self.large.smoothing_k}")
 
 
 def _check_pair_orders(small_order: int, large_order: int) -> None:
@@ -307,42 +309,36 @@ def train_ngram(corpus: Iterable[Document], order: int, smoothing_k: float = 0.0
 def train_pair(
     corpus: Iterable[Document], small_order: int, large_order: int, smoothing_k: float = 0.01
 ) -> MetaModelPair:
-    """Train both models of a pair on one pass over the same stream.
-
-    Only the large model counts the stream. Both models pad a document with
-    boundary symbols, so the newest ``small_order - 1`` symbols of a large
-    context are the small context of the same token: a large key mod
-    ``257^(small_order-1) * 256`` is its small key, and the small model's
-    counts are the large counts summed over those keys (as KenLM derives
-    lower orders, Heafield et al. 2013).
-    """
+    """Both models of a pair from one pass over the stream: the large model counts it, the small is its marginal."""
     # both orders and k are checked before a document is read; train_ngram checks the large order
     _check_spec(small_order, smoothing_k)
     _check_pair_orders(small_order, large_order)
     large = train_ngram(corpus, large_order, smoothing_k)
-    small_keys, small_counts = _sum_by_key(large.keys % (_CTX_BASE ** (small_order - 1) * VOCAB_SIZE), large.counts,
-                                            kind="quicksort")
-    small = NGramModel(small_order, smoothing_k, small_keys, small_counts, large.total_tokens_trained)
-    return MetaModelPair(small, large)
+    return MetaModelPair(_marginal(large, small_order), large)
+
+
+def _marginal(large: NGramModel, order: int) -> NGramModel:
+    """The model of a lower ``order`` on ``large``'s stream, to the byte: both pad with boundary symbols, so
+    a large key mod ``257^(order-1) * 256`` is the key of its token's newest ``order - 1`` symbols, and
+    the small counts are the large ones summed over it (as KenLM derives lower orders, Heafield et al. 2013)."""
+    keys, counts = _sum_by_key(large.keys % (_CTX_BASE ** (order - 1) * VOCAB_SIZE), large.counts, kind="quicksort")
+    return NGramModel(order, large.smoothing_k, keys, counts, large.total_tokens_trained)
 
 
 PAIR_DESCRIPTOR_NAME = "pair.json"
 
 
 def save_pair(pair: MetaModelPair, out_dir: str | Path) -> Path:
-    """Write both model files plus a descriptor; returns the descriptor path."""
+    """Write the large model, whose marginal the small one must be, and a descriptor, whose path it returns."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    small_name, large_name = "small.sfngram", "large.sfngram"
-    pair.small.save(out_dir / small_name)
+    large_name = "large.sfngram"
     pair.large.save(out_dir / large_name)
     descriptor = {
-        "small_path": small_name,
         "large_path": large_name,
         "small_order": pair.small.order,
         "large_order": pair.large.order,
-        "smoothing_k": pair.small.smoothing_k,
-        "small_fingerprint": pair.small.fingerprint(),
+        "smoothing_k": pair.large.smoothing_k,
         "large_fingerprint": pair.large.fingerprint(),
         "train_corpus_id": pair.train_corpus_id,
     }
@@ -352,15 +348,16 @@ def save_pair(pair: MetaModelPair, out_dir: str | Path) -> Path:
 
 
 def load_pair(pair_dir: str | Path) -> MetaModelPair:
-    """The pair ``save_pair`` wrote, refused unless each model file has the fingerprint pair.json records."""
+    """The large model, refused unless pair.json records its fingerprint, and its marginal of ``small_order``."""
     pair_dir = Path(pair_dir)
     path = pair_dir / PAIR_DESCRIPTOR_NAME
-    sizes = ("small", "large")
-    descriptor = read_json(path, {f"{size}_{key}": str for size in sizes for key in ("path", "fingerprint")})
-    models = {size: NGramModel.load(pair_dir / descriptor[f"{size}_path"]) for size in sizes}
-    for size, model in models.items():  # after both load, so a file that cannot be read is named first
-        recorded = descriptor[f"{size}_fingerprint"]
-        if model.fingerprint() != recorded:
-            raise ValueError(f"{path} records {size}_fingerprint {recorded}, but "
-                             f"{pair_dir / descriptor[f'{size}_path']} has fingerprint {model.fingerprint()}")
-    return MetaModelPair(**models, train_corpus_id=descriptor.get("train_corpus_id", ""))
+    descriptor = read_json(path, {"large_path": str, "large_fingerprint": str, "small_order": int})
+    large_path = pair_dir / descriptor["large_path"]
+    large = NGramModel.load(large_path)
+    if large.fingerprint() != descriptor["large_fingerprint"]:
+        raise ValueError(f"{path} records large_fingerprint {descriptor['large_fingerprint']}, but "
+                         f"{large_path} has fingerprint {large.fingerprint()}")
+    small_order = descriptor["small_order"]
+    if not 1 <= small_order < large.order:
+        raise ValueError(f"{path}: small_order {small_order} is not from 1 to {large.order - 1}, below {large_path}")
+    return MetaModelPair(_marginal(large, small_order), large, descriptor.get("train_corpus_id", ""))

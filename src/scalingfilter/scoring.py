@@ -262,7 +262,7 @@ def score_corpus(
     for doc in docs:
         if doc.id in hashes:
             raise ValueError(f"duplicate doc_id {doc.id!r} in scoring input")
-        chash = hashes[doc.id] = content_hash(doc.text)
+        chash = hashes[doc.id] = content_hash(doc.text) if cache is not None else ""
         cached = cache.get(doc.id, chash) if cache is not None else None
         if cached is not None:
             rows[doc.id] = cached

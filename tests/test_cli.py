@@ -5,7 +5,6 @@ import json
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +13,7 @@ import pytest
 
 import synth
 from oracles import LoopNGramModel
+from procs import run_in_session
 from scalingfilter import cli, diversity, embedding, remote, selection
 from scalingfilter.cli import build_parser, main
 from scalingfilter.corpus import (
@@ -27,16 +27,6 @@ from scalingfilter.corpus import (
 from scalingfilter.ngram import train_pair
 from scalingfilter.scoring import RemotePerplexityModel, read_score_file, score_corpus
 from scalingfilter.seeding import derive_seed
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _process_group_alive(pgid):
-    try:
-        os.killpg(pgid, 0)
-    except ProcessLookupError:
-        return False
-    return True
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +76,9 @@ def write_config(path, config):
 
 
 class TestTrainMeta:
+    def test_pair_is_one_model_file(self, pair_dir):
+        assert sorted(path.name for path in pair_dir.iterdir()) == ["large.sfngram", "pair.json", "run_config.json"]
+
     def test_pair_descriptor(self, pair_dir, corpus_dir):
         descriptor = json.loads((pair_dir / "pair.json").read_text(encoding="utf-8"))
         assert descriptor["small_order"] == 2
@@ -105,7 +98,7 @@ class TestTrainMeta:
             ])
             assert rc == 0
             outs.append(out)
-        for fname in ("small.sfngram", "large.sfngram", "pair.json"):
+        for fname in ("large.sfngram", "pair.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_equal_orders_exit_2(self, tmp_path, corpus_dir):
@@ -378,11 +371,10 @@ class TestScore:
         old = tmp_path / "old-pair"
         old.mkdir()
         descriptor = json.loads((pair_dir / "pair.json").read_text(encoding="utf-8"))
-        for size in ("small", "large"):
-            oracle = LoopNGramModel(descriptor[f"{size}_order"], descriptor["smoothing_k"])
-            for doc in read_manifest_corpus(corpus_dir / "manifest.json"):
-                oracle.add_document(doc.text)
-            (old / descriptor[f"{size}_path"]).write_bytes(oracle.format_1_bytes())
+        oracle = LoopNGramModel(descriptor["large_order"], descriptor["smoothing_k"])
+        for doc in read_manifest_corpus(corpus_dir / "manifest.json"):
+            oracle.add_document(doc.text)
+        (old / descriptor["large_path"]).write_bytes(oracle.format_1_bytes())
         (old / "pair.json").write_text(json.dumps(descriptor), encoding="utf-8")
         out = tmp_path / "o"
         assert main(["score", "--corpus", str(corpus_dir), "--pair", str(old), "--out", str(out)]) == 2
@@ -424,11 +416,13 @@ class TestScore:
         return out, path
 
     @pytest.mark.parametrize("name, edit, message", [
-        ("small.sfngram", lambda h: {k: v for k, v in h.items() if k != "n_keys"}, "has no 'n_keys'"),
+        ("large.sfngram", lambda h: {k: v for k, v in h.items() if k != "n_keys"}, "has no 'n_keys'"),
         ("large.sfngram", lambda h: [h], "expected a JSON object, got list"),
-        ("pair.json", lambda d: {k: v for k, v in d.items() if k != "small_path"}, "has no 'small_path'"),
+        ("pair.json", lambda d: {k: v for k, v in d.items() if k != "small_order"}, "has no 'small_order'"),
         ("pair.json", lambda d: {**d, "large_path": 3}, "'large_path' is int, not str"),
-        ("pair.json", lambda d: {k: v for k, v in d.items() if k != "small_fingerprint"}, "has no 'small_fingerprint'"),
+        ("pair.json", lambda d: {k: v for k, v in d.items() if k != "large_fingerprint"}, "has no 'large_fingerprint'"),
+        ("pair.json", lambda d: {**d, "small_order": 4}, "small_order 4 is not from 1 to 3"),
+        ("pair.json", lambda d: {**d, "small_order": 0}, "small_order 0 is not from 1 to 3"),
     ])
     def test_malformed_pair_exit_2_naming_the_file(self, tmp_path, corpus_dir, pair_dir, caplog,
                                                     name, edit, message):
@@ -436,6 +430,53 @@ class TestScore:
         out = tmp_path / "o"
         assert main(["score", "--corpus", str(corpus_dir), "--pair", str(pair), "--out", str(out)]) == 2
         assert f"{path}: " in caplog.text and message in caplog.text
+        assert not (out / "scores.tsv").exists()
+
+    def test_pair_in_two_file_layout_scores_identically_from_one_cache(self, tmp_path, corpus_dir, pair_dir,
+                                                                         score_dir):
+        # the layout of earlier versions: the small model's file too, and its path and fingerprint
+        old = tmp_path / "old-pair"
+        old.mkdir()
+        for path in pair_dir.iterdir():
+            (old / path.name).write_bytes(path.read_bytes())
+        small = train_pair(read_manifest_corpus(corpus_dir / "manifest.json"), 2, 4).small.to_bytes()
+        (old / "small.sfngram").write_bytes(small)
+        small_fingerprint = hashlib.blake2b(small, digest_size=8).hexdigest()
+        descriptor = json.loads((pair_dir / "pair.json").read_text(encoding="utf-8"))
+        write_json(old / "pair.json", {**descriptor, "small_path": "small.sfngram",
+                                       "small_fingerprint": small_fingerprint})
+        cache = tmp_path / "cache.tsv"
+        for pair, out in ((old, tmp_path / "old"), (pair_dir, tmp_path / "new")):
+            assert main(["score", "--corpus", str(corpus_dir), "--pair", str(pair), "--cache", str(cache),
+                         "--out", str(out)]) == 0
+            assert (out / "scores.tsv").read_bytes() == (score_dir / "scores.tsv").read_bytes()
+        rows = cache.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 300 and {row.split("\t")[2] for row in rows} == {small_fingerprint}
+        assert json.loads((tmp_path / "new" / "score_summary.json").read_text(encoding="utf-8"))["cache_hits"] == 300
+
+    def test_worker_that_dies_fails_the_run(self, tmp_path, corpus_dir, pair_dir):
+        # the large model kills the forked worker that scores the last, short batch
+        program = """
+import os, signal, sys
+from scalingfilter import ngram
+from scalingfilter.cli import main
+
+parent, perplexities = os.getpid(), ngram.NGramModel.perplexities
+
+def dying(self, texts):
+    if os.getpid() != parent and self.order == 4 and len(texts) < 32:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return perplexities(self, texts)
+
+ngram.NGramModel.perplexities = dying
+sys.exit(main(sys.argv[1:]))
+"""
+        out = tmp_path / "o"
+        code, err, left = run_in_session(["-c", program, "score", "--corpus", str(corpus_dir), "--pair",
+                                           str(pair_dir), "--workers", "2", "--out", str(out)], 60)
+        assert code == 1, err
+        assert "worker-died" in err
+        assert not left
         assert not (out / "scores.tsv").exists()
 
     def test_inputs_not_mutated(self, corpus_dir, pair_dir, score_dir):
@@ -663,18 +704,8 @@ class TestDiversity:
         assert sum(len(d.text.encode("utf-8")) for d in docs) > 2 * embedding._CHUNK_BYTES
         args = ["diversity", "--corpus", str(corpus), "--n", "1500", "--repeats", "2"]
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        # a session of its own: any process the command leaves behind stays in its process group
-        proc = subprocess.Popen([sys.executable, "-m", "scalingfilter.cli", *args, "--out", str(tmp_path / "cli")],
-                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
-        try:
-            _, err = proc.communicate(timeout=120)
-        finally:
-            left = _process_group_alive(proc.pid)
-            if left:
-                os.killpg(proc.pid, signal.SIGKILL)
-        assert proc.returncode == 0, err.decode()
+        code, err, left = run_in_session(["-m", "scalingfilter.cli", *args, "--out", str(tmp_path / "cli")], 120)
+        assert code == 0, err
         assert not left, "the diversity command left a process running"
 
         monkeypatch.setattr(embedding, "_cpu_count", lambda: 1)

@@ -115,3 +115,20 @@ def test_forked_score_workers_import_nothing(make_service):
     # each batch's (doc_id, (n_tokens, ppl_small, ppl_large)) rows, through JSON
     assert out["rows"] == [[["a", [8, 2.0, 2.0]]], [["b", [12, 2.0, 2.0]]]]
     assert out["imported"] == []
+
+
+# one-item and one-worker maps, such as the setup probe's embed(["setup"]), run in this process
+SERIAL = """
+import json, sys
+from scalingfilter.embedding import HashedProjectionEmbedder
+from scalingfilter.parallel import fork_map
+results = [fork_map(str, [1], 4), fork_map(str, [1, 2], 1)]
+HashedProjectionEmbedder(dim=8).embed(["setup"])
+print(json.dumps({"results": results, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_serial_maps_load_no_process_pool():
+    out = _run(SERIAL)
+    assert out["results"] == [["1"], ["1", "2"]]
+    assert not {"multiprocessing", "concurrent.futures"} & set(out["modules"])

@@ -18,6 +18,8 @@ from scalingfilter.ngram import (
     MAX_ORDER,
     MetaModelPair,
     NGramModel,
+    load_pair,
+    save_pair,
     tokenize,
     train_ngram,
     train_pair,
@@ -213,6 +215,10 @@ class TestPair:
         large = train_ngram(small_docs, 2)
         with pytest.raises(InvalidPairSpecError):
             MetaModelPair(small=small, large=large)
+
+    def test_unequal_smoothing_k_refused_at_construction(self, small_docs):
+        with pytest.raises(InvalidPairSpecError, match="smoothing_k"):
+            MetaModelPair(small=train_ngram(small_docs, 2, 0.01), large=train_ngram(small_docs, 4, 1.0))
 
     def test_large_model_fits_held_in_text_better(self):
         train = synth.chain_corpus(seed=11, n_docs=500, chain_seed=1)
@@ -428,6 +434,25 @@ class TestPairMarginal:
     def test_empty_corpus_rejected(self):
         with pytest.raises(NoTrainingDataError):
             train_pair([], 2, 5)
+
+
+class TestPairFiles:
+    """A pair is stored as its large model; the small one is derived again at load."""
+
+    @pytest.mark.parametrize("small_order, large_order", [(1, 2), (2, 5), (3, 7)])
+    @pytest.mark.parametrize("smoothing_k", [0.01, 1.0])
+    def test_loaded_small_model_is_the_trained_one_to_the_byte(self, tmp_path, small_order, large_order,
+                                                                smoothing_k):
+        texts = oracle_texts(small_order + large_order)
+        docs = [doc(t, str(i)) for i, t in enumerate(texts)]
+        pair = train_pair(docs, small_order, large_order, smoothing_k)
+        save_pair(pair, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["large.sfngram", "pair.json"]
+        loaded = load_pair(tmp_path)
+        for got, want in ((loaded.small, pair.small), (loaded.large, pair.large)):
+            assert got.to_bytes() == want.to_bytes()
+            assert got.fingerprint() == want.fingerprint()
+        assert loaded.small.to_bytes() == train_ngram(docs, small_order, smoothing_k).to_bytes()
 
 
 class TestModelFileChecks:
