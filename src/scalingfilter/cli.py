@@ -217,23 +217,23 @@ def cmd_filter(p: dict) -> int:
     if method == "pareto_threshold":
         if not p["classifier_scores"]:
             raise ValueError("the pareto method needs --classifier-scores")
-        rows = read_classifier_scores(p["classifier_scores"])
-        result = pareto_noisy_threshold(rows, alpha=p["pareto_alpha"], seed=derive_seed(seed, "pareto"))
+        columns = read_classifier_scores(p["classifier_scores"])
+        result = pareto_noisy_threshold(columns["doc_id"], columns["score"], alpha=p["pareto_alpha"],
+                                        seed=derive_seed(seed, "pareto"))
     else:
         if not p["scores"]:
             raise ValueError(f"the {method} method needs --scores")
-        scores = read_score_file(p["scores"])
+        columns = read_score_file(p["scores"])
+        doc_ids = columns["doc_id"]
         if method == "topk":
-            result = select_topk(scores, keep_rate=p["keep_rate"])
+            result = select_topk(doc_ids, columns["quality_factor"], keep_rate=p["keep_rate"])
         elif method == "temperature":
             if p["tau"] is None:
                 raise ValueError("the temperature method needs --tau")
-            result = select_temperature(
-                scores, keep_rate=p["keep_rate"], tau=p["tau"], seed=derive_seed(seed, "temperature")
-            )
+            result = select_temperature(doc_ids, columns["quality_factor"], keep_rate=p["keep_rate"], tau=p["tau"],
+                                        seed=derive_seed(seed, "temperature"))
         else:
-            ppls = [(s.doc_id, s.ppl_large) for s in scores]
-            result = percentile_gate(ppls, lo_pct=p["lo_pct"], hi_pct=p["hi_pct"])
+            result = percentile_gate(doc_ids, columns["ppl_large"], lo_pct=p["lo_pct"], hi_pct=p["hi_pct"])
 
     out_dir = Path(p["out"])
     result.write(out_dir / "kept_ids.txt", out_dir / "audit.json")
@@ -269,7 +269,8 @@ def cmd_diversity(p: dict) -> int:
 
     manifests = [corpus_io.find_manifest(path) for path in p["mix"] or [p["corpus"]]]
     record_errors = _RecordErrorLog()
-    corpora = [list(corpus_io.read_manifest_corpus(path, on_error=record_errors)) for path in manifests]
+    corpora = [[doc.text for doc in corpus_io.read_manifest_corpus(path, on_error=record_errors)]
+               for path in manifests]
     record_errors.summarize()
     n, repeats, seed = p["n"], p["repeats"], derive_seed(p["seed"], "diversity")
     if p["mix"]:

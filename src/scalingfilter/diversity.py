@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Document
 from .errors import CorpusTooSmallError, NotPsdError
 from .seeding import derive_seed, rng_for
 
@@ -40,17 +39,6 @@ def _rows_ascend(X: np.ndarray) -> bool:
     first = (head != tail).argmax(axis=1)
     pairs = np.arange(len(head))
     return bool(np.all(tail[pairs, first] >= head[pairs, first]))
-
-
-def _row_ranks(X: np.ndarray) -> np.ndarray:
-    """Each row's place in ``np.lexsort(X.T[::-1])`` order; equal rows share one."""
-    order = np.lexsort(X.T[::-1])
-    ordered = X[order]
-    new = np.ones(len(X), dtype=np.int64)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    ranks = np.empty(len(X), dtype=np.int64)
-    ranks[order] = np.cumsum(new)
-    return ranks
 
 
 def _spectrum(embeddings: np.ndarray) -> np.ndarray:
@@ -97,7 +85,7 @@ Sample = list[tuple[int, np.ndarray]]  # (corpus index, drawn document indices) 
 
 
 def _mixture_samples(
-    corpora: Sequence[Sequence[Document]],
+    corpora: Sequence[Sequence[str]],
     members: Sequence[int],
     n: int,
     repeats: int,
@@ -123,14 +111,14 @@ def _mixture_samples(
 
 
 def _mixture_values(
-    corpora: Sequence[Sequence[Document]], provider, samples: Sequence[Sample]
+    corpora: Sequence[Sequence[str]], provider, samples: Sequence[Sample]
 ) -> list[float]:
     """Diversity of each sample.
 
     Every document drawn from a corpus, in any sample, is embedded once, and
-    the pool of those rows is ranked in canonical order once. Each sample
-    gathers its rows in rank order, ties in draw order: the order the
-    spectrum would sort them into, so it need not sort them again.
+    the pool of those rows is put in canonical order once. Each sample
+    gathers its rows in pool order: the order the spectrum would sort them
+    into, so it need not sort them again.
     """
     drawn: dict[int, list[np.ndarray]] = {}
     for sample in samples:
@@ -142,13 +130,14 @@ def _mixture_values(
         first_row[c] = offset
         offset += len(docs)
     pool = np.concatenate([provider.embed([corpora[c][i] for i in docs.tolist()]) for c, docs in used.items()])
-    ranks = _row_ranks(pool)
+    order = np.lexsort(pool.T[::-1])
+    place = np.argsort(order)  # each embedded row's position in canonical order
+    pool = pool[order]
 
     values = []
     for sample in samples:
         rows = np.concatenate([first_row[c] + np.searchsorted(used[c], draw) for c, draw in sample])
-        rows = rows[np.argsort(ranks[rows], kind="stable")]
-        values.append(semantic_diversity(embeddings=pool[rows]))
+        values.append(semantic_diversity(embeddings=pool[np.sort(place[rows])]))
     return values
 
 
@@ -163,7 +152,7 @@ def _artifact(provider, n: int, repeats: int, seed: int, **form) -> dict:
 
 
 def subsample_diversity(
-    docs: Sequence[Document],
+    texts: Sequence[str],
     provider,
     n: int = 1000,
     repeats: int = 10,
@@ -176,7 +165,7 @@ def subsample_diversity(
     repeats); a single repeat reports std 0.
     """
     rng = rng_for(seed, "diversity-subsample")
-    values = _mixture_values([docs], provider, _mixture_samples([docs], [0], n, repeats, rng))
+    values = _mixture_values([texts], provider, _mixture_samples([texts], [0], n, repeats, rng))
     return _artifact(provider, n, repeats, seed, corpus_id=corpus_id, values=values,
                      mean=float(np.mean(values)), std=float(np.std(values)))
 
@@ -187,7 +176,7 @@ def mix_seed(seed: int, n_datasets: int, combo_index: int) -> int:
 
 
 def dataset_mix_experiment(
-    corpora: Sequence[Sequence[Document]],
+    corpora: Sequence[Sequence[str]],
     provider,
     n: int = 1000,
     repeats: int = 10,

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Document
 from .errors import DegenerateEmbeddingError, EmbedderUnavailableError
 from .parallel import fork_map
 from .seeding import rng_for
@@ -25,6 +24,7 @@ NGRAM_SIZES = (3, 4, 5)
 _SIZE_SHIFT = 40  # a packed window keeps its (at most 5) bytes below this bit and its size above
 # text bytes embedded at once: bounds the window arrays (~100 bytes of them per text byte)
 _CHUNK_BYTES = 1 << 18
+BATCH_TEXTS = 64  # texts per remote embedding request
 
 
 def _chunks(data: list[bytes]):
@@ -82,10 +82,6 @@ def _buckets(windows: np.ndarray) -> np.ndarray:
     return windows
 
 
-def _texts(docs: Sequence[Document | str]) -> list[str]:
-    return [d.text if isinstance(d, Document) else d for d in docs]
-
-
 class HashedProjectionEmbedder:
     """Character n-gram hashing followed by a seeded random sign projection.
 
@@ -127,11 +123,11 @@ class HashedProjectionEmbedder:
             self._signs = signs
         return self._signs
 
-    def embed(self, docs: Sequence[Document | str]) -> np.ndarray:
-        """Unit-normalized embeddings, one row per document."""
+    def embed(self, docs: Sequence[str]) -> np.ndarray:
+        """Unit-normalized embeddings, one row per document text."""
         if not docs:
             raise ValueError("no documents to embed")
-        data = [text.encode("utf-8") for text in _texts(docs)]
+        data = [text.encode("utf-8") for text in docs]
         self._sign_matrix()  # built before the fork, so every worker shares one copy
         return np.concatenate(fork_map(functools.partial(self._rows, data), list(_chunks(data)), _cpu_count()))
 
@@ -171,23 +167,22 @@ class RemoteEmbedder:
     {"embeddings": [[float x m], ...], "model": "<name>", "normalized": true}.
     """
 
-    def __init__(self, base_url: str, batch_size: int = 64, timeout: float = 30.0):
+    def __init__(self, base_url: str, timeout: float = 30.0):
         from . import remote  # the HTTP client: loaded by the remote embedder alone
 
         self._remote = remote
         self.base_url = base_url.rstrip("/")
-        self.batch_size = batch_size
         self.timeout = timeout
         self._model_name: Optional[str] = None
 
-    def embed(self, docs: Sequence[Document | str]) -> np.ndarray:
+    def embed(self, docs: Sequence[str]) -> np.ndarray:
+        """Unit-normalized embeddings, one row per document text, in requests of ``BATCH_TEXTS``."""
         if not docs:
             raise ValueError("no documents to embed")
-        texts = _texts(docs)
         url = f"{self.base_url}/v1/embed"
         rows: list[np.ndarray] = []
-        for start in range(0, len(texts), self.batch_size):
-            batch = texts[start : start + self.batch_size]
+        for start in range(0, len(docs), BATCH_TEXTS):
+            batch = docs[start : start + BATCH_TEXTS]
             body, vecs = self._remote.post_texts(url, batch, "embeddings", EmbedderUnavailableError, self.timeout)
             self._model_name = self._remote.model_name(body, self._model_name, url, EmbedderUnavailableError)
             try:

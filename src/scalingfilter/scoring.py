@@ -48,15 +48,6 @@ def quality_factor(ppl_small: float, ppl_large: float) -> float:
     return ppl_small / ppl_large
 
 
-@dataclass(frozen=True)
-class QualityScore:
-    doc_id: str
-    n_tokens: int
-    ppl_small: float
-    ppl_large: float
-    d: float
-
-
 class PerplexityModel(Protocol):
     """One model of a scoring pair, local or remote."""
 
@@ -316,10 +307,13 @@ def score_corpus(
     )
 
 
-def read_score_file(path: str | Path) -> list[QualityScore]:
-    """Read a scores.tsv; a row without its five fields, with a non-finite number or with a
-    doc_id already read raises ValueError naming the file and line."""
-    scores = []
+def read_score_file(path: str | Path) -> dict[str, list]:
+    """Read a scores.tsv as its five columns, keyed by their ``SCORE_HEADER`` names.
+
+    A row without its five fields, with a non-finite number or with a
+    doc_id already read raises ValueError naming the file and line.
+    """
+    rows = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -329,15 +323,14 @@ def read_score_file(path: str | Path) -> list[QualityScore]:
             text = line.rstrip("\n")
             try:
                 doc_id, n_tok, ppl_s, ppl_l, d = text.split("\t")
-                values = float(ppl_s), float(ppl_l), float(d)
-                if not all(map(math.isfinite, values)):
+                row = doc_id, int(n_tok), float(ppl_s), float(ppl_l), float(d)
+                if not all(map(math.isfinite, row[2:])):
                     raise ValueError
-                score = QualityScore(doc_id, int(n_tok), *values)
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: expected {'<TAB>'.join(SCORE_HEADER)} with finite "
                                  f"numbers, got {text!r}") from None
             if doc_id in seen:
                 raise ValueError(f"{path}:{line_no}: duplicate doc_id {doc_id!r}")
             seen.add(doc_id)
-            scores.append(score)
-    return scores
+            rows.append(row)
+    return {name: [row[i] for row in rows] for i, name in enumerate(SCORE_HEADER)}

@@ -1,11 +1,12 @@
 """Document selection policies over per-document scores.
 
-Four policies:
+Every policy ranks one column of values against the column of doc_ids
+beside it. Four policies:
 
 * top-k by quality factor (keeps the ceil(keep_rate * n) largest d),
 * temperature sampling without replacement (Gumbel-perturbed keys, so the
-  kept set follows softmax(d / tau) weights; tau -> 0 recovers top-k and
-  tau -> inf recovers uniform sampling),
+  kept set follows softmax(d / tau) weights; tau -> 0 recovers top-k until
+  d / tau overflows, and tau -> inf recovers uniform sampling),
 * percentile gating on the larger model's perplexity (keeps the middle
   band between two empirical percentiles),
 * Pareto noisy thresholding of external classifier scores (keep when
@@ -29,7 +30,6 @@ from .errors import (
     IdNotInCorpusError,
     InvalidClassifierScoreError,
 )
-from .scoring import QualityScore
 from .seeding import rng_for
 
 # the paper's protocol: keep 70%, gate at the 15th/85th percentiles (the same 70%), Pareto alpha 9
@@ -87,47 +87,53 @@ def _top_k(doc_ids: Sequence[str], keys: Sequence[float], keep_rate: float) -> t
     return [doc_id for doc_id in doc_ids if doc_id in kept], -ranked[k - 1][0]
 
 
-def select_topk(scores: Sequence[QualityScore], keep_rate: float = KEEP_RATE) -> SelectionResult:
-    """Keep the ceil(keep_rate * n) documents with the largest quality factor.
+def select_topk(doc_ids: Sequence[str], values: Sequence[float], keep_rate: float = KEEP_RATE) -> SelectionResult:
+    """Keep the ceil(keep_rate * n) documents with the largest values (the quality factor d).
 
-    Ties break by (d descending, doc_id ascending); kept_ids preserve the
-    input order of ``scores``.
+    Ties break by (value descending, doc_id ascending); kept_ids preserve
+    the input order of ``doc_ids``.
     """
     _check_keep_rate(keep_rate)
-    kept_ids, threshold = _top_k([s.doc_id for s in scores], [s.d for s in scores], keep_rate)
+    kept_ids, threshold = _top_k(doc_ids, values, keep_rate)
     return SelectionResult(kept_ids, "topk", {"keep_rate": keep_rate},
-                           threshold_used=threshold, input_count=len(scores))
+                           threshold_used=threshold, input_count=len(doc_ids))
 
 
 def select_temperature(
-    scores: Sequence[QualityScore],
+    doc_ids: Sequence[str],
+    values: Sequence[float],
     keep_rate: float = KEEP_RATE,
     *,
     tau: float,
     seed: int = 0,
 ) -> SelectionResult:
-    """Sample k documents without replacement with weights softmax(d / tau).
+    """Sample k documents without replacement with weights softmax(d / tau), d the values.
 
     Realized as top-k over Gumbel-perturbed keys d_i / tau + g_i, which
     draws exactly from the softmax without-replacement distribution.
-    Deterministic given the seed.
+    Deterministic given the seed. A key that is not finite (d / tau
+    overflows when tau is tiny) raises ValueError, since ties among
+    infinite keys would break by doc_id, not by d.
     """
     _check_keep_rate(keep_rate)
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau!r}")
-    gumbel = rng_for(seed, "temperature-selection").gumbel(size=len(scores)).tolist()
-    keys = [s.d / tau + g for s, g in zip(scores, gumbel)]
-    kept_ids, _ = _top_k([s.doc_id for s in scores], keys, keep_rate)
+    gumbel = rng_for(seed, "temperature-selection").gumbel(size=len(doc_ids)).tolist()
+    keys = [d / tau + g for d, g in zip(values, gumbel)]
+    if not all(map(math.isfinite, keys)):
+        raise ValueError(f"tau {tau!r} is too small: some key d / tau + g is not finite")
+    kept_ids, _ = _top_k(doc_ids, keys, keep_rate)
     return SelectionResult(kept_ids, "temperature", {"keep_rate": keep_rate, "tau": tau},
-                           seed=seed, input_count=len(scores))
+                           seed=seed, input_count=len(doc_ids))
 
 
 def percentile_gate(
-    perplexities: Sequence[tuple[str, float]],
+    doc_ids: Sequence[str],
+    values: Sequence[float],
     lo_pct: float = GATE_LO_PCT,
     hi_pct: float = GATE_HI_PCT,
 ) -> SelectionResult:
-    """Keep documents whose perplexity sits in the middle percentile band.
+    """Keep documents whose value (the large model's perplexity) sits in the middle percentile band.
 
     Boundaries use nearest-rank order statistics: with distinct values the
     kept ranks are ceil(lo*n/100)+1 .. ceil(hi*n/100), so the 15/85 default
@@ -136,24 +142,25 @@ def percentile_gate(
     """
     if not 0.0 <= lo_pct < hi_pct <= 100.0:
         raise ValueError(f"need 0 <= lo_pct < hi_pct <= 100, got {lo_pct!r} and {hi_pct!r}")
-    if not perplexities:
+    if not doc_ids:
         raise EmptySelectionInputError("no perplexities to gate")
-    n = len(perplexities)
-    ordered = sorted(p for _, p in perplexities)
+    n = len(doc_ids)
+    ordered = sorted(values)
     ilo = min(max(math.ceil(lo_pct * n / 100.0), 0), n - 1)
     ihi = min(max(math.ceil(hi_pct * n / 100.0) - 1, 0), n - 1)
     p_lo, p_hi = ordered[ilo], ordered[ihi]
-    kept_ids = [doc_id for doc_id, p in perplexities if p_lo <= p <= p_hi]
+    kept_ids = [doc_id for doc_id, p in zip(doc_ids, values) if p_lo <= p <= p_hi]
     return SelectionResult(kept_ids, "percentile_gate", {"lo_pct": lo_pct, "hi_pct": hi_pct},
                            threshold_used=p_hi, input_count=n)
 
 
 def pareto_noisy_threshold(
-    classifier_scores: Sequence[tuple[str, float]],
+    doc_ids: Sequence[str],
+    values: Sequence[float],
     alpha: float = PARETO_ALPHA,
     seed: int = 0,
 ) -> SelectionResult:
-    """Keep document i iff s_i > 1 - x_i with x_i ~ Pareto(alpha), unit scale.
+    """Keep document i iff its classifier score s_i > 1 - x_i with x_i ~ Pareto(alpha), unit scale.
 
     x is drawn as u^(-1/alpha) - 1 for u uniform on (0, 1], i.e. a Pareto
     tail shifted to start at 0, so a perfect score is always kept and a
@@ -161,16 +168,16 @@ def pareto_noisy_threshold(
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
-    if not classifier_scores:
+    if not doc_ids:
         raise EmptySelectionInputError("no classifier scores to threshold")
-    for doc_id, s in classifier_scores:
+    for doc_id, s in zip(doc_ids, values):
         if not (0.0 <= s <= 1.0) or not math.isfinite(s):
             raise InvalidClassifierScoreError(f"score {s!r} for {doc_id!r} outside [0, 1]")
-    n = len(classifier_scores)
+    n = len(doc_ids)
     rng = rng_for(seed, "pareto-threshold")
     u = 1.0 - rng.random(n)  # (0, 1]
     x = u ** (-1.0 / alpha) - 1.0
-    kept_ids = [doc_id for (doc_id, s), xi in zip(classifier_scores, x) if s > 1.0 - xi]
+    kept_ids = [doc_id for doc_id, s, xi in zip(doc_ids, values, x) if s > 1.0 - xi]
     return SelectionResult(kept_ids, "pareto_threshold", {"pareto_alpha": alpha}, seed=seed, input_count=n)
 
 
@@ -201,11 +208,13 @@ def apply_selection(
     return manifest
 
 
-def read_classifier_scores(path: str | Path) -> list[tuple[str, float]]:
-    """Read a TSV of doc_id and classifier score, one unique id a line, after an optional header.
+def read_classifier_scores(path: str | Path) -> dict[str, list]:
+    """Read a TSV of doc_id and classifier score as its ``doc_id`` and ``score`` columns.
 
-    A line without both fields, a score that is not a number or a repeated
-    id raises InvalidClassifierScoreError naming the file and line.
+    One unique id a line, after an optional header: a first line whose
+    doc_id is ``doc_id`` and whose score field is missing or not a number.
+    Any other line without both fields, a score that is not a number or a
+    repeated id raises InvalidClassifierScoreError naming the file and line.
     """
     rows = []
     seen: set[str] = set()
@@ -213,14 +222,14 @@ def read_classifier_scores(path: str | Path) -> list[tuple[str, float]]:
         for line_no, line in enumerate(fh, start=1):
             text = line.rstrip("\n")
             fields = text.split("\t")
-            if line_no == 1 and fields[0] == "doc_id":
-                continue
             try:
                 doc_id, score = fields[0], float(fields[1])
             except (IndexError, ValueError):
+                if line_no == 1 and fields[0] == "doc_id":
+                    continue
                 raise InvalidClassifierScoreError(f"{path}:{line_no}: expected doc_id<TAB>score, got {text!r}") from None
             if doc_id in seen:
                 raise InvalidClassifierScoreError(f"{path}:{line_no}: duplicate id {doc_id!r}")
             seen.add(doc_id)
             rows.append((doc_id, score))
-    return rows
+    return {"doc_id": [doc_id for doc_id, _ in rows], "score": [score for _, score in rows]}

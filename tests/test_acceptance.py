@@ -33,7 +33,7 @@ from scalingfilter.scaling import (
     secant_slope,
     verification_report,
 )
-from scalingfilter.scoring import QualityScore, quality_factor, read_score_file, score_corpus
+from scalingfilter.scoring import quality_factor, read_score_file, score_corpus
 from scalingfilter.selection import (
     pareto_noisy_threshold,
     percentile_gate,
@@ -120,9 +120,9 @@ def test_criterion_03_loss_gap_identity(scored_thousand):
         clean = synth.chain_corpus(seed=CHAIN_SEED + 1, n_docs=500, tag="clean", chain_seed=CHAIN_SEED)
         shuffled = synth.shuffled_counterparts(clean, seed=CHAIN_SEED + 2)
         texts = {d.id: d.text for d in clean + shuffled}
-        for score in scores:
-            gap = cross_entropy(pair.small, texts[score.doc_id]) - cross_entropy(pair.large, texts[score.doc_id])
-            assert abs(score.d - 2.0**gap) <= 1e-12 * max(score.d, 2.0**gap)
+        for doc_id, d in zip(scores["doc_id"], scores["quality_factor"]):
+            gap = cross_entropy(pair.small, texts[doc_id]) - cross_entropy(pair.large, texts[doc_id])
+            assert abs(d - 2.0**gap) <= 1e-12 * max(d, 2.0**gap)
 
 
 def test_criterion_04_derivation_checks():
@@ -204,7 +204,7 @@ def test_criterion_06_diversity_closed_forms():
 def fidelity_corpus():
     a = synth.cluster_corpus(seed=701, alphabet="abcdefghijklm", tag="fa", n_docs=6000)
     b = synth.cluster_corpus(seed=702, alphabet="nopqrstuvwxyz", tag="fb", n_docs=6000)
-    return a + b
+    return [d.text for d in a + b]
 
 
 def test_criterion_07_protocol_parameters(fidelity_corpus):
@@ -212,20 +212,16 @@ def test_criterion_07_protocol_parameters(fidelity_corpus):
         rng = np.random.Generator(np.random.PCG64(7007))
         # keep rate 0.7 -> ceil(0.7 n) documents
         for n in (10, 99, 1000):
-            scores = [
-                QualityScore(f"d{i:04d}", 1, float(x) * 10, 10.0, float(x))
-                for i, x in enumerate(rng.uniform(0.5, 5.0, n))
-            ]
-            assert select_topk(scores, keep_rate=0.7).kept_count == math.ceil(0.7 * n)
+            result = select_topk([f"d{i:04d}" for i in range(n)], rng.uniform(0.5, 5.0, n).tolist(), keep_rate=0.7)
+            assert result.kept_count == math.ceil(0.7 * n)
         # percentile gate 15/85 keeps the middle 70% within 1/n
         for n in (100, 997):
-            ppls = [(f"d{i:04d}", float(p)) for i, p in enumerate(rng.uniform(1, 100, n))]
-            result = percentile_gate(ppls, 15, 85)
+            result = percentile_gate([f"d{i:04d}" for i in range(n)], rng.uniform(1, 100, n).tolist(), 15, 85)
             assert abs(result.kept_count / n - 0.7) <= 1.0 / n + 1e-12
         # Pareto alpha=9: P(x > 1) = 2^-9 within +/-0.0005 over 1e6 draws
-        rows = [(str(i), 0.0) for i in range(1_000_000)]
-        kept = pareto_noisy_threshold(rows, alpha=9.0, seed=9).kept_count
-        assert abs(kept / 1_000_000 - 2.0**-9) < 0.0005
+        n = 1_000_000
+        kept = pareto_noisy_threshold([str(i) for i in range(n)], [0.0] * n, alpha=9.0, seed=9).kept_count
+        assert abs(kept / n - 2.0**-9) < 0.0005
         # diversity fidelity mode: n=10,000 with 10 repeats via the dual path
         emb = HashedProjectionEmbedder(dim=64, seed=0)
         report = subsample_diversity(fidelity_corpus, emb, n=10_000, repeats=10, seed=70)
@@ -241,36 +237,26 @@ def test_criterion_08_temperature_limits():
         # tau -> 0: kept set equals top-k for 100 random score vectors
         for trial in range(100):
             n = int(rng.integers(5, 40))
-            scores = [
-                QualityScore(f"d{i:03d}", 1, float(x) * 10, 10.0, float(x))
-                for i, x in enumerate(rng.uniform(0.1, 10.0, n))
-            ]
+            ids, d = [f"d{i:03d}" for i in range(n)], rng.uniform(0.1, 10.0, n).tolist()
             keep = float(rng.uniform(0.2, 0.9))
-            kept_topk = set(select_topk(scores, keep_rate=keep).kept_ids)
-            kept_tiny = set(select_temperature(scores, keep_rate=keep, tau=1e-9, seed=trial).kept_ids)
+            kept_topk = set(select_topk(ids, d, keep_rate=keep).kept_ids)
+            kept_tiny = set(select_temperature(ids, d, keep_rate=keep, tau=1e-9, seed=trial).kept_ids)
             assert kept_tiny == kept_topk
         # tau -> inf: uniform inclusion within +/-2% over 10,000 trials
-        scores = [
-            QualityScore(f"d{i}", 1, float(i + 1) * 10, 10.0, float(i + 1)) for i in range(10)
-        ]
-        hits = {s.doc_id: 0 for s in scores}
+        ids, d = [f"d{i}" for i in range(10)], [float(i + 1) for i in range(10)]
+        hits = dict.fromkeys(ids, 0)
         trials = 10_000
         for t in range(trials):
-            for doc_id in select_temperature(scores, keep_rate=0.5, tau=1e9, seed=t).kept_ids:
+            for doc_id in select_temperature(ids, d, keep_rate=0.5, tau=1e9, seed=t).kept_ids:
                 hits[doc_id] += 1
         for count in hits.values():
             assert abs(count / trials - 0.5) <= 0.02
         # tau = 1: single-pick frequencies match softmax(2,1,0) within +/-0.02
-        scores3 = [
-            QualityScore("a", 1, 20.0, 10.0, 2.0),
-            QualityScore("b", 1, 10.0, 10.0, 1.0),
-            QualityScore("c", 1, 0.1, 10.0, 0.0),
-        ]
         # keep_rate chosen so exactly one of three is kept
         picks = {"a": 0, "b": 0, "c": 0}
         trials = 100_000
         for t in range(trials):
-            (kept,) = select_temperature(scores3, keep_rate=1 / 3, tau=1.0, seed=t).kept_ids
+            (kept,) = select_temperature(["a", "b", "c"], [2.0, 1.0, 0.0], keep_rate=1 / 3, tau=1.0, seed=t).kept_ids
             picks[kept] += 1
         softmax = np.exp([2.0, 1.0, 0.0])
         softmax /= softmax.sum()
@@ -282,11 +268,11 @@ def test_criterion_09_directional_quality_separation(separation_setup, scored_th
     with criterion(9, f"clean vs shuffled separation, precision >= {PRECISION_THRESHOLD}", 120):
         _, clean, shuffled = separation_setup
         _, scores = scored_thousand
-        by_id = {s.doc_id: s for s in scores}
-        d_clean = [by_id[d.id].d for d in clean]
-        d_shuffled = [by_id[d.id].d for d in shuffled]
+        by_id = dict(zip(scores["doc_id"], scores["quality_factor"]))
+        d_clean = [by_id[d.id] for d in clean]
+        d_shuffled = [by_id[d.id] for d in shuffled]
         assert np.mean(d_clean) > np.mean(d_shuffled)
-        result = select_topk(list(by_id.values()), keep_rate=0.7)
+        result = select_topk(scores["doc_id"], scores["quality_factor"], keep_rate=0.7)
         kept = set(result.kept_ids)
         precision = sum(1 for d in clean if d.id in kept) / len(kept)
         assert precision > 0.7  # above base rate
@@ -355,10 +341,10 @@ def test_criterion_11_diversity_trends(fidelity_corpus):
         ]
         assert stds[0] > stds[1] > stds[2]
 
-        a = synth.cluster_corpus(seed=711, alphabet="abcdefghi", tag="ma", n_docs=500)
-        b = synth.cluster_corpus(seed=712, alphabet="jklmnopqr", tag="mb", n_docs=500)
-        c = synth.cluster_corpus(seed=713, alphabet="stuvwxyz0", tag="mc", n_docs=500)
-        curve = dataset_mix_experiment([a, b, c], emb, n=300, repeats=5, seed=7)["curve"]
+        clusters = ((711, "abcdefghi", "ma"), (712, "jklmnopqr", "mb"), (713, "stuvwxyz0", "mc"))
+        mix = [[d.text for d in synth.cluster_corpus(seed=seed, alphabet=letters, tag=tag, n_docs=500)]
+               for seed, letters, tag in clusters]
+        curve = dataset_mix_experiment(mix, emb, n=300, repeats=5, seed=7)["curve"]
         means = [row["mean"] for row in curve]
         assert means[0] < means[1] < means[2]
 
@@ -371,7 +357,7 @@ class _V1Embedder:
         self.bucket_counts = bucket_counts
 
     def embed(self, docs):
-        return loop_embed(self.signs, [d.text for d in docs], self.bucket_counts)
+        return loop_embed(self.signs, docs, self.bucket_counts)
 
     def fingerprint(self):
         return "hashed-projection-v1"
@@ -395,6 +381,7 @@ def test_criterion_12_hash_change_bounded():
         }
         persons = [b"", b"1", b"2", b"3", b"4"]
         for name, docs in corpora.items():
+            docs = [d.text for d in docs]
             v2 = np.mean([subsample_diversity(docs, HashedProjectionEmbedder(dim=64, seed=s), n=500, repeats=5,
                                               seed=5)["mean"] for s in range(4)])
             v1 = fork_map(functools.partial(_v1_mean, docs), persons, 2)

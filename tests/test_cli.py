@@ -174,13 +174,12 @@ class TestTrainMeta:
             assert main([*argv, "--corpus", str(corpus)]) == 0
             assert caplog.text.count("skipping record") == 1
             assert f"skipping record {corpus / 'shard-00000.jsonl'}:3 (encoding)" in caplog.text
-        assert [s.doc_id for s in read_score_file(score_out / "scores.tsv")] == ["d0", "d1", "d3", "d4"]
+        assert read_score_file(score_out / "scores.tsv")["doc_id"] == ["d0", "d1", "d3", "d4"]
 
 
 class TestScore:
     def test_row_count_and_summary(self, score_dir):
-        scores = read_score_file(score_dir / "scores.tsv")
-        assert len(scores) == 300
+        assert len(read_score_file(score_dir / "scores.tsv")["doc_id"]) == 300
         summary = json.loads((score_dir / "score_summary.json").read_text(encoding="utf-8"))
         assert summary["count"] == 300
         assert "quality_factor_quantiles" in summary
@@ -286,8 +285,7 @@ class TestScore:
             "--remote-small", small.url, "--remote-large", large.url, "--out", str(out),
         ])
         assert rc == 0
-        scores = read_score_file(out / "scores.tsv")
-        assert all(s.d == 3.0 for s in scores)
+        assert set(read_score_file(out / "scores.tsv")["quality_factor"]) == {3.0}
 
     def test_scorer_down_exit_3(self, tmp_path, corpus_dir, make_service, monkeypatch):
         monkeypatch.setattr(remote, "BACKOFF_S", 0.0)  # every batch fails: skip the retry pauses
@@ -324,7 +322,7 @@ class TestScore:
             "--keep-rate", "1.0", "--corpus", str(corpus), "--out", str(filter_out),
         ]) == 0
         good_ids = [f"d{i:02d}" for i in range(20)]
-        assert [s.doc_id for s in read_score_file(score_out / "scores.tsv")] == good_ids
+        assert read_score_file(score_out / "scores.tsv")["doc_id"] == good_ids
         assert sorted((filter_out / "kept_ids.txt").read_text(encoding="utf-8").splitlines()) == good_ids
 
     def test_source_written_back_as_its_json_value(self, tmp_path, pair_dir):
@@ -569,6 +567,14 @@ class TestFilter:
         kept = (out / "kept_ids.txt").read_text(encoding="utf-8").splitlines()
         assert len(kept) == 50
 
+    def test_first_document_with_the_id_doc_id_is_kept(self, tmp_path):
+        # a first line with a numeric score is a row, not the optional header
+        table = tmp_path / "cls.tsv"
+        table.write_text("doc_id\t1.0\nb\t1.0\n", encoding="utf-8")
+        out = tmp_path / "pareto"
+        assert main(["filter", "--method", "pareto", "--classifier-scores", str(table), "--out", str(out)]) == 0
+        assert (out / "kept_ids.txt").read_text(encoding="utf-8") == "doc_id\nb\n"
+
     def test_temperature_without_tau_exit_2(self, tmp_path, score_dir):
         rc = main([
             "filter", "--scores", str(score_dir / "scores.tsv"),
@@ -606,6 +612,7 @@ class TestFilter:
     @pytest.mark.parametrize("flags", [
         ["--method", "topk", "--keep-rate", "1.5"],
         ["--method", "temperature", "--tau", "0"],
+        ["--method", "temperature", "--tau", "5e-324"],
         ["--method", "gate", "--lo", "60", "--hi", "40"],
     ])
     def test_out_of_range_parameter_exit_2(self, tmp_path, score_dir, flags):
@@ -645,6 +652,39 @@ class TestFilter:
     def test_topk_without_scores_exit_2(self, tmp_path):
         rc = main(["filter", "--method", "topk", "--out", str(tmp_path / "no-scores")])
         assert rc == 2
+
+    # sha256 of kept_ids.txt and audit.json, as filter wrote them when a score row was a QualityScore
+    PINNED = {
+        "topk": (["--method", "topk"],
+                 "e67600e5ba33344b1e4ec18bd08b0189635bbf9ed5bd7137f1a037fbfcef369e",
+                 "47ae1d4935f538651cf7903ccae4d2e9e53a1b9c20fe1c5af4d6ff3f0c83d71a"),
+        "temperature": (["--method", "temperature", "--tau", "0.5", "--seed", "3"],
+                        "c8c5ae780b99850e83f0ccb1680c74c522e47e2289345628ff4b6fd695a1efe3",
+                        "8b739b7bb995be361c0589a2663a2971ffa3be9c8b46b19e557919e0b0222031"),
+        "gate": (["--method", "gate", "--lo", "10", "--hi", "80"],
+                 "4da46f3c9495d51e388323d25c964977564a2b23530cb49fcc67978f73fdb36f",
+                 "e7c0ecb0b042f12d6460eed1c349368e61c3c7916e87678a44593c39eb0cadbb"),
+        "pareto": (["--method", "pareto", "--pareto-alpha", "4", "--seed", "3"],
+                   "ade12b4830eda6957cdb969406ef1360121c7b2d3670377d3a17d47942608936",
+                   "0ff706017337b594e9a94fe05eb676a22caee700e137cbb4e5efd57b564cc37c"),
+    }
+
+    @pytest.mark.parametrize("method", sorted(PINNED))
+    def test_output_bytes_pinned(self, tmp_path, method):
+        # 200 rows with repeated values: ties in d, in ppl_large and in the classifier score
+        rows = [(f"d{i:03d}", 1 + i % 50, 1 + (i * 37 % 101) / 8, 2 + (i * 53 % 89) / 16) for i in range(200)]
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("doc_id\tn_tokens\tppl_small\tppl_large\tquality_factor\n" + "".join(
+            f"{doc_id}\t{n}\t{s!r}\t{l!r}\t{s / l!r}\n" for doc_id, n, s, l in rows), encoding="utf-8")
+        table = tmp_path / "cls.tsv"
+        table.write_text("doc_id\tscore\n" + "".join(f"{doc_id}\t{i * 29 % 100 / 100!r}\n"
+                                                      for i, (doc_id, *_) in enumerate(rows)), encoding="utf-8")
+        flags, kept_digest, audit_digest = self.PINNED[method]
+        out = tmp_path / method
+        assert main(["filter", "--scores", str(scores), "--classifier-scores", str(table), *flags,
+                     "--out", str(out)]) == 0
+        digest = lambda name: hashlib.sha256((out / name).read_bytes()).hexdigest()  # noqa: E731
+        assert (digest("kept_ids.txt"), digest("audit.json")) == (kept_digest, audit_digest)
 
 
 class TestDiversity:
@@ -687,7 +727,7 @@ class TestDiversity:
                      "--out", str(tmp_path / "cli")]) == 0
 
         provider = embedding.HashedProjectionEmbedder(dim=16, seed=derive_seed(5, "embedder"))
-        corpora = [list(read_manifest_corpus(find_manifest(path))) for path in paths]
+        corpora = [[doc.text for doc in read_manifest_corpus(find_manifest(path))] for path in paths]
         seed = derive_seed(5, "diversity")
         if form == "--corpus":
             want = diversity.subsample_diversity(corpora[0], provider, n=30, repeats=3, seed=seed, corpus_id="c0")
@@ -922,7 +962,9 @@ def test_every_artifact_is_strict_json(tmp_path, corpus_dir, pair_dir, score_dir
     """No JSON file a full chain writes holds NaN or Infinity."""
     scores = str(score_dir / "scores.tsv")
     table = tmp_path / "cls.tsv"
-    table.write_text("".join(f"{s.doc_id}\t{1 / s.d}\n" for s in read_score_file(scores)), encoding="utf-8")
+    columns = read_score_file(scores)
+    table.write_text("".join(f"{doc_id}\t{1 / d}\n" for doc_id, d in zip(columns["doc_id"], columns["quality_factor"])),
+                     encoding="utf-8")
     runs = {
         "topk": ["filter", "--scores", scores, "--method", "topk", "--corpus", str(corpus_dir)],
         "temperature": ["filter", "--scores", scores, "--method", "temperature", "--tau", "0.5"],

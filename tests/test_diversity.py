@@ -10,7 +10,7 @@ from mpmath import mp, polyroots
 import synth
 from oracles import direct_diversity, loop_mixture_values
 from scalingfilter import diversity
-from scalingfilter.corpus import Document, write_json
+from scalingfilter.corpus import write_json
 from scalingfilter.diversity import (
     _rows_ascend,
     _spectrum,
@@ -165,7 +165,7 @@ class TestEigensolverOracle:
 def two_cluster_corpus():
     a = synth.cluster_corpus(seed=61, alphabet="abcdefghijklm", tag="a", n_docs=600)
     b = synth.cluster_corpus(seed=62, alphabet="nopqrstuvwxyz", tag="b", n_docs=600)
-    return a + b
+    return [d.text for d in a + b]
 
 
 class TestSubsampleDiversity:
@@ -176,7 +176,7 @@ class TestSubsampleDiversity:
         assert len(report["values"]) == 1
 
     def test_identical_docs_mean_one_std_zero(self):
-        docs = [Document(f"d{i}", "exactly the same text body") for i in range(50)]
+        docs = ["exactly the same text body"] * 50
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         report = subsample_diversity(docs, emb, n=20, repeats=10, seed=2)
         assert report["mean"] == pytest.approx(1.0, abs=1e-9)
@@ -221,11 +221,11 @@ class TestDatasetMix:
         assert max(means) - min(means) < 0.05 * means[0]
 
     def test_orthogonal_corpora_strictly_increase(self):
-        a = synth.cluster_corpus(seed=71, alphabet="abcdefghij", tag="a", n_docs=300)
-        b = synth.cluster_corpus(seed=72, alphabet="klmnopqrst", tag="b", n_docs=300)
-        c = synth.cluster_corpus(seed=73, alphabet="uvwxyz0123", tag="c", n_docs=300)
+        clusters = ((71, "abcdefghij", "a"), (72, "klmnopqrst", "b"), (73, "uvwxyz0123", "c"))
+        corpora = [[d.text for d in synth.cluster_corpus(seed=seed, alphabet=letters, tag=tag, n_docs=300)]
+                   for seed, letters, tag in clusters]
         emb = HashedProjectionEmbedder(dim=32, seed=0)
-        curve = dataset_mix_experiment([a, b, c], emb, n=90, repeats=3, seed=8)["curve"]
+        curve = dataset_mix_experiment(corpora, emb, n=90, repeats=3, seed=8)["curve"]
         means = [row["mean"] for row in curve]
         assert means[0] < means[1] < means[2]
 
@@ -254,15 +254,15 @@ class TestDatasetMix:
 
 
 class TableEmbedder:
-    """Looks each text up in a table of unit rows; records every document it embeds."""
+    """Looks each text's part before '#' up in a table of unit rows; records every text it embeds."""
 
     def __init__(self, rows: dict[str, np.ndarray]):
         self.rows = rows
         self.seen: list[str] = []
 
     def embed(self, docs):
-        self.seen.extend(d.id for d in docs)
-        return np.array([self.rows[d.text] for d in docs])
+        self.seen.extend(docs)
+        return np.array([self.rows[text.split("#")[0]] for text in docs])
 
     def fingerprint(self):
         return "table"
@@ -277,10 +277,14 @@ def tied_rows(seed, n, m=6):
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def with_duplicates(docs, tag, every=4):
-    """``docs`` plus a copy, under a new id, of every ``every``-th text."""
-    copies = [Document(f"{tag}-copy{i}", d.text) for i, d in enumerate(docs[::every])]
-    return [Document(f"{tag}{i}", d.text) for i, d in enumerate(docs)] + copies
+def with_duplicates(texts, every=4):
+    """``texts`` plus a copy of every ``every``-th one."""
+    return texts + texts[::every]
+
+
+def tagged(texts, tag):
+    """Each text made unique by a ``#<tag><index>`` suffix, which TableEmbedder ignores."""
+    return [f"{text}#{tag}{i}" for i, text in enumerate(texts)]
 
 
 @pytest.fixture(scope="module")
@@ -288,10 +292,8 @@ def table_corpora():
     """Three corpora over one table of tied rows; the third repeats texts of the first."""
     texts = [f"text {i}" for i in range(240)]
     table = dict(zip(texts, tied_rows(11, len(texts))))
-    a = with_duplicates([Document("", t) for t in texts[:90]], "a")
-    b = with_duplicates([Document("", t) for t in texts[90:180]], "b")
-    c = with_duplicates([Document("", t) for t in texts[180:] + texts[:30]], "c")
-    return table, [a, b, c]
+    members = {"a": texts[:90], "b": texts[90:180], "c": texts[180:] + texts[:30]}
+    return table, [tagged(with_duplicates(member), tag) for tag, member in members.items()]
 
 
 def loop_curve(corpora, provider, n, repeats, seed):
@@ -309,7 +311,7 @@ def loop_curve(corpora, provider, n, repeats, seed):
 
 class TestPooledSamplesMatchLoop:
     def test_subsample_hashed_with_duplicates(self, two_cluster_corpus):
-        docs = with_duplicates(two_cluster_corpus[:300], "d", every=3)
+        docs = with_duplicates(two_cluster_corpus[:300], every=3)
         emb = HashedProjectionEmbedder(dim=16, seed=0)
         report = subsample_diversity(docs, emb, n=250, repeats=4, seed=12)
         assert report["values"] == loop_mixture_values([docs], emb, 250, 4, rng_for(12, "diversity-subsample"))
@@ -328,7 +330,7 @@ class TestPooledSamplesMatchLoop:
         assert curve == loop_curve(corpora, TableEmbedder(table), 90, 3, 14)
 
     def test_mix_hashed(self, two_cluster_corpus):
-        corpora = [with_duplicates(two_cluster_corpus[i * 200 : (i + 1) * 200], f"m{i}") for i in range(3)]
+        corpora = [with_duplicates(two_cluster_corpus[i * 200 : (i + 1) * 200]) for i in range(3)]
         emb = HashedProjectionEmbedder(dim=16, seed=1)
         curve = dataset_mix_experiment(corpora, emb, n=120, repeats=2, seed=15)["curve"]
         assert curve == loop_curve(corpora, emb, 120, 2, 15)
@@ -353,7 +355,7 @@ class TestPooledSamplesMatchLoop:
     def test_mix_samples_combinations_beyond_the_cap(self, monkeypatch, table_corpora):
         monkeypatch.setattr(diversity, "MAX_MIX_COMBINATIONS", 2)
         table, corpora = table_corpora
-        corpora = [*corpora, with_duplicates([Document("", t) for t in list(table)[45:135]], "d")]
+        corpora = [*corpora, tagged(with_duplicates(list(table)[45:135]), "d")]
         report = dataset_mix_experiment(corpora, TableEmbedder(table), n=60, repeats=2, seed=18)
         assert [row["combinations"] for row in report["curve"]] == [2, 2, 2, 1]  # of 4, 6, 4 and 1
         for row in report["curve"]:

@@ -8,7 +8,6 @@ import pytest
 import synth
 from oracles import loop_bucket, loop_bucket_counts, loop_embed
 from scalingfilter import embedding, remote
-from scalingfilter.corpus import Document
 from scalingfilter.embedding import (
     HASH_BUCKETS,
     NGRAM_SIZES,
@@ -80,13 +79,6 @@ class TestHashedProjection:
         with pytest.raises(DegenerateEmbeddingError) as exc:
             emb.embed(["ab"])
         assert exc.value.code == "degenerate-embedding"
-
-    def test_accepts_documents_and_strings(self):
-        emb = HashedProjectionEmbedder(dim=8, seed=0)
-        text = "interchangeable input types"
-        X1 = emb.embed([Document("d", text)])
-        X2 = emb.embed([text])
-        assert np.array_equal(X1, X2)
 
     def test_fingerprint_names_the_hash(self):
         assert HashedProjectionEmbedder(dim=8, seed=1).fingerprint() == (
@@ -264,7 +256,7 @@ class TestRemoteEmbedder:
         X = RemoteEmbedder(svc.url, timeout=5).embed(["a"])
         assert np.allclose(X[0], [0.6, 0.8])
 
-    def test_batching(self, make_service):
+    def test_batching(self, make_service, monkeypatch):
         calls = []
 
         def embed_fn(texts):
@@ -272,9 +264,10 @@ class TestRemoteEmbedder:
             return [[1.0, 0.0] for _ in texts], True
 
         svc = make_service(embed_fn=embed_fn)
-        emb = RemoteEmbedder(svc.url, batch_size=4, timeout=5)
-        emb.embed([f"t{i}" for i in range(10)])
-        assert calls == [4, 4, 2]
+        RemoteEmbedder(svc.url, timeout=5).embed([f"t{i}" for i in range(130)])
+        monkeypatch.setattr(embedding, "BATCH_TEXTS", 4)
+        RemoteEmbedder(svc.url, timeout=5).embed([f"t{i}" for i in range(10)])
+        assert calls == [64, 64, 2, 4, 4, 2]
 
     def test_failure_is_embedder_unavailable(self, make_service):
         svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]] * len(texts), True))
@@ -306,16 +299,18 @@ class TestRemoteEmbedder:
         with pytest.raises(EmbedderUnavailableError, match="not a finite numeric block of one width"):
             RemoteEmbedder(svc.url, timeout=5).embed(["x"] * len(rows))
 
-    def test_width_change_between_batches_is_unavailable(self, make_service):
+    def test_width_change_between_batches_is_unavailable(self, make_service, monkeypatch):
+        monkeypatch.setattr(embedding, "BATCH_TEXTS", 2)
         widths = iter([2, 3])
         svc = make_service(embed_fn=lambda texts: ([[1.0] + [0.0] * (next(widths) - 1)] * len(texts), True))
         with pytest.raises(EmbedderUnavailableError, match="one width"):
-            RemoteEmbedder(svc.url, batch_size=2, timeout=5).embed(["a", "b", "c"])
+            RemoteEmbedder(svc.url, timeout=5).embed(["a", "b", "c"])
 
-    def test_renamed_model_is_unavailable(self, make_service):
+    def test_renamed_model_is_unavailable(self, make_service, monkeypatch):
+        monkeypatch.setattr(embedding, "BATCH_TEXTS", 2)
         svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]] * len(texts), True),
                            model=lambda n: "m" if n == 1 else "m2")
-        emb = RemoteEmbedder(svc.url, batch_size=2, timeout=5)
+        emb = RemoteEmbedder(svc.url, timeout=5)
         with pytest.raises(EmbedderUnavailableError, match="answered as model 'm2'"):
             emb.embed(["a", "b", "c"])
         assert emb.fingerprint() == f"remote:{svc.url}:m"

@@ -63,8 +63,13 @@ class TestReadScoreFile:
     def test_rows_read_back(self, tmp_path):
         path = tmp_path / "s.tsv"
         path.write_text(self.HEADER + "a\t3\t8\t4\t2\nb\t5\t1.5\t3\t0.5\n", encoding="utf-8")
-        assert [(s.doc_id, s.n_tokens, s.ppl_small, s.ppl_large, s.d) for s in read_score_file(path)] == [
-            ("a", 3, 8.0, 4.0, 2.0), ("b", 5, 1.5, 3.0, 0.5)]
+        assert read_score_file(path) == {"doc_id": ["a", "b"], "n_tokens": [3, 5], "ppl_small": [8.0, 1.5],
+                                         "ppl_large": [4.0, 3.0], "quality_factor": [2.0, 0.5]}
+
+    def test_header_alone_reads_five_empty_columns(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text(self.HEADER, encoding="utf-8")
+        assert read_score_file(path) == {name: [] for name in self.HEADER.split()}
 
     @pytest.mark.parametrize("row", [
         "c\t3\t8\t4",  # four fields
@@ -110,10 +115,9 @@ def remote_pair(small, large, timeout=5):
 
 
 def score_one(tmp_path, small, large, doc, **kwargs):
-    """Score a one-document corpus; its single row read back from scores.tsv."""
+    """Score a one-document corpus; its single row read back from scores.tsv, by column name."""
     score_corpus(small, large, [doc], tmp_path / "one.tsv", **kwargs)
-    (row,) = read_score_file(tmp_path / "one.tsv")
-    return row
+    return {name: value for name, (value,) in read_score_file(tmp_path / "one.tsv").items()}
 
 
 class TestScoreDocument:
@@ -122,16 +126,14 @@ class TestScoreDocument:
         score = score_one(tmp_path, *models, doc)
         l_small = cross_entropy(toy_pair.small, doc.text)
         l_large = cross_entropy(toy_pair.large, doc.text)
-        assert score.d == pytest.approx(2.0 ** (l_small - l_large), rel=1e-9)
-        assert score.n_tokens == len(doc.text.encode("utf-8"))
+        assert score["quality_factor"] == pytest.approx(2.0 ** (l_small - l_large), rel=1e-9)
+        assert score["n_tokens"] == len(doc.text.encode("utf-8"))
 
     def test_remote_pair(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: 2.0 * len(t))
         large = make_service(perplexity_fn=lambda t: float(len(t)))
         score = score_one(tmp_path, *remote_pair(small, large), Document("r", "x" * 15))
-        assert score.ppl_small == 30.0
-        assert score.ppl_large == 15.0
-        assert score.d == 2.0
+        assert (score["ppl_small"], score["ppl_large"], score["quality_factor"]) == (30.0, 15.0, 2.0)
 
     def test_remote_nan_is_invalid_perplexity(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan"))
@@ -170,7 +172,7 @@ class TestScoreCorpus:
         assert summary.count == 100
         assert summary.endpoint_evaluations == 100
         assert summary.cache_hits == 0
-        assert len(read_score_file(tmp_path / "s.tsv")) == 100
+        assert len(read_score_file(tmp_path / "s.tsv")["doc_id"]) == 100
 
     def test_warm_cache_evaluates_nothing(self, tmp_path, models):
         docs = self.make_docs()
@@ -218,16 +220,16 @@ class TestScoreCorpus:
     def test_rows_sorted_by_doc_id(self, tmp_path, models):
         docs = list(reversed(self.make_docs(30)))
         score_corpus(*models, docs, tmp_path / "s.tsv")
-        ids = [s.doc_id for s in read_score_file(tmp_path / "s.tsv")]
+        ids = read_score_file(tmp_path / "s.tsv")["doc_id"]
         assert ids == sorted(ids)
 
     def test_summary_statistics(self, tmp_path, models):
         docs = self.make_docs(50)
         summary = score_corpus(*models, docs, tmp_path / "s.tsv")
-        scores = read_score_file(tmp_path / "s.tsv")
-        assert summary.mean_quality_factor == pytest.approx(np.mean([s.d for s in scores]))
+        d = read_score_file(tmp_path / "s.tsv")["quality_factor"]
+        assert summary.mean_quality_factor == pytest.approx(np.mean(d))
         assert set(summary.quality_factor_quantiles) == {"p05", "p25", "p50", "p75", "p95"}
-        assert summary.quality_factor_quantiles["p50"] == sorted(s.d for s in scores)[24]
+        assert summary.quality_factor_quantiles["p50"] == sorted(d)[24]
 
     def test_error_sidecar_within_budget(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan") if t.startswith("bad") else 4.0)
@@ -267,7 +269,7 @@ class TestScoreCorpus:
         failed = [tuple(line.split("\t")[:2]) for line in sidecar]
         assert failed == [(f"d{i:03d}", "scorer-unavailable") for i in range(40, 50)]
         assert summary.error_count == 10
-        assert len(read_score_file(tmp_path / "s.tsv")) == 90
+        assert len(read_score_file(tmp_path / "s.tsv")["doc_id"]) == 90
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_invalid_perplexity_costs_only_its_document(self, tmp_path, make_service, workers):
@@ -281,7 +283,7 @@ class TestScoreCorpus:
         sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8").splitlines()[1:]
         assert [tuple(line.split("\t")[:2]) for line in sidecar] == [("d042", "invalid-perplexity")]
         assert (summary.count, summary.error_count, summary.endpoint_evaluations) == (99, 1, 100)
-        assert [s.doc_id for s in read_score_file(tmp_path / "s.tsv")] == [d.id for d in docs if d.id != "d042"]
+        assert read_score_file(tmp_path / "s.tsv")["doc_id"] == [d.id for d in docs if d.id != "d042"]
         # the failed document is not cached, so a rerun scores it alone
         assert len((tmp_path / "c.tsv").read_text(encoding="utf-8").splitlines()) == 99
 
@@ -299,7 +301,7 @@ class TestScoreCorpus:
         failed = {line.split("\t")[0] for line in sidecar}
         assert {line.split("\t")[1] for line in sidecar} == {"scorer-unavailable"}
         assert "answered as model 'small-b'" in sidecar[0]
-        scored = [s.doc_id for s in read_score_file(tmp_path / "s.tsv")]
+        scored = read_score_file(tmp_path / "s.tsv")["doc_id"]
         cached = [line.split("\t")[0] for line in (tmp_path / "c.tsv").read_text(encoding="utf-8").splitlines()]
         assert (summary.count, summary.error_count) == (20, 80)
         assert sorted(cached) == scored and failed.isdisjoint(scored)
@@ -340,21 +342,22 @@ class TestScoreCorpus:
     def test_floats_survive_tsv_round_trip(self, tmp_path, toy_pair, models):
         docs = self.make_docs(10)
         score_corpus(*models, docs, tmp_path / "s.tsv")
-        for row in read_score_file(tmp_path / "s.tsv"):
-            doc = next(d for d in docs if d.id == row.doc_id)
-            ppl_small, ppl_large = toy_pair.small.perplexity(doc.text), toy_pair.large.perplexity(doc.text)
-            assert row.ppl_small == ppl_small
-            assert row.ppl_large == ppl_large
-            assert row.d == quality_factor(ppl_small, ppl_large)
+        scores = read_score_file(tmp_path / "s.tsv")
+        texts = {doc.id: doc.text for doc in docs}
+        for i, doc_id in enumerate(scores["doc_id"]):
+            ppl_small, ppl_large = toy_pair.small.perplexity(texts[doc_id]), toy_pair.large.perplexity(texts[doc_id])
+            assert scores["ppl_small"][i] == ppl_small
+            assert scores["ppl_large"][i] == ppl_large
+            assert scores["quality_factor"][i] == quality_factor(ppl_small, ppl_large)
 
 
 class TestEq6Identity:
     def test_quality_factor_equals_two_to_loss_gap(self, tmp_path, toy_pair, models):
         docs = synth.chain_corpus(seed=77, n_docs=25, chain_seed=2)
         score_corpus(*models, docs, tmp_path / "s.tsv")
-        scores = {s.doc_id: s for s in read_score_file(tmp_path / "s.tsv")}
-        assert len(scores) == len(docs)
+        scores = read_score_file(tmp_path / "s.tsv")
+        d = dict(zip(scores["doc_id"], scores["quality_factor"]))
+        assert len(d) == len(docs)
         for doc in docs:
-            score = scores[doc.id]
             gap = cross_entropy(toy_pair.small, doc.text) - cross_entropy(toy_pair.large, doc.text)
-            assert score.d == pytest.approx(2.0**gap, rel=1e-12)
+            assert d[doc.id] == pytest.approx(2.0**gap, rel=1e-12)
