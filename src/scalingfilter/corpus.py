@@ -1,9 +1,11 @@
 """Sharded JSONL corpus ingestion and emission.
 
 A corpus is a directory of JSONL shards plus a ``manifest.json``. Records
-carry a required ``text`` field and optional ``id`` / ``source`` fields;
+carry a required ``text`` field, an optional ``id`` and any other fields;
 ids missing from the input are synthesized as ``<shard-basename>:<line>``
-so downstream score caches stay joinable without a global registry.
+so downstream score caches stay joinable without a global registry. A
+record is written out as the line it was read from, so every field passes
+through a filter untouched; a synthesized id is added to the line.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import EmptyTextError, EncodingError, InvalidIdError, RecordError
 
@@ -56,16 +58,17 @@ def read_json(path: str | Path, required: dict[str, type | tuple[type, ...]]) ->
 
 @dataclass(frozen=True)
 class Document:
-    """One text record; the unit that gets scored and selected.
+    """One valid record of a shard; the unit that gets scored and selected.
 
     Invariants: ``id`` unique within a corpus, ``text`` has at least one
-    non-whitespace character. ``source`` is the JSON value the record
-    held, if any, and is written back as that value.
+    non-whitespace character. ``line`` is the record's JSON as its shard
+    holds it, without the line terminator; when the id was synthesized, the
+    line ends with that id added as the object's last ``"id"`` key.
     """
 
     id: str
     text: str
-    source: object = None
+    line: bytes
 
 
 @dataclass
@@ -102,14 +105,15 @@ class CorpusManifest:
         return [p if p.is_absolute() else base / p for p in map(Path, self.shard_paths)]
 
 
-def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
-    """Turn one parsed JSONL record into a Document or raise a RecordError.
+def validate_record(raw: dict, line: bytes, shard: str = "", line_no: int = 0) -> Document:
+    """Turn one parsed JSONL record, ``raw`` read from ``line``, into a Document or raise a RecordError.
 
-    A missing id is synthesized as ``<shard-basename>:<line-number>``. An
-    integer id becomes its decimal string; an id that is neither a string
-    nor an integer (a bool, float, list or object), or that contains a
-    tab, CR or LF, is rejected. ``source`` is kept as the JSON value it
-    was read as. A text, id or source that has no UTF-8 encoding (a lone
+    A missing, null or empty id is synthesized as ``<shard-basename>:<line-number>``
+    and spliced into the line: JSON readers keep the last of repeated keys,
+    so the written record reads back with that id. An integer id becomes
+    its decimal string; an id that is neither a string nor an integer (a
+    bool, float, list or object), or that contains a tab, CR or LF, is
+    rejected. A text, id or ``source`` that has no UTF-8 encoding (a lone
     surrogate, read from a ``"\\ud800"`` escape) raises EncodingError.
     """
     text = raw.get("text")
@@ -120,6 +124,7 @@ def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
         stem = Path(shard).name
         stem = stem[: -len(".jsonl")] if stem.endswith(".jsonl") else stem
         doc_id = f"{stem}:{line_no}"
+        line = b'%s, "id": %s}' % (line.rstrip()[:-1], json.dumps(doc_id).encode())  # before the object's "}"
     if isinstance(doc_id, int) and not isinstance(doc_id, bool):
         doc_id = str(doc_id)
     elif not isinstance(doc_id, str):
@@ -133,10 +138,10 @@ def validate_record(raw: dict, shard: str = "", line_no: int = 0) -> Document:
         fields.append(source if isinstance(source, str) else json.dumps(source, ensure_ascii=False))
     for value in fields:
         try:
-            value.encode("utf-8")  # each field is written back as UTF-8
+            value.encode("utf-8")  # text and id are encoded to score and key the document
         except UnicodeEncodeError as exc:
             raise EncodingError(str(exc), shard=shard, line_no=line_no) from None
-    return Document(id=doc_id, text=text, source=source)
+    return Document(doc_id, text, line)
 
 
 def iter_shard(path: str | Path, on_error: Optional[Callable[[RecordError], None]] = None) -> Iterator[Document]:
@@ -161,35 +166,20 @@ def iter_shard(path: str | Path, on_error: Optional[Callable[[RecordError], None
                     raise RecordError(f"invalid JSON: {exc}", shard=str(path), line_no=line_no) from exc
                 if not isinstance(raw, dict):
                     raise RecordError("record is not a JSON object", shard=str(path), line_no=line_no)
-                yield validate_record(raw, shard=str(path), line_no=line_no)
+                yield validate_record(raw, line.removesuffix(b"\n").removesuffix(b"\r"), str(path), line_no)
             except RecordError as err:
                 if on_error is None:
                     raise
                 on_error(err)
 
 
-def read_corpus(
-    shard_paths: Sequence[str | Path],
-    on_error: Optional[Callable[[RecordError], None]] = None,
-) -> Iterator[Document]:
-    """Stream documents in shard order, then line order within a shard."""
-    for path in shard_paths:
-        yield from iter_shard(path, on_error=on_error)
-
-
 def read_manifest_corpus(
     manifest_path: str | Path,
     on_error: Optional[Callable[[RecordError], None]] = None,
 ) -> Iterator[Document]:
+    """Stream the documents of a manifest's shards in shard order, then line order within a shard."""
     manifest = CorpusManifest.load(manifest_path)
-    return read_corpus(manifest.resolved_shard_paths(manifest_path), on_error=on_error)
-
-
-def _doc_json(doc: Document) -> str:
-    record = {"id": doc.id, "text": doc.text}
-    if doc.source is not None:
-        record["source"] = doc.source
-    return json.dumps(record, ensure_ascii=False, sort_keys=True)
+    return (doc for path in manifest.resolved_shard_paths(manifest_path) for doc in iter_shard(path, on_error))
 
 
 def write_corpus(
@@ -200,8 +190,11 @@ def write_corpus(
 ) -> CorpusManifest:
     """Write numbered JSONL shards of at most ``shard_size`` docs plus a manifest.
 
-    Output is byte-identical across re-runs on the same input (the manifest
-    timestamp excepted).
+    Each document is written as its ``line``, ended by ``\\n``: a record
+    read from a shard is copied byte for byte, its terminator aside. The
+    manifest is saved only once every document is written. Output is
+    byte-identical across re-runs on the same input (the manifest timestamp
+    excepted).
     """
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
@@ -213,12 +206,12 @@ def write_corpus(
     total_bytes = 0
     for shard_idx, shard in itertools.groupby(enumerate(docs), key=lambda item: item[0] // shard_size):
         shard_paths.append(f"shard-{shard_idx:05d}.jsonl")
-        with open(out_dir / shard_paths[-1], "w", encoding="utf-8", newline="\n") as fh:
+        with open(out_dir / shard_paths[-1], "wb") as fh:
             for _, doc in shard:
                 if doc.id in seen_ids:
                     raise ValueError(f"duplicate document id {doc.id!r}")
                 seen_ids.add(doc.id)
-                fh.write(_doc_json(doc) + "\n")
+                fh.write(doc.line + b"\n")
                 total_bytes += len(doc.text.encode("utf-8"))
 
     manifest = CorpusManifest(

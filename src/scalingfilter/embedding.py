@@ -167,12 +167,11 @@ class RemoteEmbedder:
     {"embeddings": [[float x m], ...], "model": "<name>", "normalized": true}.
     """
 
-    def __init__(self, base_url: str, timeout: float = 30.0):
+    def __init__(self, base_url: str):
         from . import remote  # the HTTP client: loaded by the remote embedder alone
 
         self._remote = remote
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
         self._model_name: Optional[str] = None
 
     def embed(self, docs: Sequence[str]) -> np.ndarray:
@@ -183,7 +182,7 @@ class RemoteEmbedder:
         rows: list[np.ndarray] = []
         for start in range(0, len(docs), BATCH_TEXTS):
             batch = docs[start : start + BATCH_TEXTS]
-            body, vecs = self._remote.post_texts(url, batch, "embeddings", EmbedderUnavailableError, self.timeout)
+            body, vecs = self._remote.post_texts(url, batch, "embeddings", EmbedderUnavailableError)
             self._model_name = self._remote.model_name(body, self._model_name, url, EmbedderUnavailableError)
             try:
                 block = np.asarray(vecs)

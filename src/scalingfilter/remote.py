@@ -52,7 +52,7 @@ def _forget_connections() -> None:
 os.register_at_fork(after_in_child=_forget_connections)
 
 
-def post_json(url: str, payload: dict, timeout: float = 30.0) -> dict[str, Any]:
+def post_json(url: str, payload: dict, timeout: float) -> dict[str, Any]:
     """POST a JSON payload, retrying failures with exponential backoff.
 
     A connection error, a non-2xx status (``urllib.error.HTTPError``) or a
@@ -113,7 +113,7 @@ def _attempt(url: str, parts: urllib.parse.SplitResult, data: bytes, timeout: fl
             conn.close()
 
 
-def post_texts(url: str, texts: list[str], key: str, error: type[Exception], timeout: float):
+def post_texts(url: str, texts: list[str], key: str, error: type[Exception], timeout: float = 30.0):
     """POST ``{"texts": texts}``; return the reply and its list under ``key``.
 
     Raises ``error`` if the request fails or that list does not hold one entry per text.

@@ -188,24 +188,25 @@ def apply_selection(
     shard_size: int = 10000,
     on_error=None,
 ) -> CorpusManifest:
-    """Materialize the kept documents as a new corpus in original order."""
+    """Materialize the kept documents as a new corpus in original order, each copied as its line.
+
+    A kept id that is not in the corpus raises IdNotInCorpusError once the
+    corpus is read, before the new corpus's manifest is written.
+    """
     kept = set(result.kept_ids)
-    found: set[str] = set()
 
     def filtered() -> Iterable[Document]:
+        found: set[str] = set()
         for doc in corpus_io.read_manifest_corpus(manifest_path, on_error=on_error):
             if doc.id in kept:
                 found.add(doc.id)
                 yield doc
+        missing = kept - found
+        if missing:
+            raise IdNotInCorpusError(f"{len(missing)} kept ids not present in corpus, e.g. {sorted(missing)[:3]}")
 
     src = CorpusManifest.load(manifest_path)
-    manifest = corpus_io.write_corpus(
-        filtered(), out_dir, shard_size=shard_size, corpus_id=f"{src.corpus_id}-filtered"
-    )
-    missing = kept - found
-    if missing:
-        raise IdNotInCorpusError(f"{len(missing)} kept ids not present in corpus, e.g. {sorted(missing)[:3]}")
-    return manifest
+    return corpus_io.write_corpus(filtered(), out_dir, shard_size=shard_size, corpus_id=f"{src.corpus_id}-filtered")
 
 
 def read_classifier_scores(path: str | Path) -> dict[str, list]:

@@ -6,22 +6,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import synth
 from scalingfilter import remote
-from scalingfilter.corpus import Document, write_corpus
+from scalingfilter.corpus import Document
 
 
 @pytest.fixture
 def small_docs() -> list[Document]:
     return [
-        Document(f"doc:{i:03d}", f"sample text number {i} with some shared words")
+        synth.document(f"doc:{i:03d}", f"sample text number {i} with some shared words")
         for i in range(10)
     ]
-
-
-def make_corpus_dir(tmp_path, docs, name="corpus", shard_size=100):
-    out = tmp_path / name
-    write_corpus(docs, out, shard_size=shard_size, corpus_id=name)
-    return out
 
 
 class _JsonHandler(BaseHTTPRequestHandler):

@@ -9,9 +9,17 @@ Three generators:
 * cluster_corpus: documents built from a word set over a restricted
   alphabet; corpora over disjoint alphabets embed near-orthogonally.
 * random_text: unstructured filler.
+
+Every fixture record becomes a shard line through ``jsonl``: ``document``
+gives a Document the line ``iter_shard`` would read it from, so
+``write_corpus`` writes it as that line, and ``write_shard`` writes a shard
+of records, malformed ones included, directly.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +37,23 @@ WORDS = [
 ]
 
 _TRANSITION_PROBS = np.array([0.7, 0.2, 0.1])
+
+
+def jsonl(record: dict) -> bytes:
+    """``record`` as one shard line without its terminator: JSON with sorted keys, in UTF-8."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True).encode("utf-8")
+
+
+def document(doc_id: str, text: str, **fields) -> Document:
+    """The Document read from the line of the record ``{"id": doc_id, "text": text, **fields}``."""
+    return Document(doc_id, text, jsonl({"id": doc_id, "text": text, **fields}))
+
+
+def write_shard(path, records) -> None:
+    """A shard of one line per record: a dict as ``jsonl`` writes it, a str (say, a line that is not
+    JSON, or one holding a ``"\\ud800"`` escape) as it is."""
+    lines = [jsonl(r) if isinstance(r, dict) else r.encode("utf-8") for r in records]
+    Path(path).write_bytes(b"".join(line + b"\n" for line in lines))
 
 
 def make_chain(rng: np.random.Generator, n_successors: int = 3) -> dict[str, list[str]]:
@@ -60,7 +85,7 @@ def chain_corpus(
     chain = make_chain(chain_rng)
     rng = np.random.Generator(np.random.PCG64(seed))
     return [
-        Document(f"{tag}:{i:05d}", chain_doc(rng, chain, int(rng.integers(words_lo, words_hi))))
+        document(f"{tag}:{i:05d}", chain_doc(rng, chain, int(rng.integers(words_lo, words_hi))))
         for i in range(n_docs)
     ]
 
@@ -74,7 +99,7 @@ def shuffle_words(rng: np.random.Generator, text: str) -> str:
 def shuffled_counterparts(docs: list[Document], seed: int, tag: str = "shuf") -> list[Document]:
     rng = np.random.Generator(np.random.PCG64(seed))
     return [
-        Document(f"{tag}:{i:05d}", shuffle_words(rng, doc.text))
+        document(f"{tag}:{i:05d}", shuffle_words(rng, doc.text))
         for i, doc in enumerate(docs)
     ]
 
@@ -93,7 +118,7 @@ def cluster_corpus(
         for _ in range(vocab_size)
     ]
     return [
-        Document(
+        document(
             f"{tag}:{i:05d}",
             " ".join(vocab[int(j)] for j in rng.integers(len(vocab), size=n_words)),
         )

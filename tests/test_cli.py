@@ -18,7 +18,7 @@ from scalingfilter import cli, diversity, embedding, remote, selection
 from scalingfilter.cli import build_parser, main
 from scalingfilter.corpus import (
     CorpusFingerprint,
-    Document,
+    CorpusManifest,
     find_manifest,
     read_manifest_corpus,
     write_corpus,
@@ -311,8 +311,8 @@ class TestScore:
 
     @pytest.mark.parametrize("bad_id", ["bad\tid", "bad\nid", "bad\rid"])
     def test_tsv_breaking_id_skipped_through_filter(self, tmp_path, pair_dir, bad_id):
-        docs = [Document(f"d{i:02d}", f"usable text number {i}") for i in range(20)]
-        docs.insert(3, Document(bad_id, "usable text with a bad id"))
+        docs = [synth.document(f"d{i:02d}", f"usable text number {i}") for i in range(20)]
+        docs.insert(3, synth.document(bad_id, "usable text with a bad id"))
         corpus = tmp_path / "ids"
         write_corpus(docs, corpus, corpus_id="ids")
         score_out, filter_out = tmp_path / "score", tmp_path / "filter"
@@ -328,7 +328,7 @@ class TestScore:
     def test_source_written_back_as_its_json_value(self, tmp_path, pair_dir):
         sources = [{"a": 1}, True, "web", None, [1, "x"], 2.5]
         corpus = tmp_path / "sources"
-        write_corpus([Document(f"d{i}", f"usable text number {i}", source)
+        write_corpus([synth.document(f"d{i}", f"usable text number {i}", source=source)
                       for i, source in enumerate(sources)], corpus)
         score_out, filter_out = tmp_path / "score", tmp_path / "filter"
         assert main(["score", "--corpus", str(corpus), "--pair", str(pair_dir), "--out", str(score_out)]) == 0
@@ -532,6 +532,58 @@ class TestFilter:
         assert rc == 0
         manifest = json.loads((out / "filtered" / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["doc_count"] == 150
+
+    def test_kept_id_missing_from_corpus_exit_1_without_manifest(self, tmp_path, score_dir, corpus_dir):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text((score_dir / "scores.tsv").read_text(encoding="utf-8") + "ghost\t9\t4.0\t2.0\t2.0\n",
+                          encoding="utf-8")
+        out = tmp_path / "ghost"
+        assert main(["filter", "--scores", str(scores), "--method", "topk", "--keep-rate", "1.0",
+                     "--corpus", str(corpus_dir), "--out", str(out)]) == 1
+        assert not (out / "filtered" / "manifest.json").exists()
+
+    def test_synthesized_ids_survive_filter_and_rescoring(self, tmp_path, pair_dir):
+        corpus = tmp_path / "ids"
+        corpus.mkdir()
+        records = [{"id": "a", "text": "usable text one"}, {"text": "usable text two"},
+                   {"id": None, "text": "usable text three"}, {"text": "usable text four", "id": ""}]
+        synth.write_shard(corpus / "s0.jsonl", records)
+        CorpusManifest("ids", ["s0.jsonl"]).save(corpus / "manifest.json")
+        score, filtered, rescore = tmp_path / "score", tmp_path / "filter", tmp_path / "rescore"
+        assert main(["score", "--corpus", str(corpus), "--pair", str(pair_dir), "--out", str(score)]) == 0
+        assert main(["filter", "--scores", str(score / "scores.tsv"), "--method", "topk", "--keep-rate", "1.0",
+                     "--corpus", str(corpus), "--out", str(filtered)]) == 0
+        assert main(["score", "--corpus", str(filtered / "filtered"), "--pair", str(pair_dir),
+                     "--out", str(rescore)]) == 0
+        assert read_score_file(score / "scores.tsv")["doc_id"] == ["a", "s0:2", "s0:3", "s0:4"]
+        assert (rescore / "scores.tsv").read_bytes() == (score / "scores.tsv").read_bytes()
+        lines = (filtered / "filtered" / "shard-00000.jsonl").read_bytes().splitlines()
+        assert lines == [synth.jsonl(records[0])] + [synth.jsonl(r)[:-1] + b', "id": "s0:%d"}' % i
+                                                     for i, r in enumerate(records[1:], start=2)]
+
+    def test_filtered_shards_of_a_fixed_corpus_are_pinned(self, tmp_path):
+        """Records read from lines in the form ``json.dumps(record, ensure_ascii=False, sort_keys=True)``
+        writes are filtered to the same bytes as when each kept record was re-encoded in that form."""
+        corpus = tmp_path / "fixed"
+        corpus.mkdir()
+        texts = ["plain ascii text", "café crème", "日本語のテキスト", 'a "quoted" word', "back\\slash",
+                 "tab\there", "line\nbreak", "emoji 🙂 text", "u2028 sep", "zero width​"]
+        sources = ["web", {"lang": "fr", "score": 0.5}, None, [1, "x"], True, 2.5, None, "books", {"a": []}, None]
+        records = [{"id": f"r{i:02d}", "text": text, **({"source": src} if src is not None else {})}
+                   for i, (text, src) in enumerate(zip(texts, sources))]
+        synth.write_shard(corpus / "s0.jsonl", records[:4] + ["not json"])
+        synth.write_shard(corpus / "s1.jsonl", records[4:])
+        CorpusManifest("fixed", ["s0.jsonl", "s1.jsonl"]).save(corpus / "manifest.json")
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("doc_id\tn_tokens\tppl_small\tppl_large\tquality_factor\n" + "".join(
+            f"r{i:02d}\t10\t{2 + (i * 7) % 10}\t2\t{(2 + (i * 7) % 10) / 2}\n" for i in range(10)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["filter", "--scores", str(scores), "--method", "topk", "--keep-rate", "0.6", "--shard-size", "4",
+                     "--corpus", str(corpus), "--out", str(out)]) == 0
+        shards = sorted((out / "filtered").glob("*.jsonl"))
+        assert [p.name for p in shards] == ["shard-00000.jsonl", "shard-00001.jsonl"]
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in shards)).hexdigest()
+        assert digest == "aec054e5a6ba14e6a5d1b339c866855c6559e814bad6c4626935a85667d5adb7"
 
     @pytest.mark.parametrize("shard_size", ["0", "-2"])
     def test_non_positive_shard_size_exit_2_before_writing(self, tmp_path, score_dir, corpus_dir, shard_size):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synth
 from scalingfilter.corpus import (
     CorpusFingerprint,
     CorpusManifest,
-    Document,
-    read_corpus,
+    iter_shard,
     read_manifest_corpus,
     validate_record,
     write_corpus,
@@ -16,48 +16,46 @@ from scalingfilter.corpus import (
 from scalingfilter.errors import EmptyTextError, EncodingError, InvalidIdError
 
 
-def write_shard(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+def validate(record, shard="", line_no=0):
+    """``validate_record`` of ``record`` read from its ``json.dumps`` line."""
+    return validate_record(record, json.dumps(record).encode(), shard, line_no)
 
 
 class TestValidateRecord:
     def test_ascii_byte_count(self, tmp_path):
-        doc = validate_record({"id": "a", "text": "hello"})
-        assert doc.id == "a"
+        doc = validate({"id": "a", "text": "hello"})
+        assert (doc.id, doc.line) == ("a", b'{"id": "a", "text": "hello"}')
         assert write_corpus([doc], tmp_path).total_bytes == 5
 
-    def test_missing_id_synthesized_from_shard_and_line(self):
-        doc = validate_record({"text": "hi"}, shard="data/s0.jsonl", line_no=7)
+    @pytest.mark.parametrize("line", [b'{"text": "hi"}', b'{"text": "hi", "id": null}  ',
+                                      b'{"id": "", "text": "hi"}\t'])
+    def test_missing_id_synthesized_from_shard_and_line_and_added_to_the_line(self, line):
+        doc = validate_record(json.loads(line), line, shard="data/s0.jsonl", line_no=7)
         assert doc.id == "s0:7"
+        assert doc.line == line.rstrip()[:-1] + b', "id": "s0:7"}'
+        assert json.loads(doc.line)["id"] == "s0:7"  # the last of repeated keys
 
     def test_whitespace_only_text_rejected(self):
         with pytest.raises(EmptyTextError) as exc:
-            validate_record({"id": "b", "text": "   "})
+            validate({"id": "b", "text": "   "})
         assert exc.value.code == "empty-text"
 
     def test_missing_text_rejected(self):
         with pytest.raises(EmptyTextError):
-            validate_record({"id": "b"})
+            validate({"id": "b"})
 
     def test_integer_id_becomes_its_decimal_string(self):
-        assert validate_record({"id": 7, "text": "hi"}).id == "7"
+        assert validate({"id": 7, "text": "hi"}).id == "7"
 
     @pytest.mark.parametrize("bad_id", [True, False, 1e20, 7.0, [1, 2], {"a": 1}])
     def test_id_neither_string_nor_integer_rejected(self, bad_id):
         with pytest.raises(InvalidIdError) as exc:
-            validate_record({"id": bad_id, "text": "hi"}, shard="s0.jsonl", line_no=3)
+            validate({"id": bad_id, "text": "hi"}, shard="s0.jsonl", line_no=3)
         assert (exc.value.code, exc.value.line_no) == ("invalid-id", 3)
 
     def test_multibyte_utf8_byte_count(self, tmp_path):
-        doc = validate_record({"id": "c", "text": "héllo"})
+        doc = validate({"id": "c", "text": "héllo"})
         assert write_corpus([doc], tmp_path).total_bytes == 6
-
-    @pytest.mark.parametrize("source", ["web", {"a": 1}, True, 1.5, [1, "x"], None])
-    def test_source_kept_as_its_json_value(self, source):
-        doc = validate_record({"id": "a", "text": "hi", "source": source})
-        assert repr(doc.source) == repr(source)
 
     # "\ud800" is a valid JSON escape, but a lone surrogate has no UTF-8 encoding
     @pytest.mark.parametrize("record", [
@@ -69,23 +67,29 @@ class TestValidateRecord:
     ])
     def test_field_without_utf8_encoding_rejected(self, record):
         with pytest.raises(EncodingError) as exc:
-            validate_record(record, shard="s0.jsonl", line_no=4)
+            validate(record, shard="s0.jsonl", line_no=4)
         assert (exc.value.code, exc.value.shard, exc.value.line_no) == ("encoding", "s0.jsonl", 4)
 
 
-class TestReadCorpus:
+class TestReadShard:
     def test_two_shards_stream_in_file_then_line_order(self, tmp_path):
-        s0, s1 = tmp_path / "s0.jsonl", tmp_path / "s1.jsonl"
-        write_shard(s0, [{"id": f"a{i}", "text": f"t{i}"} for i in range(3)])
-        write_shard(s1, [{"id": f"b{i}", "text": f"u{i}"} for i in range(2)])
-        docs = list(read_corpus([s0, s1]))
+        synth.write_shard(tmp_path / "s0.jsonl", [{"id": f"a{i}", "text": f"t{i}"} for i in range(3)])
+        synth.write_shard(tmp_path / "s1.jsonl", [{"id": f"b{i}", "text": f"u{i}"} for i in range(2)])
+        CorpusManifest("c", ["s0.jsonl", "s1.jsonl"]).save(tmp_path / "manifest.json")
+        docs = list(read_manifest_corpus(tmp_path / "manifest.json"))
         assert [d.id for d in docs] == ["a0", "a1", "a2", "b0", "b1"]
+
+    def test_line_kept_without_its_terminator(self, tmp_path):
+        shard = tmp_path / "s0.jsonl"
+        lines = [b'{"id": "a", "text": "x"}', b' {"text": "y", "id": 2, "k": [1]} ', b'{"id": "c", "text": "z"}']
+        shard.write_bytes(lines[0] + b"\r\n" + lines[1] + b"\n" + lines[2])
+        assert [d.line for d in iter_shard(shard)] == lines
 
     def test_empty_text_reported_and_rest_yielded(self, tmp_path):
         shard = tmp_path / "s0.jsonl"
-        write_shard(shard, [{"id": "a", "text": "ok"}, {"id": "b", "text": ""}, {"id": "c", "text": "ok"}])
+        synth.write_shard(shard, [{"id": "a", "text": "ok"}, {"id": "b", "text": ""}, {"id": "c", "text": "ok"}])
         errors = []
-        docs = list(read_corpus([shard], on_error=errors.append))
+        docs = list(iter_shard(shard, on_error=errors.append))
         assert [d.id for d in docs] == ["a", "c"]
         assert len(errors) == 1
         assert errors[0].code == "empty-text"
@@ -95,40 +99,40 @@ class TestReadCorpus:
     def test_tsv_breaking_id_reported_and_rest_yielded(self, tmp_path, bad_char):
         shard = tmp_path / "s0.jsonl"
         ids = ["a", f"b{bad_char}c", "d"]
-        write_shard(shard, [{"id": doc_id, "text": "ok"} for doc_id in ids])
+        synth.write_shard(shard, [{"id": doc_id, "text": "ok"} for doc_id in ids])
         errors = []
-        docs = list(read_corpus([shard], on_error=errors.append))
+        docs = list(iter_shard(shard, on_error=errors.append))
         assert [d.id for d in docs] == ["a", "d"]
         assert [(type(e), e.code, e.line_no) for e in errors] == [(InvalidIdError, "invalid-id", 2)]
 
     def test_non_string_id_reported_and_rest_yielded(self, tmp_path):
         shard = tmp_path / "s0.jsonl"
-        write_shard(shard, [{"id": 1, "text": "ok"}, {"id": True, "text": "ok"}, {"id": [2], "text": "ok"},
-                            {"id": "d", "text": "ok"}])
+        synth.write_shard(shard, [{"id": 1, "text": "ok"}, {"id": True, "text": "ok"}, {"id": [2], "text": "ok"},
+                                  {"id": "d", "text": "ok"}])
         errors = []
-        docs = list(read_corpus([shard], on_error=errors.append))
+        docs = list(iter_shard(shard, on_error=errors.append))
         assert [d.id for d in docs] == ["1", "d"]
         assert [(e.code, e.line_no) for e in errors] == [("invalid-id", 2), ("invalid-id", 3)]
 
     def test_error_without_handler_raises(self, tmp_path):
         shard = tmp_path / "s0.jsonl"
-        write_shard(shard, [{"id": "b", "text": " "}])
+        synth.write_shard(shard, [{"id": "b", "text": " "}])
         with pytest.raises(EmptyTextError):
-            list(read_corpus([shard]))
+            list(iter_shard(shard))
 
     def test_every_line_is_doc_or_error(self, tmp_path):
         shard = tmp_path / "s0.jsonl"
         records = [{"id": f"d{i}", "text": "x" if i % 3 else ""} for i in range(30)]
-        write_shard(shard, records)
+        synth.write_shard(shard, records)
         errors = []
-        docs = list(read_corpus([shard], on_error=errors.append))
+        docs = list(iter_shard(shard, on_error=errors.append))
         assert len(docs) + len(errors) == 30
 
     def test_malformed_json_reported_with_location(self, tmp_path):
         shard = tmp_path / "s0.jsonl"
         shard.write_text('{"id": "a", "text": "ok"}\nnot json\n', encoding="utf-8")
         errors = []
-        docs = list(read_corpus([shard], on_error=errors.append))
+        docs = list(iter_shard(shard, on_error=errors.append))
         assert len(docs) == 1 and len(errors) == 1
         assert errors[0].line_no == 2
         assert str(shard) in errors[0].shard
@@ -137,36 +141,37 @@ class TestReadCorpus:
         shard = tmp_path / "s0.jsonl"
         shard.write_bytes(b'{"id": "a", "text": "\xff\xfe"}\n')
         errors = []
-        list(read_corpus([shard], on_error=errors.append))
+        list(iter_shard(shard, on_error=errors.append))
         assert len(errors) == 1
         assert isinstance(errors[0], EncodingError)
         assert errors[0].code == "encoding"
 
     def test_lone_surrogate_escape_reports_encoding_error_and_rest_yielded(self, tmp_path):
         shard = tmp_path / "s0.jsonl"
-        write_shard(shard, [{"id": "a", "text": "ok"}, {"id": "b", "text": "\ud800"}, {"id": "c", "text": "ok"}])
+        synth.write_shard(shard, [{"id": "a", "text": "ok"}, '{"id": "b", "text": "\\ud800"}',
+                                  {"id": "c", "text": "ok"}])
         assert '"\\ud800"' in shard.read_text(encoding="utf-8")
         errors = []
-        docs = list(read_corpus([shard], on_error=errors.append))
+        docs = list(iter_shard(shard, on_error=errors.append))
         assert [d.id for d in docs] == ["a", "c"]
         assert [(type(e), e.line_no) for e in errors] == [(EncodingError, 2)]
 
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
-            list(read_corpus([tmp_path / "missing.jsonl"]))
+            list(iter_shard(tmp_path / "missing.jsonl"))
 
     def test_large_shard_reread_identical(self, tmp_path):
         shard = tmp_path / "big.jsonl"
-        write_shard(shard, [{"id": f"d{i:05d}", "text": f"document body {i}"} for i in range(10000)])
-        first = [(d.id, d.text) for d in read_corpus([shard])]
-        second = [(d.id, d.text) for d in read_corpus([shard])]
+        synth.write_shard(shard, [{"id": f"d{i:05d}", "text": f"document body {i}"} for i in range(10000)])
+        first = [(d.id, d.text) for d in iter_shard(shard)]
+        second = [(d.id, d.text) for d in iter_shard(shard)]
         assert first == second
         assert len(first) == 10000
 
 
 class TestWriteCorpus:
     def test_shard_sizes_and_counts(self, tmp_path):
-        docs = [Document(f"d{i}", f"text {i}") for i in range(5)]
+        docs = [synth.document(f"d{i}", f"text {i}") for i in range(5)]
         manifest = write_corpus(docs, tmp_path / "out", shard_size=2)
         assert len(manifest.shard_paths) == 3
         assert manifest.doc_count == 5
@@ -177,7 +182,7 @@ class TestWriteCorpus:
         assert per_shard == [2, 2, 1]
 
     def test_exact_multiple_writes_no_empty_shard(self, tmp_path):
-        docs = [Document(f"d{i}", f"text {i}") for i in range(4)]
+        docs = [synth.document(f"d{i}", f"text {i}") for i in range(4)]
         manifest = write_corpus(docs, tmp_path / "out", shard_size=2)
         assert manifest.shard_paths == ["shard-00000.jsonl", "shard-00001.jsonl"]
         assert sorted(p.name for p in (tmp_path / "out").glob("*.jsonl")) == manifest.shard_paths
@@ -192,12 +197,12 @@ class TestWriteCorpus:
 
     def test_total_bytes_counts_utf8_of_every_text(self, tmp_path):
         # é is two UTF-8 bytes: each "héllo" is 6 bytes, however the document was made
-        manifest = write_corpus([Document("a", "héllo"), Document("b", "héllo")], tmp_path / "out")
+        manifest = write_corpus([synth.document("a", "héllo"), synth.document("b", "héllo")], tmp_path / "out")
         assert manifest.total_bytes == 12
         assert CorpusManifest.load(tmp_path / "out" / "manifest.json").total_bytes == 12
 
     def test_rewrite_identical_except_timestamp(self, tmp_path):
-        docs = [Document(f"d{i}", f"text {i}") for i in range(10)]
+        docs = [synth.document(f"d{i}", f"text {i}") for i in range(10)]
         m1 = write_corpus(docs, tmp_path / "o1", shard_size=4, corpus_id="same")
         m2 = write_corpus(docs, tmp_path / "o2", shard_size=4, corpus_id="same")
         for p1, p2 in zip(m1.shard_paths, m2.shard_paths):
@@ -207,18 +212,18 @@ class TestWriteCorpus:
         assert d1 == d2
 
     def test_manifest_round_trip(self, tmp_path):
-        docs = [Document(f"d{i}", f"text {i}", source="unit") for i in range(3)]
+        docs = [synth.document(f"d{i}", f"text {i}", source="unit") for i in range(3)]
         manifest = write_corpus(docs, tmp_path / "out", shard_size=10)
         loaded = CorpusManifest.load(tmp_path / "out" / "manifest.json")
         assert loaded == manifest
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        docs = [Document("same", "one"), Document("same", "two")]
+        docs = [synth.document("same", "one"), synth.document("same", "two")]
         with pytest.raises(ValueError):
             write_corpus(docs, tmp_path / "out")
 
     def test_doc_count_equals_sum_over_shards(self, tmp_path):
-        docs = [Document(f"d{i}", "x") for i in range(23)]
+        docs = [synth.document(f"d{i}", "x") for i in range(23)]
         manifest = write_corpus(docs, tmp_path / "out", shard_size=7)
         total = sum(
             sum(1 for _ in open(tmp_path / "out" / p, encoding="utf-8"))
@@ -232,7 +237,7 @@ class TestManifestChecks:
 
     @staticmethod
     def manifest(tmp_path, edit):
-        write_corpus([Document("a", "text")], tmp_path / "c")
+        write_corpus([synth.document("a", "text")], tmp_path / "c")
         path = tmp_path / "c" / "manifest.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
         return path
@@ -278,8 +283,8 @@ class TestManifestChecks:
 
 
 doc_strategy = st.builds(
-    Document,
-    id=st.uuids().map(str),
+    synth.document,
+    doc_id=st.uuids().map(str),
     text=st.text(min_size=1).filter(lambda t: t.strip()),
     source=st.one_of(st.none(), st.sampled_from(["web", "books", {"a": [1, None]}, True, 2.5, ["x"]])),
 )
@@ -292,7 +297,7 @@ class TestRoundTrip:
         out = tmp_path_factory.mktemp("rt")
         write_corpus(docs, out, shard_size=3)
         back = list(read_manifest_corpus(out / "manifest.json"))
-        assert [(d.id, d.text, repr(d.source)) for d in back] == [(d.id, d.text, repr(d.source)) for d in docs]
+        assert back == docs
 
     def test_fingerprint_sensitive_to_content_and_order(self):
         def fingerprint(docs):
@@ -300,7 +305,7 @@ class TestRoundTrip:
             assert list(fp.passthrough(docs)) == list(docs)
             return fp.hexdigest()
 
-        a = [Document("x", "one"), Document("y", "two")]
-        b = [Document("y", "two"), Document("x", "one")]
+        a = [synth.document("x", "one"), synth.document("y", "two")]
+        b = [synth.document("y", "two"), synth.document("x", "one")]
         assert fingerprint(a) != fingerprint(b)
         assert fingerprint(a) == fingerprint(list(a))

@@ -243,7 +243,7 @@ class TestRemoteEmbedder:
             return [[1.0, 0.0, 0.0] for _ in texts], True
 
         svc = make_service(embed_fn=embed_fn)
-        emb = RemoteEmbedder(svc.url, timeout=5)
+        emb = RemoteEmbedder(svc.url)
         X = emb.embed(["a text", "b text"])
         assert X.shape == (2, 3)
         assert np.allclose(np.linalg.norm(X, axis=1), 1.0)
@@ -253,7 +253,7 @@ class TestRemoteEmbedder:
             return [[3.0, 4.0] for _ in texts], False
 
         svc = make_service(embed_fn=embed_fn)
-        X = RemoteEmbedder(svc.url, timeout=5).embed(["a"])
+        X = RemoteEmbedder(svc.url).embed(["a"])
         assert np.allclose(X[0], [0.6, 0.8])
 
     def test_batching(self, make_service, monkeypatch):
@@ -264,22 +264,22 @@ class TestRemoteEmbedder:
             return [[1.0, 0.0] for _ in texts], True
 
         svc = make_service(embed_fn=embed_fn)
-        RemoteEmbedder(svc.url, timeout=5).embed([f"t{i}" for i in range(130)])
+        RemoteEmbedder(svc.url).embed([f"t{i}" for i in range(130)])
         monkeypatch.setattr(embedding, "BATCH_TEXTS", 4)
-        RemoteEmbedder(svc.url, timeout=5).embed([f"t{i}" for i in range(10)])
+        RemoteEmbedder(svc.url).embed([f"t{i}" for i in range(10)])
         assert calls == [64, 64, 2, 4, 4, 2]
 
     def test_failure_is_embedder_unavailable(self, make_service):
         svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]] * len(texts), True))
         svc.set_failing(True)
         with pytest.raises(EmbedderUnavailableError) as exc:
-            RemoteEmbedder(svc.url, timeout=2).embed(["x"])
+            RemoteEmbedder(svc.url).embed(["x"])
         assert exc.value.code == "embedder-unavailable"
 
     def test_zero_vector_is_degenerate(self, make_service):
         svc = make_service(embed_fn=lambda texts: ([[0.0, 0.0]] * len(texts), False))
         with pytest.raises(DegenerateEmbeddingError):
-            RemoteEmbedder(svc.url, timeout=5).embed(["x"])
+            RemoteEmbedder(svc.url).embed(["x"])
 
     @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("rows", [
@@ -297,20 +297,20 @@ class TestRemoteEmbedder:
     def test_bad_block_is_unavailable(self, make_service, normalized, rows):
         svc = make_service(reply={"embeddings": rows, "model": "m", "normalized": normalized})
         with pytest.raises(EmbedderUnavailableError, match="not a finite numeric block of one width"):
-            RemoteEmbedder(svc.url, timeout=5).embed(["x"] * len(rows))
+            RemoteEmbedder(svc.url).embed(["x"] * len(rows))
 
     def test_width_change_between_batches_is_unavailable(self, make_service, monkeypatch):
         monkeypatch.setattr(embedding, "BATCH_TEXTS", 2)
         widths = iter([2, 3])
         svc = make_service(embed_fn=lambda texts: ([[1.0] + [0.0] * (next(widths) - 1)] * len(texts), True))
         with pytest.raises(EmbedderUnavailableError, match="one width"):
-            RemoteEmbedder(svc.url, timeout=5).embed(["a", "b", "c"])
+            RemoteEmbedder(svc.url).embed(["a", "b", "c"])
 
     def test_renamed_model_is_unavailable(self, make_service, monkeypatch):
         monkeypatch.setattr(embedding, "BATCH_TEXTS", 2)
         svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]] * len(texts), True),
                            model=lambda n: "m" if n == 1 else "m2")
-        emb = RemoteEmbedder(svc.url, timeout=5)
+        emb = RemoteEmbedder(svc.url)
         with pytest.raises(EmbedderUnavailableError, match="answered as model 'm2'"):
             emb.embed(["a", "b", "c"])
         assert emb.fingerprint() == f"remote:{svc.url}:m"
@@ -318,4 +318,4 @@ class TestRemoteEmbedder:
     def test_count_mismatch_is_unavailable(self, make_service):
         svc = make_service(embed_fn=lambda texts: ([[1.0, 0.0]], True))
         with pytest.raises(EmbedderUnavailableError):
-            RemoteEmbedder(svc.url, timeout=5).embed(["x", "y"])
+            RemoteEmbedder(svc.url).embed(["x", "y"])

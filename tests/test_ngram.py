@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import synth
 from oracles import LoopNGramModel
 from scalingfilter import ngram
-from scalingfilter.corpus import Document
 from scalingfilter.errors import InvalidPairSpecError, NoTrainingDataError
 from scalingfilter.ngram import (
     BOUNDARY,
@@ -27,7 +26,7 @@ from scalingfilter.ngram import (
 
 
 def doc(text, id="d"):
-    return Document(id, text)
+    return synth.document(id, text)
 
 
 def untrained(order, smoothing_k=0.01):

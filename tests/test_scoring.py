@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import synth
 from test_ngram import cross_entropy
 from scalingfilter import remote
-from scalingfilter.corpus import Document
 from scalingfilter.errors import (
     ErrorBudgetExceededError,
     InvalidPerplexityError,
@@ -122,7 +121,7 @@ def score_one(tmp_path, small, large, doc, **kwargs):
 
 class TestScoreDocument:
     def test_local_matches_model_oracle(self, tmp_path, toy_pair, models):
-        doc = Document("x", "the quality of the data stream")
+        doc = synth.document("x", "the quality of the data stream")
         score = score_one(tmp_path, *models, doc)
         l_small = cross_entropy(toy_pair.small, doc.text)
         l_large = cross_entropy(toy_pair.large, doc.text)
@@ -132,7 +131,7 @@ class TestScoreDocument:
     def test_remote_pair(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: 2.0 * len(t))
         large = make_service(perplexity_fn=lambda t: float(len(t)))
-        score = score_one(tmp_path, *remote_pair(small, large), Document("r", "x" * 15))
+        score = score_one(tmp_path, *remote_pair(small, large), synth.document("r", "x" * 15))
         assert (score["ppl_small"], score["ppl_large"], score["quality_factor"]) == (30.0, 15.0, 2.0)
 
     def test_remote_nan_is_invalid_perplexity(self, tmp_path, make_service):
@@ -142,7 +141,7 @@ class TestScoreDocument:
         with pytest.raises(InvalidPerplexityError):
             quality_factor(*small_model.perplexities(["text"]), *large_model.perplexities(["text"]))
         with pytest.raises(ErrorBudgetExceededError):
-            score_corpus(*remote_pair(small, large), [Document("r", "text")], tmp_path / "s.tsv")
+            score_corpus(*remote_pair(small, large), [synth.document("r", "text")], tmp_path / "s.tsv")
         sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8")
         assert sidecar.splitlines()[1].split("\t")[:2] == ["r", "invalid-perplexity"]
 
@@ -157,7 +156,7 @@ class TestScoreDocument:
             models[1].perplexities(["text"])
         assert exc.value.code == "scorer-unavailable"
         with pytest.raises(ErrorBudgetExceededError):
-            score_corpus(*models, [Document("r", "text")], tmp_path / "s.tsv")
+            score_corpus(*models, [synth.document("r", "text")], tmp_path / "s.tsv")
         sidecar = (tmp_path / "s.tsv.errors.tsv").read_text(encoding="utf-8")
         assert sidecar.splitlines()[1].split("\t")[:2] == ["r", "scorer-unavailable"]
 
@@ -206,7 +205,7 @@ class TestScoreCorpus:
     def test_changed_content_invalidates_cache_row(self, tmp_path, models):
         docs = self.make_docs(10)
         score_corpus(*models, docs, tmp_path / "s1.tsv", cache_path=tmp_path / "c.tsv")
-        changed = [Document(docs[0].id, docs[0].text + " extra")] + docs[1:]
+        changed = [synth.document(docs[0].id, docs[0].text + " extra")] + docs[1:]
         summary = score_corpus(*models, changed, tmp_path / "s2.tsv", cache_path=tmp_path / "c.tsv")
         assert summary.endpoint_evaluations == 1
         assert summary.cache_hits == 9
@@ -234,7 +233,7 @@ class TestScoreCorpus:
     def test_error_sidecar_within_budget(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan") if t.startswith("bad") else 4.0)
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document(f"d{i:03d}", "bad doc" if i == 7 else f"fine doc {i}") for i in range(100)]
+        docs = [synth.document(f"d{i:03d}", "bad doc" if i == 7 else f"fine doc {i}") for i in range(100)]
         summary = score_corpus(*remote_pair(small, large), docs, tmp_path / "s.tsv", error_budget=0.05)
         assert summary.count == 99
         assert summary.error_count == 1
@@ -244,7 +243,7 @@ class TestScoreCorpus:
     def test_error_budget_breach_aborts(self, tmp_path, make_service):
         small = make_service(perplexity_fn=lambda t: float("nan"))
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document(f"d{i}", f"doc {i}") for i in range(20)]
+        docs = [synth.document(f"d{i}", f"doc {i}") for i in range(20)]
         with pytest.raises(ErrorBudgetExceededError):
             score_corpus(*remote_pair(small, large), docs, tmp_path / "s.tsv", error_budget=0.01)
 
@@ -260,7 +259,7 @@ class TestScoreCorpus:
 
         small = make_service(perplexity_fn=small_fn)
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document(f"d{i:03d}", f"doc {i}") for i in range(100)]
+        docs = [synth.document(f"d{i:03d}", f"doc {i}") for i in range(100)]
         summary = score_corpus(
             *remote_pair(small, large), docs, tmp_path / "s.tsv",
             workers=workers, error_budget=0.2, batch_size=10,
@@ -275,7 +274,7 @@ class TestScoreCorpus:
     def test_invalid_perplexity_costs_only_its_document(self, tmp_path, make_service, workers):
         small = make_service(perplexity_fn=lambda t: float("nan") if t == "doc 42" else 4.0)
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document(f"d{i:03d}", f"doc {i}") for i in range(100)]
+        docs = [synth.document(f"d{i:03d}", f"doc {i}") for i in range(100)]
         summary = score_corpus(
             *remote_pair(small, large), docs, tmp_path / "s.tsv", cache_path=tmp_path / "c.tsv",
             workers=workers, error_budget=0.05, batch_size=10,
@@ -292,7 +291,7 @@ class TestScoreCorpus:
         # request 1 is the handshake that names the model; requests 2 and 3 score two batches
         small = make_service(perplexity_fn=lambda t: 4.0, model=lambda n: "small-a" if n <= 3 else "small-b")
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document(f"d{i:03d}", f"doc {i}") for i in range(100)]
+        docs = [synth.document(f"d{i:03d}", f"doc {i}") for i in range(100)]
         summary = score_corpus(
             *remote_pair(small, large), docs, tmp_path / "s.tsv", cache_path=tmp_path / "c.tsv",
             workers=workers, error_budget=1.0, batch_size=10,
@@ -312,7 +311,7 @@ class TestScoreCorpus:
     def test_cacheless_remote_run_sends_only_batches(self, tmp_path, make_service, workers):
         small = make_service(perplexity_fn=lambda t: 4.0)
         large = make_service(perplexity_fn=lambda t: 2.0)
-        docs = [Document(f"d{i:03d}", f"doc {i}") for i in range(25)]
+        docs = [synth.document(f"d{i:03d}", f"doc {i}") for i in range(25)]
         score_corpus(*remote_pair(small, large), docs, tmp_path / "s.tsv", workers=workers, batch_size=10)
         # no model-name handshake (an empty request): without a cache the fingerprints go unused
         assert sorted(small.requests) == sorted(large.requests) == [5, 10, 10]
@@ -335,7 +334,7 @@ class TestScoreCorpus:
         assert not (tmp_path / "s.tsv").exists()
 
     def test_duplicate_doc_id_rejected(self, tmp_path, models):
-        docs = [Document("same", "a text"), Document("same", "b text")]
+        docs = [synth.document("same", "a text"), synth.document("same", "b text")]
         with pytest.raises(ValueError):
             score_corpus(*models, docs, tmp_path / "s.tsv")
 

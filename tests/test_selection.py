@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalingfilter.corpus import Document, write_corpus
+import synth
+from scalingfilter.corpus import CorpusManifest, write_corpus
 from scalingfilter.errors import (
     EmptySelectionInputError,
     IdNotInCorpusError,
@@ -15,6 +17,7 @@ from scalingfilter.selection import (
     GATE_HI_PCT,
     GATE_LO_PCT,
     KEEP_RATE,
+    SelectionResult,
     apply_selection,
     pareto_noisy_threshold,
     percentile_gate,
@@ -282,7 +285,7 @@ class TestParetoThreshold:
 
 class TestApplySelection:
     def make_corpus(self, tmp_path, n=20):
-        docs = [Document(f"d{i:03d}", f"text number {i}") for i in range(n)]
+        docs = [synth.document(f"d{i:03d}", f"text number {i}") for i in range(n)]
         out = tmp_path / "corpus"
         write_corpus(docs, out, shard_size=6, corpus_id="src")
         return docs, out / "manifest.json"
@@ -319,9 +322,14 @@ class TestApplySelection:
             apply_selection(result, manifest, tmp_path / "out")
         assert exc.value.code == "id-not-in-corpus"
 
-    def test_audit_json_written(self, tmp_path):
-        import json
+    def test_unknown_id_leaves_no_manifest(self, tmp_path):
+        docs, manifest = self.make_corpus(tmp_path)
+        result = SelectionResult([d.id for d in docs] + ["ghost"], "topk", {})
+        with pytest.raises(IdNotInCorpusError):
+            apply_selection(result, manifest, tmp_path / "out")
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_audit_json_written(self, tmp_path):
         scores = [(f"d{i}", float(i)) for i in range(10)]
         result = select_topk(*cols(scores), keep_rate=0.7)
         result.write(tmp_path / "kept_ids.txt", tmp_path / "audit.json")
@@ -330,6 +338,83 @@ class TestApplySelection:
         audit = json.loads((tmp_path / "audit.json").read_text(encoding="utf-8"))
         assert audit["method"] == "topk"
         assert audit["kept"] == 7
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def shard_with_ids(draw):
+    """(shard bytes, each record's line without its terminator, ids) of records that all have an id,
+    serialised in any JSON layout and ended by LF, CRLF or, on the last line, nothing."""
+    ids = draw(st.lists(st.integers() | st.text(st.characters(blacklist_characters="\t\n\r"), min_size=1),
+                        min_size=1, max_size=6, unique_by=str))
+    lines, shard = [], b""
+    for i, doc_id in enumerate(ids):
+        extra = draw(st.dictionaries(st.text(max_size=5).filter(lambda k: k not in ("id", "text")), _JSON_VALUES,
+                                     max_size=3))
+        record = {"id": doc_id, "text": draw(st.text(min_size=1).filter(str.strip)), **extra}
+        keys = draw(st.permutations(list(record)))
+        separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (" , ", " : ")]))
+        body = json.dumps({k: record[k] for k in keys}, ensure_ascii=draw(st.booleans()), separators=separators)
+        line = (draw(st.sampled_from(["", " ", "\t "])) + body + draw(st.sampled_from(["", " \t"]))).encode()
+        ends = ["\n", "\r\n"] + ([""] if i == len(ids) - 1 else [])
+        lines.append(line)
+        shard += line + draw(st.sampled_from(ends)).encode()
+    return shard, lines, [str(doc_id) for doc_id in ids]
+
+
+class TestApplySelectionCopiesLines:
+    """A kept record is written as the line it was read from, ended by LF; a synthesized id is added to it."""
+
+    @staticmethod
+    def filtered(tmp_path, shard: bytes, kept_ids) -> bytes:
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "s0.jsonl").write_bytes(shard)
+        CorpusManifest("src", ["s0.jsonl"]).save(corpus / "manifest.json")
+        apply_selection(SelectionResult(kept_ids, "topk", {}), corpus / "manifest.json", tmp_path / "out")
+        return (tmp_path / "out" / "shard-00000.jsonl").read_bytes()
+
+    def test_extra_and_nested_fields_survive(self, tmp_path):
+        line = (b'{"id": "a", "text": "x", "url": "https://example.org/a", '
+                b'"meta": {"date": "2019-12-01", "langs": ["en", {"p": 0.9}], "n": null}}\n')
+        assert self.filtered(tmp_path, line, ["a"]) == line
+
+    def test_numeric_id_stays_numeric(self, tmp_path):
+        out = self.filtered(tmp_path, b'{"id": 7, "text": "x"}\n', ["7"])
+        assert out == b'{"id": 7, "text": "x"}\n'
+        assert json.loads(out)["id"] == 7
+
+    def test_escape_stays_as_written(self, tmp_path):
+        line = b'{"id": "a", "text": "caf\\u00e9"}\n'
+        assert self.filtered(tmp_path, line, ["a"]) == line
+
+    def test_crlf_and_unterminated_last_line_written_ending_in_lf(self, tmp_path):
+        out = self.filtered(tmp_path, b'{"text": "x", "id": "a"}\r\n{"id":"b","text":"y"}', ["a", "b"])
+        assert out == b'{"text": "x", "id": "a"}\n{"id":"b","text":"y"}\n'
+
+    def test_record_without_id_written_with_its_synthesized_id(self, tmp_path):
+        shard = b'{"text": "x"}\n{"id": null, "text": "y"}\r\n{"text": "z", "id": ""} \n'
+        out = self.filtered(tmp_path, shard, ["s0:1", "s0:2", "s0:3"])
+        assert out == (b'{"text": "x", "id": "s0:1"}\n{"id": null, "text": "y", "id": "s0:2"}\n'
+                       b'{"text": "z", "id": "", "id": "s0:3"}\n')
+        assert [json.loads(line)["id"] for line in out.splitlines()] == ["s0:1", "s0:2", "s0:3"]
+
+    def test_record_without_id_whose_extra_field_holds_a_lone_surrogate_escape(self, tmp_path):
+        out = self.filtered(tmp_path, b'{"text": "x", "note": "\\ud800"}\n', ["s0:1"])
+        assert out == b'{"text": "x", "note": "\\ud800", "id": "s0:1"}\n'
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=shard_with_ids())
+    def test_record_with_an_id_is_its_input_line_without_the_terminator(self, tmp_path_factory, case):
+        shard, lines, ids = case
+        out = self.filtered(tmp_path_factory.mktemp("lines"), shard, ids)
+        assert out == b"".join(line + b"\n" for line in lines)
 
 
 class TestReadClassifierScores:
